@@ -18,7 +18,6 @@ from .counting import gaussian, theta
 from .gf import Field
 
 ENUMERATION_BUDGET = 10 ** 8
-EAGER_POINT_CHECK = 100_000
 
 
 class BudgetExceeded(RuntimeError):
@@ -127,10 +126,8 @@ class GeometryContext:
         self._points: tuple[Point, ...] | None = None
         self._subspaces: dict[int, tuple[Subspace, ...]] = {}
         self._subspace_points: dict[Subspace, tuple[Point, ...]] = {}
-        self._hyperplane_by_dual: dict[int, Subspace] = {}
+        self._duals: dict[Subspace, Subspace] = {}
         self._incidence: dict[int, object] = {}
-        if self.num_points <= EAGER_POINT_CHECK:
-            self.points()  # also cross-checks the theta_n count
 
     # -- identity ---------------------------------------------------------
 
@@ -230,13 +227,23 @@ class GeometryContext:
         return Subspace(self.n, rows)
 
     def dual(self, space: Subspace) -> Subspace:
-        """Orthogonal complement under the standard dot product."""
-        if space.dim == -1:
-            return self.whole_space()
-        if space.dim == self.n:
-            return EMPTY_SUBSPACE
-        basis = kernel_basis(self.field, space.basis, self.n + 1)
-        return Subspace(len(basis) - 1, basis)
+        """Orthogonal complement under the standard dot product.
+
+        Memoized in both directions, since duality is an involution; this
+        relies on every Subspace carrying its canonical reduced basis.
+        """
+        cached = self._duals.get(space)
+        if cached is None:
+            if space.dim == -1:
+                cached = self.whole_space()
+            elif space.dim == self.n:
+                cached = EMPTY_SUBSPACE
+            else:
+                basis = kernel_basis(self.field, space.basis, self.n + 1)
+                cached = Subspace(len(basis) - 1, basis)
+            self._duals[space] = cached
+            self._duals[cached] = space
+        return cached
 
     def meet(self, a: Subspace, b: Subspace) -> Subspace:
         return self.dual(self.span(self.dual(a), self.dual(b)))
@@ -324,12 +331,7 @@ class GeometryContext:
 
     def hyperplane(self, dual_coords) -> Subspace:
         """Hyperplane {x : a . x = 0} from its dual coordinate vector a."""
-        pt = self.point(dual_coords)
-        cached = self._hyperplane_by_dual.get(pt.index)
-        if cached is None:
-            cached = self.dual(Subspace(0, (pt.coords,)))
-            self._hyperplane_by_dual[pt.index] = cached
-        return cached
+        return self.dual(Subspace(0, (self.point(dual_coords).coords,)))
 
     def hyperplane_dual_point(self, space: Subspace) -> Point:
         if space.dim != self.n - 1:

@@ -10,6 +10,16 @@ every minimum cover up to a size cap:
   keeps leaves duplicate-free by forbidding, inside each branch, the
   candidates tried earlier at the same node.
 
+Each node scans its uncovered spaces once, in ordinal order.  The scan
+finds the most-constrained space (stopping at one with at most one
+candidate left), builds the greedy packing of spaces with disjoint
+candidate sets and the union of their candidates, and prunes as soon as
+the packing exceeds the room left.  The bounds apply in a fixed order:
+the static size bound (or, per composition, the point/hyperplane cover
+ceiling) before the scan, the packing bound during it, and the adaptive
+coverage bound over the candidate union after it.  Plain and
+composition-constrained searches share this one path.
+
 Reports are deterministic for a given (geometry, k, cap, mode): worker
 sharding splits the root branches, each shard runs with its own local
 incumbent, and the merge is order-independent.  Wall time is reported but
@@ -112,6 +122,7 @@ def _shard_search(cover: _Cover, cap: int, chosen0, covered0: int, forbidden0: i
     full = cover.full
     num_points = cover.num_points
     static_max = cover.static_max
+    universe = cover.universe
     max_pts = cover.max_points
     max_hyps = cover.max_hyperplanes
     composition = max_pts is not None or max_hyps is not None
@@ -158,43 +169,40 @@ def _shard_search(cover: _Cover, cap: int, chosen0, covered0: int, forbidden0: i
         elif ucnt > need * static_max:
             pruned += 1
             return
-        # most-constrained unblocked space
+        # one pass over the uncovered spaces: the most-constrained space, the
+        # greedy packing and the union of the remaining candidates.  Spaces
+        # with pairwise disjoint candidate sets need pairwise distinct new
+        # elements (any blocker of a space is one of its candidates), so even
+        # a partial packing is a lower bound and may prune mid-scan.
+        allowed = ~forbidden
         best_j = -1
-        best_cnt = cover.universe + 1
+        best_cnt = universe + 1
+        packing = 0
+        taken = 0
+        union = 0
         m = uncovered
         while m:
             low = m & -m
             j = low.bit_length() - 1
             m ^= low
-            cnt = (cand_masks[j] & ~forbidden).bit_count()
+            cm = cand_masks[j] & allowed
+            cnt = cm.bit_count()
             if cnt < best_cnt:
                 best_cnt = cnt
                 best_j = j
                 if cnt <= 1:
                     break
+            union |= cm
+            if not cm & taken:
+                packing += 1
+                if packing > room:
+                    pruned += 1
+                    return
+                taken |= cm
         if best_cnt == 0:
             pruned += 1
             return
         if best_cnt > 1:
-            # packing bound: spaces with pairwise disjoint candidate sets need
-            # pairwise distinct new elements (any blocker of a space is one of
-            # its candidates), so their count is a valid lower bound
-            packing = 0
-            taken = 0
-            union = 0
-            m = uncovered
-            while m:
-                low = m & -m
-                j = low.bit_length() - 1
-                m ^= low
-                cm = cand_masks[j] & ~forbidden
-                union |= cm
-                if cm & taken == 0:
-                    packing += 1
-                    taken |= cm
-            if packing > room:
-                pruned += 1
-                return
             # adaptive coverage bound over the elements that still matter
             # (every blocker of an uncovered space lies in the union mask)
             adaptive = 0

@@ -258,6 +258,7 @@ def test_criterion_9_stretch_pg33_classification():
         assert fallback.all_blocking
         assert fallback.refutation.refuted
         assert fallback.parameter_tuples == 7280
+        assert fallback.refutation.nodes_expanded == 28445
         print(f"[acceptance]   fallback: {fallback.distinct_sets} distinct "
               f"instances block; no set of size < 12 "
               f"({fallback.refutation.nodes_expanded} search nodes)")
@@ -267,3 +268,5 @@ def test_criterion_9_stretch_pg33_classification():
         assert verdict.method == "search"
         assert verdict.all_minima_match_theorem and not verdict.mismatches
         assert verdict.minima_count == fallback.distinct_sets == 4160
+        assert verdict.report.nodes_expanded == 721577
+        assert verdict.report.pruned == 560536

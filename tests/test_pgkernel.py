@@ -6,7 +6,7 @@ from pgblock.counting import gaussian
 from pgblock.gf import Field
 from pgblock.pgkernel import (EMPTY_SUBSPACE, BadFrame, BudgetExceeded,
                               DimensionMismatch, GeometryContext, PointInCenter,
-                              Subspace)
+                              Subspace, kernel_basis)
 
 
 def _product_formula(n, m, q):
@@ -155,6 +155,27 @@ def test_dual_involution_pg33_lines(pg33):
 def test_dual_whole_and_empty(pg32):
     assert pg32.dual(pg32.whole_space()) == EMPTY_SUBSPACE
     assert pg32.dual(EMPTY_SUBSPACE) == pg32.whole_space()
+
+
+@pytest.mark.parametrize("field,n", [(Field(2), 3), (Field(2, 2), 2)])
+def test_dual_memo_matches_kernel_basis(field, n):
+    # the memo's first and repeat answers against kernel_basis, the reverse
+    # direction computed afresh in a second context, and warmed contexts that
+    # still compare and hash like a cold one
+    ctx = GeometryContext(field, n)
+    other = GeometryContext(field, n)
+    spaces = [EMPTY_SUBSPACE] + [s for m in range(n + 1) for s in ctx.subspaces(m)]
+    for s in spaces:
+        basis = kernel_basis(ctx.field, s.basis, n + 1)
+        expected = Subspace(len(basis) - 1, basis)
+        assert ctx.dual(s) == expected
+        assert ctx.dual(s) == expected
+        assert ctx.dual(ctx.dual(s)) == s
+        assert other.dual(expected) == s
+    for pt in ctx.points():
+        assert ctx.hyperplane(pt.coords) == ctx.dual(Subspace(0, (pt.coords,)))
+    cold = GeometryContext(field, n)
+    assert ctx == other == cold and hash(ctx) == hash(other) == hash(cold)
 
 
 def test_grassmann_identity_exhaustive(pg32):

@@ -84,6 +84,19 @@ def test_worker_determinism(pg32):
     assert payloads[0] == payloads[1] == payloads[2]
 
 
+@pytest.mark.parametrize("fixture,k,cap,nodes,pruned", [
+    ("pg32", 1, 6, 1940, 1188),
+    ("pg42", 2, 7, 10311, 8228),
+    ("pg23", 1, 4, 121, 76),
+])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_branch_and_bound_counters_pinned(request, fixture, k, cap, nodes, pruned, workers):
+    # node and prune counts of the plain search, pinned so that a faster node
+    # scan is shown to explore exactly the same tree
+    report = min_blocking_search(request.getfixturevalue(fixture), k, cap, workers=workers)
+    assert (report.nodes_expanded, report.pruned) == (nodes, pruned)
+
+
 def test_rerun_determinism(pg32, pg32_minima):
     again = min_blocking_search(pg32, 1, 6)
     assert again.canonical_dict() == pg32_minima.canonical_dict()
