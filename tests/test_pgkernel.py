@@ -173,7 +173,8 @@ def test_dual_memo_matches_kernel_basis(field, n):
         assert ctx.dual(ctx.dual(s)) == s
         assert other.dual(expected) == s
     for pt in ctx.points():
-        assert ctx.hyperplane(pt.coords) == ctx.dual(Subspace(0, (pt.coords,)))
+        scaled = tuple(field.mul(field.q - 1, c) for c in pt.coords)
+        assert ctx.hyperplane(scaled) == ctx.dual(Subspace(0, (pt.coords,)))
     cold = GeometryContext(field, n)
     assert ctx == other == cold and hash(ctx) == hash(other) == hash(cold)
 
