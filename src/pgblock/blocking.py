@@ -82,7 +82,7 @@ class IncidenceSystem:
 
 
 def incidence(ctx: GeometryContext, s: int) -> IncidenceSystem:
-    cached = ctx._incidence.get(s)
+    cached = ctx.incidence_systems.get(s)
     if cached is not None:
         return cached
     spaces = ctx.subspaces(s)
@@ -115,7 +115,7 @@ def incidence(ctx: GeometryContext, s: int) -> IncidenceSystem:
         candidate_masks=tuple(cand_masks),
         full_mask=(1 << len(spaces)) - 1,
     )
-    ctx._incidence[s] = system
+    ctx.incidence_systems[s] = system
     return system
 
 
@@ -435,3 +435,96 @@ def pinned_hyperplanes(bset: BlockingSet, hull: Subspace, pin: Point) -> PinnedH
     bound = q ** (k - 1) * (q + 1)
     return PinnedHyperplanesReport(members, COUNT_BOUND, None,
                                    bound, len(members) >= bound)
+
+
+def lemma_checks(bset: BlockingSet) -> dict:
+    """The equality-case diagnostics of the middle case n = 2k + 1, check by
+    check: the size bound, the skew-cospace bound, the tangent closure and
+    the pinned-hyperplane dichotomy, each with its counts and at most three
+    counterexamples, as a JSON-ready dict."""
+    ctx, k = bset.ctx, bset.k
+    q = ctx.q
+    checks: dict[str, dict] = {}
+    blocking_ok = is_blocking(bset)[0]
+    size_bound = q ** k * (q + 1)
+    at_equality = blocking_ok and bset.size == size_bound
+    point_idx = {p.index for p in bset.points}
+
+    checks["size_bound"] = {
+        "applicable": blocking_ok and ctx.n == 2 * k + 1,
+        "pass": (not blocking_ok) or ctx.n != 2 * k + 1 or bset.size >= size_bound,
+        "bound": size_bound,
+        "size": bset.size,
+    }
+
+    if ctx.n == 2 * k + 1 and k >= 1:
+        failures = []
+        count = 0
+        for flat in ctx.subspaces(k - 1):
+            if any(p.index in point_idx for p in ctx.subspace_points(flat)):
+                continue
+            count += 1
+            profile = skew_space_profile(bset, flat)
+            bound_ok = (not blocking_ok) or profile.count >= profile.bound
+            conclusions_ok = ((not blocking_ok) or (not profile.equality)
+                              or (profile.single_point_per_kspace
+                                  and profile.point_count_multiple))
+            if not (bound_ok and conclusions_ok):
+                failures.append(flat.to_dict())
+        checks["skew_cospace_bound"] = {
+            "applicable": blocking_ok,
+            "pass": not failures,
+            "flats_checked": count,
+            "counterexamples": failures[:3],
+        }
+    incident = [(p, hp) for p in bset.points for hp in bset.hyperplanes
+                if ctx.contains(hp, p)]
+    checks["no_incident_pair"] = {
+        "applicable": at_equality,
+        "pass": (not at_equality) or not incident,
+        "counterexamples": [
+            {"point": list(p.coords),
+             "hyperplane": list(ctx.hyperplane_dual_point(hp).coords)}
+            for p, hp in incident[:3]],
+    }
+    checks["point_part_multiple"] = {
+        "applicable": at_equality,
+        "pass": (not at_equality) or len(bset.points) % q ** k == 0,
+        "points": len(bset.points),
+    }
+    if bset.points:
+        closure = tangent_closure(ctx, bset.points)
+        separation_ok = closure.hypothesis_ok or not at_equality
+        checks["tangent_secant_separation"] = {
+            "applicable": at_equality,
+            "pass": separation_ok,
+            "violator": list(closure.violator.coords) if closure.violator else None,
+        }
+        checks["tangent_closure_dimension"] = {
+            "applicable": closure.hypothesis_ok,
+            "pass": (not closure.hypothesis_ok)
+                    or (closure.is_subspace and closure.dim == closure.expected_dim),
+            "dim": closure.dim,
+            "expected_dim": closure.expected_dim,
+        }
+        if at_equality and closure.hypothesis_ok and closure.is_subspace \
+                and closure.dim <= k + 1 and ctx.n == 2 * k + 1:
+            hull = ctx.span(*bset.points)
+            while hull.dim < k + 1:
+                hull = next(ctx.extensions(hull))
+            failures = []
+            pins = 0
+            for pt in ctx.subspace_points(hull):
+                if pt.index in point_idx:
+                    continue
+                pins += 1
+                rep = pinned_hyperplanes(bset, hull, pt)
+                if rep.case != VACUOUS and not rep.bound_ok:
+                    failures.append(list(pt.coords))
+            checks["pinned_hyperplane_dichotomy"] = {
+                "applicable": True,
+                "pass": not failures,
+                "pins_checked": pins,
+                "counterexamples": failures[:3],
+            }
+    return checks

@@ -32,7 +32,7 @@ from .counting import (BoundReport, HypothesisViolated, InvalidQ, gaussian,
                        metsch_lower_bound, minimum_size_bound, theta)
 from .gf import FieldError, field_for_order
 from .pgkernel import (BadFrame, BudgetExceeded, DimensionMismatch,
-                       GeometryContext, PointInCenter, Subspace)
+                       GeometryContext, PointInCenter)
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILS = 1
@@ -69,10 +69,6 @@ def _context(args) -> GeometryContext:
     return GeometryContext(field_for_order(args.q), args.n)
 
 
-def _subspace_json(ctx: GeometryContext, space: Subspace) -> dict:
-    return {"dim": space.dim, "basis": [list(r) for r in space.basis]}
-
-
 def _element_json(ctx: GeometryContext, element) -> dict:
     if hasattr(element, "coords"):
         return {"type": "point", "coords": list(element.coords)}
@@ -95,7 +91,7 @@ def _cmd_verify(args) -> int:
     ok, witness = blocking.is_blocking(bset)
     payload = {"blocking": ok}
     if witness is not None:
-        payload["witness"] = _subspace_json(bset.ctx, witness)
+        payload["witness"] = witness.to_dict()
     _emit(payload)
     return EXIT_OK if ok else EXIT_PROPERTY_FAILS
 
@@ -116,13 +112,6 @@ def _cmd_dual(args) -> int:
     return EXIT_OK
 
 
-def _parse_subspace(ctx: GeometryContext, rows) -> Subspace:
-    if not rows:
-        return ctx.span()
-    raw = Subspace(len(rows) - 1, tuple(tuple(int(c) for c in r) for r in rows))
-    return ctx.span(raw)
-
-
 def _cmd_construct(args) -> int:
     ctx = _context(args)
     params_doc = None
@@ -131,10 +120,10 @@ def _cmd_construct(args) -> int:
             params_doc = json.load(handle)
     if args.kind == "pencil-partition":
         if params_doc is not None:
-            hull = _parse_subspace(ctx, params_doc["hull"])
-            axis = _parse_subspace(ctx, params_doc["axis"])
+            hull = ctx.subspace(params_doc["hull"])
+            axis = ctx.subspace(params_doc["axis"])
             members = constructions.pencil(ctx, axis, hull)
-            point_part = frozenset(_parse_subspace(ctx, rows)
+            point_part = frozenset(ctx.subspace(rows)
                                    for rows in params_doc["point_spaces"])
             hyp_part = frozenset(members) - point_part
             params = constructions.PencilPartitionParams(hull, axis, point_part, hyp_part)
@@ -142,11 +131,11 @@ def _cmd_construct(args) -> int:
             params = constructions.canonical_pencil_partition(ctx, args.k, args.t)
         bset = constructions.pencil_partition(ctx, params)
     elif args.kind == "bose-burton-points":
-        anchor = (_parse_subspace(ctx, params_doc["anchor"]) if params_doc
+        anchor = (ctx.subspace(params_doc["anchor"]) if params_doc
                   else constructions.canonical_anchor(ctx, ctx.n - args.k))
         bset = constructions.bose_burton(ctx, args.k, "points", anchor)
     elif args.kind == "bose-burton-hyperplanes":
-        anchor = (_parse_subspace(ctx, params_doc["anchor"]) if params_doc
+        anchor = (ctx.subspace(params_doc["anchor"]) if params_doc
                   else constructions.canonical_anchor(ctx, ctx.n - args.k - 2))
         bset = constructions.bose_burton(ctx, args.k, "hyperplanes", anchor)
     elif args.kind == "q2-even":
@@ -159,37 +148,31 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
+# formula -> (report name, function, argument names in call order)
+_FORMULAS = {
+    "main-theorem": ("main_theorem_bound", minimum_size_bound, ("n", "k", "q")),
+    "gaussian": ("gaussian", gaussian, ("a", "b", "q")),
+    "theta": ("theta", theta, ("m", "q")),
+    "metsch": ("metsch_lower_bound", metsch_lower_bound,
+               ("n", "q", "d", "s", "b_size")),
+    "metsch-dual": ("metsch_dual_lower_bound", metsch_dual_lower_bound,
+                    ("n", "q", "d", "s", "b_size")),
+    "heger-nagy": ("heger_nagy_upper_bound", heger_nagy_upper_bound, ("a", "b", "q")),
+}
+
+
 def _cmd_bounds(args) -> int:
-    if args.formula == "main-theorem":
-        value = minimum_size_bound(args.n, args.k, args.q)
-        report = BoundReport("main_theorem_bound",
-                             {"n": args.n, "k": args.k, "q": args.q}, value)
-    elif args.formula == "gaussian":
-        report = BoundReport("gaussian", {"a": args.a, "b": args.b, "q": args.q},
-                             gaussian(args.a, args.b, args.q))
-    elif args.formula == "theta":
-        report = BoundReport("theta", {"m": args.m, "q": args.q},
-                             theta(args.m, args.q))
-    elif args.formula == "metsch":
-        report = BoundReport(
-            "metsch_lower_bound",
-            {"n": args.n, "q": args.q, "d": args.d, "s": args.s, "b_size": args.b_size},
-            metsch_lower_bound(args.n, args.q, args.d, args.s, args.b_size))
-    elif args.formula == "metsch-dual":
-        report = BoundReport(
-            "metsch_dual_lower_bound",
-            {"n": args.n, "q": args.q, "d": args.d, "s": args.s, "b_size": args.b_size},
-            metsch_dual_lower_bound(args.n, args.q, args.d, args.s, args.b_size))
-    elif args.formula == "heger-nagy":
-        report = BoundReport("heger_nagy_upper_bound",
-                             {"a": args.a, "b": args.b, "q": args.q},
-                             heger_nagy_upper_bound(args.a, args.b, args.q),
-                             comparison=(gaussian(args.a, args.b, args.q),
-                                         gaussian(args.a, args.b, args.q)
-                                         < heger_nagy_upper_bound(args.a, args.b, args.q)))
-    else:
-        raise ValueError(f"unknown formula {args.formula!r}")
-    _emit(report.to_dict())
+    name, formula, arg_names = _FORMULAS[args.formula]
+    missing = [f"--{a.replace('_', '-')}" for a in arg_names if getattr(args, a) is None]
+    if missing:
+        raise ValueError(f"--formula {args.formula} needs {', '.join(missing)}")
+    params = {a: getattr(args, a) for a in arg_names}
+    value = formula(*params.values())
+    comparison = None
+    if args.formula == "heger-nagy":
+        actual = gaussian(args.a, args.b, args.q)
+        comparison = (actual, actual < value)
+    _emit(BoundReport(name, params, value, comparison).to_dict())
     return EXIT_OK
 
 
@@ -215,103 +198,9 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _lemma_suite(bset: BlockingSet) -> dict:
-    """The equality-case diagnostics, reported check by check."""
-    ctx, k = bset.ctx, bset.k
-    q = ctx.q
-    checks: dict[str, dict] = {}
-    blocking_ok = blocking.is_blocking(bset)[0]
-    size_bound = q ** k * (q + 1)
-    at_equality = blocking_ok and bset.size == size_bound
-    point_idx = {p.index for p in bset.points}
-
-    checks["size_bound"] = {
-        "applicable": blocking_ok and ctx.n == 2 * k + 1,
-        "pass": (not blocking_ok) or ctx.n != 2 * k + 1 or bset.size >= size_bound,
-        "bound": size_bound,
-        "size": bset.size,
-    }
-
-    if ctx.n == 2 * k + 1 and k >= 1:
-        failures = []
-        count = 0
-        for flat in ctx.subspaces(k - 1):
-            if any(p.index in point_idx for p in ctx.subspace_points(flat)):
-                continue
-            count += 1
-            profile = blocking.skew_space_profile(bset, flat)
-            bound_ok = (not blocking_ok) or profile.count >= profile.bound
-            conclusions_ok = ((not blocking_ok) or (not profile.equality)
-                              or (profile.single_point_per_kspace
-                                  and profile.point_count_multiple))
-            if not (bound_ok and conclusions_ok):
-                failures.append(_subspace_json(ctx, flat))
-        checks["skew_cospace_bound"] = {
-            "applicable": blocking_ok,
-            "pass": not failures,
-            "flats_checked": count,
-            "counterexamples": failures[:3],
-        }
-    incident = [(p, hp) for p in bset.points for hp in bset.hyperplanes
-                if ctx.contains(hp, p)]
-    checks["no_incident_pair"] = {
-        "applicable": at_equality,
-        "pass": (not at_equality) or not incident,
-        "counterexamples": [
-            {"point": list(p.coords),
-             "hyperplane": list(ctx.hyperplane_dual_point(hp).coords)}
-            for p, hp in incident[:3]],
-    }
-    checks["point_part_multiple"] = {
-        "applicable": at_equality,
-        "pass": (not at_equality) or len(bset.points) % q ** k == 0,
-        "points": len(bset.points),
-    }
-    if bset.points:
-        closure = blocking.tangent_closure(ctx, bset.points)
-        separation_ok = closure.hypothesis_ok or not at_equality
-        checks["tangent_secant_separation"] = {
-            "applicable": at_equality,
-            "pass": separation_ok,
-            "violator": list(closure.violator.coords) if closure.violator else None,
-        }
-        checks["tangent_closure_dimension"] = {
-            "applicable": closure.hypothesis_ok,
-            "pass": (not closure.hypothesis_ok)
-                    or (closure.is_subspace and closure.dim == closure.expected_dim),
-            "dim": closure.dim,
-            "expected_dim": closure.expected_dim,
-        }
-        if at_equality and closure.hypothesis_ok and closure.is_subspace \
-                and closure.dim <= k + 1 and ctx.n == 2 * k + 1:
-            hull = ctx.span(*bset.points)
-            if hull.dim < k + 1:
-                for pt in ctx.points():
-                    if not ctx.contains(hull, pt):
-                        hull = ctx.span(hull, pt)
-                        if hull.dim == k + 1:
-                            break
-            failures = []
-            pins = 0
-            for pt in ctx.subspace_points(hull):
-                if pt.index in point_idx:
-                    continue
-                pins += 1
-                rep = blocking.pinned_hyperplanes(bset, hull, pt)
-                if rep.case != blocking.VACUOUS and not rep.bound_ok:
-                    failures.append(list(pt.coords))
-            checks["pinned_hyperplane_dichotomy"] = {
-                "applicable": True,
-                "pass": not failures,
-                "pins_checked": pins,
-                "counterexamples": failures[:3],
-            }
-    return checks
-
-
 def _cmd_lemma_check(args) -> int:
     bset = _read_blocking_set(args.input)
-    checks = _lemma_suite(bset)
+    checks = blocking.lemma_checks(bset)
     all_ok = all(c["pass"] for c in checks.values())
     _emit({"checks": checks, "all_pass": all_ok})
     return EXIT_OK if all_ok else EXIT_PROPERTY_FAILS
@@ -334,8 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=1)
         p.add_argument("--budget-seconds", type=float, default=None,
                        help="wall-clock budget (or env PGBLOCK_BUDGET_SECONDS)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="reserved for randomized drivers; sampling order only")
 
     p = sub.add_parser("verify", help="check the blocking property")
     p.add_argument("input", help="blocking-set JSON path, or - for stdin")
@@ -362,8 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="evaluate a bound formula exactly")
     p.add_argument("--formula", default="main-theorem",
-                   choices=("main-theorem", "gaussian", "theta", "metsch",
-                            "metsch-dual", "heger-nagy"))
+                   choices=tuple(_FORMULAS))
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--k", type=int, default=None)

@@ -109,17 +109,20 @@ def canonical_pencil_partition(ctx: GeometryContext, k: int, t: int = 1) -> Penc
                                  frozenset(members[:t]), frozenset(members[t:]))
 
 
+def _subspaces_inside(ctx: GeometryContext, space: Subspace, m: int):
+    """The m-spaces inside space, in canonical order."""
+    if m == 0:
+        return (Subspace(0, (p.coords,)) for p in ctx.subspace_points(space))
+    return (a for a in ctx.subspaces(m) if ctx.contains(space, a))
+
+
 def enumerate_pencil_partitions(ctx: GeometryContext, k: int):
     """Every parameter tuple (hull, axis, nonempty split), canonically ordered."""
     if ctx.n != 2 * k + 1 or k < 1:
         raise WrongParameters(f"need n = 2k + 1 and k >= 1, got n={ctx.n}, k={k}")
     q = ctx.q
     for hull in ctx.subspaces(k + 1):
-        if k == 1:
-            axes = [Subspace(0, (p.coords,)) for p in ctx.subspace_points(hull)]
-        else:
-            axes = [a for a in ctx.subspaces(k - 1) if ctx.contains(hull, a)]
-        for axis in axes:
+        for axis in _subspaces_inside(ctx, hull, k - 1):
             members = pencil(ctx, axis, hull)
             for split in range(1, 2 ** (q + 1) - 1):
                 part1 = frozenset(members[i] for i in range(q + 1) if split >> i & 1)
@@ -141,12 +144,13 @@ def distinct_pencil_partition_sets(ctx: GeometryContext, k: int):
 def recognize_pencil_partition(bset: BlockingSet) -> PencilPartitionParams | None:
     """Parameters whose generated set equals bset exactly, or None.
 
-    Recovery: the hull is the span of the points (completed through every
-    (k+1)-space over it in the degenerate one-part case), the hyperplane
-    part's traces on the hull give one side of the pencil, and the axis is
-    the common intersection of the traces (enumerated inside the single
-    trace when only one is present).  Every candidate is confirmed by
-    regeneration.
+    Recovery: the hull is the span of the points (tried through every
+    (k+1)-space over it in the one-part case t = 1), the hyperplane part's
+    traces on the hull give one side of the pencil, and the axis is the meet
+    of the traces.  A single trace forces t = q, and then the set is the
+    hull minus the trace plus the hyperplanes through the trace off the
+    hull, whatever the axis inside the trace, so its first (k-1)-space is
+    taken.  Every candidate is confirmed by regeneration.
     """
     ctx, k = bset.ctx, bset.k
     q = ctx.q
@@ -162,69 +166,26 @@ def recognize_pencil_partition(bset: BlockingSet) -> PencilPartitionParams | Non
     if span0.dim == k + 1:
         hulls = [span0]
     elif span0.dim == k:
-        hulls = []
-        span_idx = {p.index for p in ctx.subspace_points(span0)}
-        for pt in ctx.points():
-            if pt.index in span_idx:
-                continue
-            hull = ctx.span(span0, pt)
-            if hull not in hulls:
-                hulls.append(hull)
+        hulls = ctx.extensions(span0)
     else:
         return None
-    point_idx = {p.index for p in bset.points}
     for hull in hulls:
-        hull_idx = {p.index for p in ctx.subspace_points(hull)}
-        if not point_idx <= hull_idx:
+        if any(ctx.contains(hp, hull) for hp in bset.hyperplanes):
             continue
-        traces = set()
-        ok = True
-        for hp in bset.hyperplanes:
-            if ctx.contains(hp, hull):
-                ok = False
-                break
-            trace = ctx.meet(hp, hull)
-            if trace.dim != k:
-                ok = False
-                break
-            traces.add(trace)
-        if not ok or not traces:
+        traces = frozenset(ctx.meet(hp, hull) for hp in bset.hyperplanes)
+        axis, *others = traces
+        if not others:
+            axis = next(_subspaces_inside(ctx, axis, k - 1))
+        for trace in others:
+            axis = ctx.meet(axis, trace)
+        if axis.dim != k - 1:
             continue
-        if len(traces) > 1:
-            it = iter(traces)
-            axis = next(it)
-            for trace in it:
-                axis = ctx.meet(axis, trace)
-            if axis.dim != k - 1:
-                continue
-            axis_candidates = [axis]
-        else:
-            only = next(iter(traces))
-            if k == 1:
-                axis_candidates = [Subspace(0, (p.coords,))
-                                   for p in ctx.subspace_points(only)]
-            else:
-                axis_candidates = [a for a in ctx.subspaces(k - 1)
-                                   if ctx.contains(only, a)]
-        for axis in axis_candidates:
-            if not ctx.contains(hull, axis):
-                continue
-            try:
-                members = set(pencil(ctx, axis, hull))
-            except BadPencil:
-                continue
-            if not traces <= members:
-                continue
-            point_part = frozenset(members - traces)
-            if len(point_part) != t:
-                continue
-            params = PencilPartitionParams(hull, axis, point_part, frozenset(traces))
-            try:
-                regenerated = pencil_partition(ctx, params)
-            except (BadPencil, EmptyPart):
-                continue
-            if regenerated == bset:
-                return params
+        point_part = frozenset(pencil(ctx, axis, hull)) - traces
+        if len(point_part) != t:
+            continue
+        params = PencilPartitionParams(hull, axis, point_part, traces)
+        if pencil_partition(ctx, params) == bset:
+            return params
     return None
 
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .gf import prime_power_parts
+
 
 class InvalidQ(ValueError):
     pass
@@ -29,25 +31,6 @@ OPEN = "open"
 CONTAINS_SPACE = "contains_space"
 LARGE_NONTRIVIAL = "large_nontrivial"
 VIOLATES_BOUND = "violates_bound"
-
-
-def prime_power_parts(q: int) -> tuple[int, int] | None:
-    """(p, e) with q = p^e, or None if q is not a prime power >= 2."""
-    if q < 2:
-        return None
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        p = q
-    e = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        e += 1
-    return (p, e) if m == 1 else None
 
 
 def _check_q(q: int):
@@ -200,7 +183,6 @@ class BoundReport:
         out = {
             "name": self.name,
             "params": {key: str(val) for key, val in self.params.items()},
-            "value": rendered,
             self.name: rendered,
         }
         if self.comparison is not None:

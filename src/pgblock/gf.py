@@ -269,10 +269,13 @@ class Field:
         return f"GF({self.q})"
 
 
-def field_for_order(q: int) -> Field:
-    """Build GF(q) from its prime-power factorization, using built-in moduli."""
+def prime_power_parts(q: int) -> tuple[int, int] | None:
+    """(p, e) with q = p^e, or None if q is not a prime power >= 2.
+
+    Trial division stops at sqrt(q), which keeps it cheap enough for the
+    q check that counting runs on every theta and gaussian call."""
     if q < 2:
-        raise FieldError(f"q = {q} is not a prime power")
+        return None
     p = 2
     while p * p <= q:
         if q % p == 0:
@@ -285,6 +288,12 @@ def field_for_order(q: int) -> Field:
     while m % p == 0:
         m //= p
         e += 1
-    if m != 1:
+    return (p, e) if m == 1 else None
+
+
+def field_for_order(q: int) -> Field:
+    """Build GF(q) from its prime-power factorization, using built-in moduli."""
+    parts = prime_power_parts(q)
+    if parts is None:
         raise FieldError(f"q = {q} is not a prime power")
-    return Field(p, e)
+    return Field(*parts)

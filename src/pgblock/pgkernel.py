@@ -62,6 +62,9 @@ class Subspace:
         rows = ";".join(",".join(map(str, r)) for r in self.basis)
         return f"Subspace(dim={self.dim}:{rows})"
 
+    def to_dict(self) -> dict:
+        return {"dim": self.dim, "basis": [list(r) for r in self.basis]}
+
 
 EMPTY_SUBSPACE = Subspace(-1, ())
 
@@ -113,9 +116,11 @@ def kernel_basis(field: Field, rows, ncols: int) -> tuple[tuple[int, ...], ...]:
 class GeometryContext:
     """PG(n, q): a field plus the projective dimension, with caches.
 
-    Instances compare and hash by (field, n); the caches are private and
-    never mutated from outside, so contexts are safe to share between
-    worker processes and threads.
+    Instances compare and hash by (field, n).  Every cache holds only
+    values determined by (field, n), so contexts are safe to share between
+    worker processes and threads.  The public one, `incidence_systems`,
+    holds the s-space incidence systems that `blocking.incidence` builds,
+    keyed by s; the private ones are never mutated from outside.
     """
 
     def __init__(self, field: Field, n: int):
@@ -127,7 +132,7 @@ class GeometryContext:
         self._subspaces: dict[int, tuple[Subspace, ...]] = {}
         self._subspace_points: dict[Subspace, tuple[Point, ...]] = {}
         self._duals: dict[Subspace, Subspace] = {}
-        self._incidence: dict[int, object] = {}
+        self.incidence_systems: dict[int, object] = {}
 
     # -- identity ---------------------------------------------------------
 
@@ -220,6 +225,25 @@ class GeometryContext:
                 rows.append(row)
         basis = rref(self.field, rows)
         return Subspace(len(basis) - 1, basis)
+
+    def subspace(self, rows) -> Subspace:
+        """The subspace spanned by coordinate rows (none: the empty subspace)."""
+        raw = tuple(tuple(int(c) for c in row) for row in rows)
+        if any(not 0 <= c < self.q for row in raw for c in row):
+            raise DimensionMismatch(f"coordinates out of range for {self.field!r}")
+        return self.span(Subspace(len(raw) - 1, raw))
+
+    def extensions(self, space: Subspace):
+        """Each distinct span of space with one point off it, in the order of
+        the smallest such point."""
+        inside = {p.index for p in self.subspace_points(space)}
+        seen = set()
+        for pt in self.points():
+            if pt.index not in inside:
+                ext = self.span(space, pt)
+                if ext not in seen:
+                    seen.add(ext)
+                    yield ext
 
     def whole_space(self) -> Subspace:
         rows = tuple(tuple(1 if i == j else 0 for j in range(self.n + 1))

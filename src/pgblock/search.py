@@ -519,8 +519,7 @@ def verify_middle_case(ctx: GeometryContext, k: int, workers: int = 1,
 
 def classify_minimum(ctx: GeometryContext, k: int, size_cap: int | None = None,
                      mode: str = "branch_and_bound", workers: int = 1,
-                     budget_seconds: float | None = None,
-                     allow_fallback: bool = True) -> ClassificationVerdict:
+                     budget_seconds: float | None = None) -> ClassificationVerdict:
     """Search for the minimum and compare it, and every minimum set, with the
     classification.  For the open q = 2 middle cases the expected bound is
     reported as "open" and the empirical minimum stands on its own.  If a
@@ -531,11 +530,10 @@ def classify_minimum(ctx: GeometryContext, k: int, size_cap: int | None = None,
     if size_cap is None:
         size_cap = expected if isinstance(expected, int) else \
             min(theta(k + 1, ctx.q), theta(ctx.n - k, ctx.q))
-    middle = ctx.n == 2 * k + 1
     try:
         report = min_blocking_search(ctx, k, size_cap, mode, workers, budget_seconds)
     except TimeBudgetExceeded:
-        if not (middle and allow_fallback):
+        if ctx.n != 2 * k + 1:
             raise
         fallback = verify_middle_case(ctx, k, workers)
         bound = (ctx.q + 1) * ctx.q ** k

@@ -1,6 +1,12 @@
 import json
 
+import pytest
+
+from pgblock.blocking import lemma_checks
 from pgblock.cli import main
+from pgblock.constructions import canonical_pencil_partition, pencil_partition
+from pgblock.gf import Field
+from pgblock.pgkernel import GeometryContext
 
 
 def run_cli(capsys, *argv):
@@ -13,7 +19,7 @@ def test_bounds_main_theorem(capsys):
     code, data = run_cli(capsys, "bounds", "--n", "3", "--k", "1", "--q", "2")
     assert code == 0
     assert data["main_theorem_bound"] == "6"
-    assert data["value"] == "6"
+    assert "value" not in data
     assert data["params"] == {"n": "3", "k": "1", "q": "2"}
 
 
@@ -37,6 +43,23 @@ def test_bounds_other_formulas(capsys):
     assert code == 0
     assert data["comparison"]["satisfied"] is True
     assert data["comparison"]["actual"] == "130"
+
+
+@pytest.mark.parametrize("formula,given,missing", [
+    ("main-theorem", ["--n", "3"], "--k"),
+    ("gaussian", [], "--a, --b"),
+    ("gaussian", ["--a", "4"], "--b"),
+    ("theta", [], "--m"),
+    ("metsch", ["--n", "3", "--d", "1"], "--s"),
+    ("metsch-dual", ["--d", "1", "--s", "1"], "--n"),
+    ("heger-nagy", ["--b", "2"], "--a"),
+], ids=["main-theorem", "gaussian", "gaussian-b", "theta", "metsch", "metsch-dual",
+        "heger-nagy"])
+def test_bounds_missing_flag_named(capsys, formula, given, missing):
+    code = main(["bounds", "--formula", formula, "--q", "2", *given])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"--formula {formula} needs {missing}" in captured.err
 
 
 def test_construct_verify_roundtrip(capsys, tmp_path):
@@ -87,6 +110,11 @@ def test_construct_with_explicit_params(capsys, tmp_path):
                         "--params", str(ppath))
     assert code == 0
     assert len(doc["points"]) == 2 and len(doc["hyperplanes"]) == 4
+    params["axis"] = [[5, 0, 0, 0]]  # not a GF(2) code
+    ppath.write_text(json.dumps(params))
+    assert main(["construct", "--q", "2", "--n", "3", "--k", "1",
+                 "--params", str(ppath)]) == 2
+    assert "out of range" in capsys.readouterr().err
 
 
 def test_verify_failure_exit_code(capsys, tmp_path):
@@ -136,7 +164,7 @@ def test_search_rerun_stability(capsys):
     runs = []
     for _ in range(2):
         code, data = run_cli(capsys, "search", "--q", "2", "--n", "3", "--k", "1",
-                             "--cap", "6", "--seed", "1")
+                             "--cap", "6")
         assert code == 0
         data.pop("wall_time")
         runs.append(json.dumps(data, sort_keys=True))
@@ -178,6 +206,20 @@ def test_lemma_check_non_minimum(capsys, tmp_path):
     code, res = run_cli(capsys, "lemma-check", str(path))
     assert code == 0
     assert res["checks"]["no_incident_pair"]["applicable"] is False
+
+
+@pytest.mark.parametrize("q,ts", [(2, (1,)), (3, (1, 2, 3))], ids=["pg32", "pg33"])
+def test_lemma_checks_equals_cli_payload(capsys, tmp_path, q, ts):
+    ctx = GeometryContext(Field(q), 3)
+    for t in ts:
+        bset = pencil_partition(ctx, canonical_pencil_partition(ctx, 1, t))
+        path = tmp_path / f"pp{t}.json"
+        path.write_text(json.dumps(bset.to_dict()))
+        code, res = run_cli(capsys, "lemma-check", str(path))
+        assert code == 0
+        checks = lemma_checks(bset)
+        assert res == {"checks": checks, "all_pass": True}
+        assert checks["pinned_hyperplane_dichotomy"]["pins_checked"] > 0
 
 
 def test_stdin_input(capsys, monkeypatch, tmp_path):

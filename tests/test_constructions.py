@@ -11,7 +11,7 @@ from pgblock.constructions import (BadPencil, EmptyPart, PencilPartitionParams,
                                    recognize_pencil_partition)
 from pgblock.counting import theta
 from pgblock.gf import Field
-from pgblock.pgkernel import GeometryContext
+from pgblock.pgkernel import GeometryContext, Subspace
 
 
 def random_pencil_params(ctx, k, rng):
@@ -108,6 +108,27 @@ def test_recognition_round_trip(pg32, pg33):
             recovered = recognize_pencil_partition(bset)
             assert recovered is not None
             assert pencil_partition(ctx, recovered) == bset
+
+
+@pytest.mark.parametrize("field", [Field(3), Field(2, 2)], ids=["pg33", "pg34"])
+def test_recognition_single_trace(field):
+    # t = q leaves one trace; any axis inside it regenerates the same set
+    ctx = GeometryContext(field, 3)
+    rng = random.Random(ctx.q)
+    jobs = [canonical_pencil_partition(ctx, 1, ctx.q)]
+    while len(jobs) < 4:
+        params = random_pencil_params(ctx, 1, rng)
+        if len(params.hyperplane_spaces) == 1:
+            jobs.append(params)
+    for params in jobs:
+        bset = pencil_partition(ctx, params)
+        recovered = recognize_pencil_partition(bset)
+        assert recovered is not None
+        assert recovered.hull == params.hull
+        assert recovered.hyperplane_spaces == params.hyperplane_spaces
+        (trace,) = recovered.hyperplane_spaces
+        assert recovered.axis == Subspace(0, (ctx.subspace_points(trace)[0].coords,))
+        assert pencil_partition(ctx, recovered) == bset
 
 
 def test_recognition_of_dual(pg32):

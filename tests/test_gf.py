@@ -2,7 +2,7 @@ import pytest
 
 from pgblock.gf import (BUILTIN_MODULI, Field, FieldError, InverseOfZero,
                         NoBuiltinModulus, NonPrimeP, ReducibleModulus,
-                        field_for_order)
+                        field_for_order, prime_power_parts)
 
 TABLE_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27]
 
@@ -131,3 +131,12 @@ def test_field_for_order_rejects_non_prime_powers():
         field_for_order(6)
     with pytest.raises(FieldError):
         field_for_order(1)
+
+
+def test_prime_power_parts():
+    cases = {1: None, 2: (2, 1), 6: None, 12: None, 27: (3, 3), 49: (7, 2),
+             1024: (2, 10), 2 ** 31 - 1: (2 ** 31 - 1, 1), 3 * 2 ** 31: None}
+    for q, parts in cases.items():
+        assert prime_power_parts(q) == parts, q
+    for q in (0, -4):
+        assert prime_power_parts(q) is None

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from pgblock.counting import gaussian
+from pgblock.counting import gaussian, theta
 from pgblock.gf import Field
 from pgblock.pgkernel import (EMPTY_SUBSPACE, BadFrame, BudgetExceeded,
                               DimensionMismatch, GeometryContext, PointInCenter,
@@ -240,3 +240,17 @@ def test_subspace_out_of_range(pg32):
         pg32.subspaces(4)
     with pytest.raises(DimensionMismatch):
         pg32.subspaces(-1)
+
+
+@pytest.mark.parametrize("field,n", [(Field(2), 3), (Field(2, 2), 2)],
+                         ids=["pg32", "pg24"])
+def test_extensions(field, n):
+    ctx = GeometryContext(field, n)
+    for d in range(-1, n):
+        for base in ([EMPTY_SUBSPACE] if d == -1 else ctx.subspaces(d)):
+            exts = list(ctx.extensions(base))
+            assert len(exts) == len(set(exts)) == theta(n - d - 1, ctx.q)
+            assert all(e.dim == d + 1 and ctx.contains(e, base) for e in exts)
+            firsts = [min(p.index for p in ctx.subspace_points(e)
+                          if not ctx.contains(base, p)) for e in exts]
+            assert firsts == sorted(firsts)
