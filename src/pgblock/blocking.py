@@ -13,11 +13,12 @@ ordinal of their dual point.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .counting import theta
-from .gf import Field, field_for_order
+from .gf import Field, field_for_order, plain_int
 from .pgkernel import GeometryContext, Point, Subspace, DimensionMismatch
 
 
@@ -182,26 +183,27 @@ class BlockingSet:
         field_data = data.get("field")
         if field_data is not None:
             fld = Field.from_dict(field_data)
-            if "q" in data and int(data["q"]) != fld.q:
+            if "q" in data and plain_int(data["q"], "q") != fld.q:
                 raise ValueError(f"q = {data['q']} disagrees with field of order {fld.q}")
         else:
-            fld = field_for_order(int(data["q"]))
-        ctx = GeometryContext(fld, int(data["n"]))
-        pts = []
-        for raw in data.get("points", ()):
-            coords = tuple(int(c) for c in raw)
-            pt = ctx.point(coords)
-            if warn is not None and pt.coords != coords:
-                warn(f"point {list(coords)} normalized to {list(pt.coords)}")
-            pts.append(pt)
-        hyps = []
-        for raw in data.get("hyperplanes", ()):
-            coords = tuple(int(c) for c in raw)
-            pt = ctx.point(coords)
-            if warn is not None and pt.coords != coords:
-                warn(f"hyperplane {list(coords)} normalized to {list(pt.coords)}")
-            hyps.append(ctx.hyperplane(pt.coords))
-        return cls(ctx, int(data["k"]), frozenset(pts), frozenset(hyps))
+            fld = field_for_order(plain_int(data["q"], "q"))
+        ctx = GeometryContext(fld, plain_int(data["n"], "n"))
+
+        def read(kind):
+            found = set()
+            for raw in data.get(kind + "s", ()):
+                coords = tuple(plain_int(c, f"{kind} coordinate") for c in raw)
+                pt = ctx.point(coords)
+                if warn is not None and pt.coords != coords:
+                    warn(f"{kind} {list(coords)} normalized to {list(pt.coords)}")
+                if warn is not None and pt in found:
+                    warn(f"duplicate {kind} {list(pt.coords)} kept once")
+                found.add(pt)
+            return found
+
+        points = frozenset(read("point"))
+        hyps = frozenset(ctx.hyperplane(pt.coords) for pt in read("hyperplane"))
+        return cls(ctx, plain_int(data["k"], "k"), points, hyps)
 
 
 def blocked_mask(bset: BlockingSet, s: int | None = None) -> int:
@@ -371,14 +373,9 @@ def skew_space_profile(bset: BlockingSet, flat: Subspace) -> SkewSpaceProfile:
     equality = Fraction(count) == bound
     single = multiple = None
     if equality:
-        single = True
-        for kspace in ctx.subspaces(k):
-            if not ctx.contains(kspace, flat):
-                continue
-            hits = sum(1 for p in ctx.subspace_points(kspace) if p.index in point_idx)
-            if hits > 1:
-                single = False
-                break
+        # the k-spaces through the flat that meet the points are its spans
+        # with them, one per point exactly when no two points share one
+        single = len({ctx.span(flat, p) for p in bset.points}) == len(point_idx)
         multiple = len(point_idx) % qk == 0
     return SkewSpaceProfile(count, bound, equality, single, multiple)
 
@@ -422,16 +419,15 @@ def pinned_hyperplanes(bset: BlockingSet, hull: Subspace, pin: Point) -> PinnedH
         return PinnedHyperplanesReport(members, VACUOUS, None, None, None)
     q = ctx.q
     # Case 1: a k-space of the hull through the pin whose full hyperplane
-    # fibre {H : H meet hull = that k-space} sits inside the collection.
-    for kspace in ctx.subspaces(k):
-        if not ctx.contains(hull, kspace) or not ctx.contains(kspace, pin):
-            continue
-        fibre = [hp for hp in ctx.hyperplanes_through(kspace)
-                 if not ctx.contains(hp, hull)]
-        if fibre and all(hp in members for hp in fibre):
-            bound = q ** k
-            return PinnedHyperplanesReport(members, FULL_TRACE, kspace,
-                                           bound, len(members) >= bound)
+    # fibre {H : H meet hull = that k-space} sits inside the collection.  A
+    # fibre has q^k hyperplanes, so it is full iff q^k members cut the hull
+    # in it; the witness is the first such trace in canonical order.
+    traces = Counter(ctx.meet(hp, hull) for hp in members)
+    full = [trace for trace, count in traces.items() if count == q ** k]
+    if full:
+        witness = min(full, key=incidence(ctx, k).space_index.__getitem__)
+        return PinnedHyperplanesReport(members, FULL_TRACE, witness,
+                                       q ** k, len(members) >= q ** k)
     bound = q ** (k - 1) * (q + 1)
     return PinnedHyperplanesReport(members, COUNT_BOUND, None,
                                    bound, len(members) >= bound)
@@ -477,15 +473,15 @@ def lemma_checks(bset: BlockingSet) -> dict:
             "flats_checked": count,
             "counterexamples": failures[:3],
         }
-    incident = [(p, hp) for p in bset.points for hp in bset.hyperplanes
-                if ctx.contains(hp, p)]
+    incident = sorted(((p, ctx.hyperplane_dual_point(hp))
+                       for p in bset.points for hp in bset.hyperplanes
+                       if ctx.contains(hp, p)),
+                      key=lambda pair: (pair[0].index, pair[1].index))
     checks["no_incident_pair"] = {
         "applicable": at_equality,
         "pass": (not at_equality) or not incident,
-        "counterexamples": [
-            {"point": list(p.coords),
-             "hyperplane": list(ctx.hyperplane_dual_point(hp).coords)}
-            for p, hp in incident[:3]],
+        "counterexamples": [{"point": list(p.coords), "hyperplane": list(d.coords)}
+                            for p, d in incident[:3]],
     }
     checks["point_part_multiple"] = {
         "applicable": at_equality,
@@ -511,7 +507,7 @@ def lemma_checks(bset: BlockingSet) -> dict:
                 and closure.dim <= k + 1 and ctx.n == 2 * k + 1:
             hull = ctx.span(*bset.points)
             while hull.dim < k + 1:
-                hull = next(ctx.extensions(hull))
+                hull = next(ctx.extensions(hull, ctx.whole_space()))
             failures = []
             pins = 0
             for pt in ctx.subspace_points(hull):

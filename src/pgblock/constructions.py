@@ -12,8 +12,11 @@ Three families live here:
 * The q = 2 even-dimension variant of the same idea, one level up, for
   k = n/2.
 
-Recognition is generate-and-compare: recover candidate parameters, run
-the generator, and demand exact set equality.
+A pencil member contributes the same elements in every split: its
+off-axis points in one part, the hyperplanes through it off the hull in the
+other.  Generation unions these per member, so enumerating every split of a
+pencil builds it once.  Recognition is generate-and-compare: recover
+candidate parameters, run the generator, and demand exact set equality.
 """
 
 from __future__ import annotations
@@ -57,15 +60,20 @@ def pencil(ctx: GeometryContext, axis: Subspace, hull: Subspace) -> tuple[Subspa
     ordered by their smallest off-axis point."""
     if hull.dim - axis.dim != 2 or not ctx.contains(hull, axis):
         raise BadPencil(f"axis dim {axis.dim} / hull dim {hull.dim} do not form a pencil")
-    axis_idx = {p.index for p in ctx.subspace_points(axis)}
-    seen = {}
-    for pt in ctx.subspace_points(hull):
-        if pt.index in axis_idx:
-            continue
-        member = ctx.span(axis, pt)
-        if member not in seen:
-            seen[member] = pt.index
-    return tuple(sorted(seen, key=seen.get))
+    return tuple(ctx.extensions(axis, hull))
+
+
+def _member_ordinals(ctx: GeometryContext, axis: Subspace, hull: Subspace,
+                     member: Subspace) -> tuple[frozenset[int], frozenset[int]]:
+    """The universe ordinals a pencil member contributes in either part:
+    (its off-axis points, the hyperplanes through it off the hull, which are
+    the points of dual(member) outside dual(hull))."""
+    def ordinals(space, offset=0):
+        return frozenset(offset + p.index for p in ctx.subspace_points(space))
+
+    num_points = ctx.num_points
+    return (ordinals(member) - ordinals(axis),
+            ordinals(ctx.dual(member), num_points) - ordinals(ctx.dual(hull), num_points))
 
 
 def pencil_partition(ctx: GeometryContext, params: PencilPartitionParams) -> BlockingSet:
@@ -83,15 +91,11 @@ def pencil_partition(ctx: GeometryContext, params: PencilPartitionParams) -> Blo
     members = set(pencil(ctx, axis, hull))
     if set(params.point_spaces) | set(params.hyperplane_spaces) != members:
         raise BadPencil("the two parts do not partition the full pencil")
-    axis_idx = {p.index for p in ctx.subspace_points(axis)}
-    points = set()
-    for kspace in params.point_spaces:
-        points.update(p for p in ctx.subspace_points(kspace) if p.index not in axis_idx)
-    hyperplanes = set()
-    for kspace in params.hyperplane_spaces:
-        hyperplanes.update(hp for hp in ctx.hyperplanes_through(kspace)
-                           if not ctx.contains(hp, hull))
-    return BlockingSet(ctx, k, frozenset(points), frozenset(hyperplanes))
+    ids = set()
+    for part, spaces in enumerate((params.point_spaces, params.hyperplane_spaces)):
+        for member in spaces:
+            ids |= _member_ordinals(ctx, axis, hull, member)[part]
+    return BlockingSet.from_indices(ctx, k, ids)
 
 
 def canonical_pencil_partition(ctx: GeometryContext, k: int, t: int = 1) -> PencilPartitionParams:
@@ -116,28 +120,23 @@ def _subspaces_inside(ctx: GeometryContext, space: Subspace, m: int):
     return (a for a in ctx.subspaces(m) if ctx.contains(space, a))
 
 
-def enumerate_pencil_partitions(ctx: GeometryContext, k: int):
-    """Every parameter tuple (hull, axis, nonempty split), canonically ordered."""
+def distinct_pencil_partition_sets(ctx: GeometryContext, k: int):
+    """(sorted tuple of distinct element-index tuples, number of parameter
+    tuples (hull, axis, nonempty split))."""
     if ctx.n != 2 * k + 1 or k < 1:
         raise WrongParameters(f"need n = 2k + 1 and k >= 1, got n={ctx.n}, k={k}")
-    q = ctx.q
+    seen = set()
+    count = 0
     for hull in ctx.subspaces(k + 1):
         for axis in _subspaces_inside(ctx, hull, k - 1):
-            members = pencil(ctx, axis, hull)
-            for split in range(1, 2 ** (q + 1) - 1):
-                part1 = frozenset(members[i] for i in range(q + 1) if split >> i & 1)
-                part2 = frozenset(members) - part1
-                yield PencilPartitionParams(hull, axis, part1, part2)
-
-
-def distinct_pencil_partition_sets(ctx: GeometryContext, k: int):
-    """(sorted tuple of distinct element-index tuples, number of parameter tuples)."""
-    seen = {}
-    count = 0
-    for params in enumerate_pencil_partitions(ctx, k):
-        count += 1
-        bset = pencil_partition(ctx, params)
-        seen.setdefault(bset.element_indices(), params)
+            parts = [_member_ordinals(ctx, axis, hull, member)
+                     for member in pencil(ctx, axis, hull)]
+            for split in range(1, 2 ** (ctx.q + 1) - 1):
+                ids = set()
+                for i, (points, hyperplanes) in enumerate(parts):
+                    ids |= points if split >> i & 1 else hyperplanes
+                seen.add(tuple(sorted(ids)))
+                count += 1
     return tuple(sorted(seen)), count
 
 
@@ -166,7 +165,7 @@ def recognize_pencil_partition(bset: BlockingSet) -> PencilPartitionParams | Non
     if span0.dim == k + 1:
         hulls = [span0]
     elif span0.dim == k:
-        hulls = ctx.extensions(span0)
+        hulls = ctx.extensions(span0, ctx.whole_space())
     else:
         return None
     for hull in hulls:

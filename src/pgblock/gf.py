@@ -45,6 +45,17 @@ class InverseOfZero(FieldError):
     pass
 
 
+class NotAnInteger(ValueError):
+    """Input that must be an integer is some other value."""
+
+
+def plain_int(value, what: str) -> int:
+    """value itself if it is a plain int; a float, string or bool is rejected."""
+    if type(value) is not int:
+        raise NotAnInteger(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -254,9 +265,11 @@ class Field:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Field":
-        e = int(data.get("e", 1))
+        e = plain_int(data.get("e", 1), "field e")
         modulus = data.get("modulus") if e > 1 else None
-        return cls(int(data["p"]), e, modulus)
+        if modulus is not None:
+            modulus = [plain_int(c, "modulus coefficient") for c in modulus]
+        return cls(plain_int(data["p"], "field p"), e, modulus)
 
     def __eq__(self, other):
         return (isinstance(other, Field)

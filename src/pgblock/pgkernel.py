@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .counting import gaussian, theta
-from .gf import Field
+from .gf import Field, plain_int
 
 ENUMERATION_BUDGET = 10 ** 8
 
@@ -228,17 +228,17 @@ class GeometryContext:
 
     def subspace(self, rows) -> Subspace:
         """The subspace spanned by coordinate rows (none: the empty subspace)."""
-        raw = tuple(tuple(int(c) for c in row) for row in rows)
+        raw = tuple(tuple(plain_int(c, "coordinate") for c in row) for row in rows)
         if any(not 0 <= c < self.q for row in raw for c in row):
             raise DimensionMismatch(f"coordinates out of range for {self.field!r}")
         return self.span(Subspace(len(raw) - 1, raw))
 
-    def extensions(self, space: Subspace):
-        """Each distinct span of space with one point off it, in the order of
-        the smallest such point."""
+    def extensions(self, space: Subspace, ambient: Subspace):
+        """Each distinct span of space with one point of ambient off it, in
+        the order of the smallest such point."""
         inside = {p.index for p in self.subspace_points(space)}
         seen = set()
-        for pt in self.points():
+        for pt in self.subspace_points(ambient):
             if pt.index not in inside:
                 ext = self.span(space, pt)
                 if ext not in seen:

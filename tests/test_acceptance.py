@@ -268,5 +268,7 @@ def test_criterion_9_stretch_pg33_classification():
         assert verdict.method == "search"
         assert verdict.all_minima_match_theorem and not verdict.mismatches
         assert verdict.minima_count == fallback.distinct_sets == 4160
+        pencil_sets, _ = distinct_pencil_partition_sets(ctx, 1)
+        assert pencil_sets == verdict.report.minimum_sets
         assert verdict.report.nodes_expanded == 721577
         assert verdict.report.pruned == 560536

@@ -4,15 +4,18 @@ from itertools import combinations
 
 import pytest
 
-from pgblock.blocking import (SECANT, SKEW, TANGENT, BlockingSet,
-                              FlatMeetsPoints, NotALine, NotBlocking,
-                              PinnedPointInSet, PointsNotInHull, WrongAmbient,
-                              dual_set, is_blocking, is_minimal, line_type,
-                              pinned_hyperplanes, skew_space_profile,
-                              tangent_closure, unblocked_count)
-from pgblock.constructions import canonical_pencil_partition, pencil_partition
+from pgblock.blocking import (COUNT_BOUND, FULL_TRACE, SECANT, SKEW, TANGENT,
+                              VACUOUS, BlockingSet, FlatMeetsPoints, NotALine,
+                              NotBlocking, PinnedHyperplanesReport,
+                              PinnedPointInSet, PointsNotInHull, SkewSpaceProfile,
+                              WrongAmbient, dual_set, is_blocking, is_minimal,
+                              lemma_checks, line_type, pinned_hyperplanes,
+                              skew_space_profile, tangent_closure, unblocked_count)
+from pgblock.constructions import (bose_burton, canonical_pencil_partition,
+                                   pencil_partition)
 from pgblock.counting import theta
-from pgblock.pgkernel import Subspace
+from pgblock.gf import Field
+from pgblock.pgkernel import GeometryContext, Subspace
 
 
 def _point_set(ctx, k, points):
@@ -282,3 +285,126 @@ def test_json_normalization_warning(pg32):
     doc3 = {"q": 3, "n": 3, "k": 1, "points": [[0, 0, 2, 2]], "hyperplanes": []}
     BlockingSet.from_dict(doc3, warn=messages.append)
     assert messages
+
+
+def test_lemma_checks_independent_of_insertion_order(pg33):
+    # one set, its frozensets filled in opposite orders
+    pts = list(pg33.subspace_points(pg33.subspaces(2)[0]))
+    hyps = list(pg33.hyperplanes()[:6])
+    forward = BlockingSet(pg33, 1, frozenset(pts), frozenset(hyps))
+    backward = BlockingSet(pg33, 1, frozenset(reversed(pts)), frozenset(reversed(hyps)))
+    checks = lemma_checks(forward)
+    assert checks == lemma_checks(backward)
+    incident = sorted((p.index, pg33.hyperplane_dual_point(hp).index)
+                      for p in pts for hp in hyps if pg33.contains(hp, p))
+    listed = [(pg33.point(c["point"]).index, pg33.point(c["hyperplane"]).index)
+              for c in checks["no_incident_pair"]["counterexamples"]]
+    assert listed == incident[:3] and len(incident) > 3
+
+
+# -- slow reference scans over every k-space of the geometry -------------------
+
+
+def brute_skew_space_profile(bset, flat):
+    ctx, k = bset.ctx, bset.k
+    qk = ctx.q ** k
+    point_idx = {p.index for p in bset.points}
+    count = sum(1 for hp in bset.hyperplanes if ctx.contains(hp, flat))
+    bound = Fraction(ctx.q + 1) - Fraction(len(point_idx), qk)
+    if count != bound:
+        return SkewSpaceProfile(count, bound, False, None, None)
+    single = all(sum(p.index in point_idx for p in ctx.subspace_points(kspace)) <= 1
+                 for kspace in ctx.subspaces(k) if ctx.contains(kspace, flat))
+    return SkewSpaceProfile(count, bound, True, single, len(point_idx) % qk == 0)
+
+
+def brute_pinned_hyperplanes(bset, hull, pin):
+    ctx, k, q = bset.ctx, bset.k, bset.ctx.q
+    members = frozenset(hp for hp in bset.hyperplanes
+                        if ctx.contains(hp, pin) and not ctx.contains(hp, hull))
+    if not is_blocking(bset)[0]:
+        return PinnedHyperplanesReport(members, VACUOUS, None, None, None)
+    for kspace in ctx.subspaces(k):
+        if ctx.contains(hull, kspace) and ctx.contains(kspace, pin):
+            fibre = [hp for hp in ctx.hyperplanes_through(kspace)
+                     if not ctx.contains(hp, hull)]
+            if fibre and all(hp in members for hp in fibre):
+                return PinnedHyperplanesReport(members, FULL_TRACE, kspace, q ** k,
+                                               len(members) >= q ** k)
+    bound = q ** (k - 1) * (q + 1)
+    return PinnedHyperplanesReport(members, COUNT_BOUND, None, bound, len(members) >= bound)
+
+
+ORACLE_GEOMETRIES = pytest.mark.parametrize("field,k,samples", [
+    (Field(2), 1, 8), (Field(3), 1, 8), (Field(2), 2, 2)], ids=["pg32", "pg33", "pg52"])
+
+
+@ORACLE_GEOMETRIES
+def test_skew_space_profile_matches_kspace_scan(field, k, samples):
+    """Sets with t q^k points and q+1-t hyperplanes through a (k-1)-flat, so
+    the bound is tight there: the points lie one per k-space through the
+    flat, or two share the first one."""
+    ctx = GeometryContext(field, 2 * k + 1)
+    q = ctx.q
+    rng = random.Random(31 * q + k)
+    singles = []
+    for i in range(2 * samples):
+        flat = rng.choice(ctx.subspaces(k - 1))
+        t = rng.randrange(1, q + 1)
+        through = list(ctx.extensions(flat, ctx.whole_space()))
+        rng.shuffle(through)
+        off_flat = [[p for p in ctx.subspace_points(K) if not ctx.contains(flat, p)]
+                    for K in through]
+        if i % 2:
+            pts = [rng.choice(cands) for cands in off_flat[:t * q ** k]]
+        else:
+            pts = rng.sample(off_flat[0], 2) + [
+                rng.choice(cands) for cands in off_flat[1:t * q ** k - 1]]
+        hyps = rng.sample(ctx.hyperplanes_through(flat), q + 1 - t)
+        hyps += rng.sample([hp for hp in ctx.hyperplanes()
+                            if not ctx.contains(hp, flat)], 2)
+        bset = BlockingSet(ctx, k, frozenset(pts), frozenset(hyps))
+        point_idx = {p.index for p in pts}
+        skew = [f for f in ctx.subspaces(k - 1)
+                if not any(p.index in point_idx for p in ctx.subspace_points(f))]
+        for other in rng.sample(skew, 3) + [flat]:
+            profile = skew_space_profile(bset, other)
+            assert profile == brute_skew_space_profile(bset, other)
+        assert profile.equality
+        singles.append(profile.single_point_per_kspace)
+    assert singles == [bool(i % 2) for i in range(2 * samples)]
+
+
+@ORACLE_GEOMETRIES
+def test_pinned_hyperplanes_matches_kspace_scan(field, k, samples):
+    """Pencil-partition sets with and without extra hyperplanes (full
+    traces), Bose-Burton hyperplane sets through a (k-1)-space against a
+    random hull (reaching the count bound), and sets that do not block."""
+    ctx = GeometryContext(field, 2 * k + 1)
+    q = ctx.q
+    rng = random.Random(37 * q + k)
+    jobs = []
+    for t in range(1, q + 1):
+        params = canonical_pencil_partition(ctx, k, t)
+        bset = pencil_partition(ctx, params)
+        extra = frozenset(rng.sample(ctx.hyperplanes(), 3))
+        jobs.append((bset, params.hull))
+        jobs.append((BlockingSet(ctx, k, bset.points, bset.hyperplanes | extra),
+                     params.hull))
+    for _ in range(samples):
+        anchor = rng.choice(ctx.subspaces(k - 1))
+        jobs.append((bose_burton(ctx, k, "hyperplanes", anchor),
+                     rng.choice(ctx.subspaces(k + 1))))
+        hull = rng.choice(ctx.subspaces(k + 1))
+        pts = rng.sample(ctx.subspace_points(hull), 2)
+        jobs.append((BlockingSet(ctx, k, frozenset(pts),
+                                 frozenset(rng.sample(ctx.hyperplanes(), 4))), hull))
+    cases = set()
+    for bset, hull in jobs:
+        for pin in ctx.subspace_points(hull):
+            if pin in bset.points:
+                continue
+            rep = pinned_hyperplanes(bset, hull, pin)
+            assert rep == brute_pinned_hyperplanes(bset, hull, pin)
+            cases.add(rep.case)
+    assert cases == {FULL_TRACE, COUNT_BOUND, VACUOUS}

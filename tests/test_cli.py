@@ -143,6 +143,50 @@ def test_invalid_input_exit_code(capsys, tmp_path):
     capsys.readouterr()
 
 
+SMALL_SET = {"q": 2, "n": 3, "k": 1, "points": [[0, 0, 1, 1]],
+             "hyperplanes": [[1, 0, 0, 0]]}
+
+
+@pytest.mark.parametrize("key,value", [
+    ("points", [[0, 0, 1.9, 1]]), ("points", [[0, 0, True, 1]]),
+    ("points", [[0, 0, "1", 1]]), ("hyperplanes", [[1.0, 0, 0, 0]]),
+    ("n", 3.7), ("k", True), ("q", 2.0),
+    ("field", {"p": 2.0, "e": 1, "modulus": [0, 1]}),
+], ids=["float", "bool", "string", "hyperplane", "n", "k", "q", "field"])
+def test_non_integer_input_rejected(capsys, tmp_path, key, value):
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps({**SMALL_SET, key: value}))
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be an integer" in captured.err
+
+
+@pytest.mark.parametrize("value", [1.9, True, "1"], ids=["float", "bool", "string"])
+def test_non_integer_params_rejected(capsys, tmp_path, value):
+    params = {"hull": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+              "axis": [[value, 0, 0, 0]],
+              "point_spaces": [[[1, 0, 0, 0], [0, 1, 0, 0]]]}
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    assert main(["construct", "--q", "2", "--n", "3", "--k", "1",
+                 "--params", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be an integer" in captured.err
+
+
+def test_duplicates_reported_on_stderr(capsys, tmp_path):
+    doc = {"q": 3, "n": 3, "k": 1, "points": [[0, 0, 1, 1], [0, 0, 2, 2]],
+           "hyperplanes": [[1, 0, 0, 0], [1, 0, 0, 0]]}
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(doc))
+    assert main(["dual", str(path)]) == 0
+    captured = capsys.readouterr()
+    res = json.loads(captured.out)
+    assert len(res["points"]) == len(res["hyperplanes"]) == 1
+    assert "duplicate point [0, 0, 1, 1] kept once" in captured.err
+    assert "duplicate hyperplane [1, 0, 0, 0] kept once" in captured.err
+
+
 def test_budget_exit_code(capsys):
     code = main(["search", "--q", "3", "--n", "3", "--k", "1", "--cap", "12",
                  "--budget-seconds", "0.05"])

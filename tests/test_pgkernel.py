@@ -248,9 +248,18 @@ def test_extensions(field, n):
     ctx = GeometryContext(field, n)
     for d in range(-1, n):
         for base in ([EMPTY_SUBSPACE] if d == -1 else ctx.subspaces(d)):
-            exts = list(ctx.extensions(base))
-            assert len(exts) == len(set(exts)) == theta(n - d - 1, ctx.q)
-            assert all(e.dim == d + 1 and ctx.contains(e, base) for e in exts)
-            firsts = [min(p.index for p in ctx.subspace_points(e)
-                          if not ctx.contains(base, p)) for e in exts]
-            assert firsts == sorted(firsts)
+            # the whole geometry, then every ambient space two steps up
+            every = list(ctx.extensions(base, ctx.whole_space()))
+            ambients = {ctx.whole_space()}
+            for mid in every:
+                ambients.update(ctx.extensions(mid, ctx.whole_space()))
+            for ambient in ambients:
+                exts = list(ctx.extensions(base, ambient))
+                count = theta(ambient.dim - d - 1, ctx.q)
+                assert len(exts) == len(set(exts)) == count
+                assert all(e.dim == d + 1 and ctx.contains(e, base)
+                           and ctx.contains(ambient, e) for e in exts)
+                firsts = [min(p.index for p in ctx.subspace_points(e)
+                              if not ctx.contains(base, p)) for e in exts]
+                assert firsts == sorted(firsts)
+                assert exts == [e for e in every if ctx.contains(ambient, e)]
