@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .counting import theta
-from .gf import Field, field_for_order, plain_int
+from .gf import Field, field_for_order, json_object, plain_int, required
 from .pgkernel import GeometryContext, Point, Subspace, DimensionMismatch
 
 
@@ -120,6 +120,12 @@ def incidence(ctx: GeometryContext, s: int) -> IncidenceSystem:
     return system
 
 
+def check_k(ctx: GeometryContext, k: int):
+    """The one range check on k, shared by BlockingSet and the search."""
+    if not 0 <= k < ctx.n:
+        raise DimensionMismatch(f"need 0 <= k < n, got k={k}, n={ctx.n}")
+
+
 @dataclass(frozen=True)
 class BlockingSet:
     """The pair (points, hyperplanes) with its ambient geometry and target k."""
@@ -130,8 +136,7 @@ class BlockingSet:
     hyperplanes: frozenset[Subspace]
 
     def __post_init__(self):
-        if not 0 <= self.k < self.ctx.n:
-            raise DimensionMismatch(f"need 0 <= k < n, got k={self.k}, n={self.ctx.n}")
+        check_k(self.ctx, self.k)
         for pt in self.points:
             if len(pt.coords) != self.ctx.n + 1:
                 raise DimensionMismatch(f"{pt!r} does not live in {self.ctx!r}")
@@ -180,14 +185,15 @@ class BlockingSet:
 
     @classmethod
     def from_dict(cls, data: dict, warn=None) -> "BlockingSet":
+        data = json_object(data, "blocking-set document")
         field_data = data.get("field")
         if field_data is not None:
             fld = Field.from_dict(field_data)
             if "q" in data and plain_int(data["q"], "q") != fld.q:
                 raise ValueError(f"q = {data['q']} disagrees with field of order {fld.q}")
         else:
-            fld = field_for_order(plain_int(data["q"], "q"))
-        ctx = GeometryContext(fld, plain_int(data["n"], "n"))
+            fld = field_for_order(plain_int(required(data, "q"), "q"))
+        ctx = GeometryContext(fld, plain_int(required(data, "n"), "n"))
 
         def read(kind):
             found = set()
@@ -203,7 +209,7 @@ class BlockingSet:
 
         points = frozenset(read("point"))
         hyps = frozenset(ctx.hyperplane(pt.coords) for pt in read("hyperplane"))
-        return cls(ctx, plain_int(data["k"], "k"), points, hyps)
+        return cls(ctx, plain_int(required(data, "k"), "k"), points, hyps)
 
 
 def blocked_mask(bset: BlockingSet, s: int | None = None) -> int:

@@ -30,17 +30,16 @@ from .blocking import BlockingSet
 from .counting import (BoundReport, HypothesisViolated, InvalidQ, gaussian,
                        heger_nagy_upper_bound, metsch_dual_lower_bound,
                        metsch_lower_bound, minimum_size_bound, theta)
-from .gf import FieldError, NotAnInteger, field_for_order
-from .pgkernel import (BadFrame, BudgetExceeded, DimensionMismatch,
-                       GeometryContext, PointInCenter)
+from .gf import FieldError, MalformedDocument, NotAnInteger, field_for_order
+from .pgkernel import BudgetExceeded, DimensionMismatch, GeometryContext
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILS = 1
 EXIT_INVALID_INPUT = 2
 EXIT_BUDGET = 3
 
-_INPUT_ERRORS = (FieldError, NotAnInteger, DimensionMismatch, BadFrame,
-                 PointInCenter, InvalidQ, HypothesisViolated, blocking.NotBlocking,
+_INPUT_ERRORS = (FieldError, NotAnInteger, MalformedDocument, DimensionMismatch,
+                 InvalidQ, HypothesisViolated, blocking.NotBlocking,
                  constructions.BadPencil, constructions.EmptyPart,
                  constructions.WrongAnchorDim, constructions.WrongParameters,
                  ValueError, KeyError, TypeError, json.JSONDecodeError,

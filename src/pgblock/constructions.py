@@ -15,8 +15,11 @@ Three families live here:
 A pencil member contributes the same elements in every split: its
 off-axis points in one part, the hyperplanes through it off the hull in the
 other.  Generation unions these per member, so enumerating every split of a
-pencil builds it once.  Recognition is generate-and-compare: recover
-candidate parameters, run the generator, and demand exact set equality.
+pencil builds it once.  The axes of a hull are enumerated inside it, through
+its own basis (`GeometryContext.iter_subspaces(k - 1, hull)`), not by
+filtering the (k-1)-spaces of the whole geometry.  Recognition is
+generate-and-compare: recover candidate parameters, run the generator, and
+demand exact set equality.
 """
 
 from __future__ import annotations
@@ -113,13 +116,6 @@ def canonical_pencil_partition(ctx: GeometryContext, k: int, t: int = 1) -> Penc
                                  frozenset(members[:t]), frozenset(members[t:]))
 
 
-def _subspaces_inside(ctx: GeometryContext, space: Subspace, m: int):
-    """The m-spaces inside space, in canonical order."""
-    if m == 0:
-        return (Subspace(0, (p.coords,)) for p in ctx.subspace_points(space))
-    return (a for a in ctx.subspaces(m) if ctx.contains(space, a))
-
-
 def distinct_pencil_partition_sets(ctx: GeometryContext, k: int):
     """(sorted tuple of distinct element-index tuples, number of parameter
     tuples (hull, axis, nonempty split))."""
@@ -128,7 +124,7 @@ def distinct_pencil_partition_sets(ctx: GeometryContext, k: int):
     seen = set()
     count = 0
     for hull in ctx.subspaces(k + 1):
-        for axis in _subspaces_inside(ctx, hull, k - 1):
+        for axis in ctx.iter_subspaces(k - 1, hull):
             parts = [_member_ordinals(ctx, axis, hull, member)
                      for member in pencil(ctx, axis, hull)]
             for split in range(1, 2 ** (ctx.q + 1) - 1):
@@ -148,8 +144,8 @@ def recognize_pencil_partition(bset: BlockingSet) -> PencilPartitionParams | Non
     traces on the hull give one side of the pencil, and the axis is the meet
     of the traces.  A single trace forces t = q, and then the set is the
     hull minus the trace plus the hyperplanes through the trace off the
-    hull, whatever the axis inside the trace, so its first (k-1)-space is
-    taken.  Every candidate is confirmed by regeneration.
+    hull, whatever the axis inside the trace, so the span of its first k
+    basis rows is taken.  Every candidate is confirmed by regeneration.
     """
     ctx, k = bset.ctx, bset.k
     q = ctx.q
@@ -174,7 +170,7 @@ def recognize_pencil_partition(bset: BlockingSet) -> PencilPartitionParams | Non
         traces = frozenset(ctx.meet(hp, hull) for hp in bset.hyperplanes)
         axis, *others = traces
         if not others:
-            axis = next(_subspaces_inside(ctx, axis, k - 1))
+            axis = Subspace(k - 1, axis.basis[:k])
         for trace in others:
             axis = ctx.meet(axis, trace)
         if axis.dim != k - 1:

@@ -28,10 +28,6 @@ class HypothesisViolated(ValueError):
 # classification leaves open (k in {(n-2)/2, n/2}).
 OPEN = "open"
 
-CONTAINS_SPACE = "contains_space"
-LARGE_NONTRIVIAL = "large_nontrivial"
-VIOLATES_BOUND = "violates_bound"
-
 
 def _check_q(q: int):
     if prime_power_parts(q) is None:
@@ -136,25 +132,6 @@ def minimum_size_bound(n: int, k: int, q: int):
     if 2 * k > n - 1:
         return theta(n - k, q)
     return (q + 1) * q ** k
-
-
-def beutelspacher_classify(ctx, points, k: int) -> str:
-    """Classify a point blocking set w.r.t. k-spaces: it either contains all
-    points of an (n-k)-space, or has at least theta_{n-k} + q^(n-k-1) sqrt(q)
-    points; anything else means the caller's blocking precondition was false.
-
-    The sqrt(q) comparison is decided exactly by squaring integers.
-    """
-    q = ctx.q
-    target = ctx.n - k
-    idx = {p.index for p in points}
-    for space in ctx.subspaces(target):
-        if all(pt.index in idx for pt in ctx.subspace_points(space)):
-            return CONTAINS_SPACE
-    excess = len(idx) - theta(target, q)
-    if excess > 0 and excess * excess >= q ** (2 * (target - 1) + 1):
-        return LARGE_NONTRIVIAL
-    return VIOLATES_BOUND
 
 
 def fraction_decimal_upper(x: Fraction, places: int = 6) -> str:

@@ -49,11 +49,29 @@ class NotAnInteger(ValueError):
     """Input that must be an integer is some other value."""
 
 
+class MalformedDocument(ValueError):
+    """A JSON document or block that is not an object, or lacks a key."""
+
+
 def plain_int(value, what: str) -> int:
     """value itself if it is a plain int; a float, string or bool is rejected."""
     if type(value) is not int:
         raise NotAnInteger(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def json_object(value, what: str) -> dict:
+    """value itself if it is a JSON object; a list, number or string is rejected."""
+    if type(value) is not dict:
+        raise MalformedDocument(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
+def required(data: dict, key: str):
+    """data[key]; a missing key is rejected by name."""
+    if key not in data:
+        raise MalformedDocument(f"missing key {key!r}")
+    return data[key]
 
 
 def is_prime(n: int) -> bool:
@@ -229,9 +247,6 @@ class Field:
                 return b
         raise FieldError(f"no inverse found for {a}")  # unreachable for valid fields
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, m: int) -> int:
         out = 1
         base = a
@@ -246,30 +261,17 @@ class Field:
         """All q elements in increasing code order (the canonical order)."""
         return list(range(self.q))
 
-    def arith(self, op: str, a: int, b: int | None = None) -> int:
-        """Dispatcher over {add, sub, mul, inv, neg} with operand checks."""
-        if not 0 <= a < self.q or (b is not None and not 0 <= b < self.q):
-            raise FieldError(f"operand out of range for {self!r}")
-        if op in ("add", "sub", "mul"):
-            if b is None:
-                raise FieldError(f"{op} needs two operands")
-            return getattr(self, op)(a, b)
-        if op == "neg":
-            return self.neg(a)
-        if op == "inv":
-            return self.inv(a)
-        raise FieldError(f"unknown operation {op!r}")
-
     def to_dict(self) -> dict:
         return {"p": self.p, "e": self.e, "modulus": list(self.modulus)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Field":
+        data = json_object(data, "field")
         e = plain_int(data.get("e", 1), "field e")
         modulus = data.get("modulus") if e > 1 else None
         if modulus is not None:
             modulus = [plain_int(c, "modulus coefficient") for c in modulus]
-        return cls(plain_int(data["p"], "field p"), e, modulus)
+        return cls(plain_int(required(data, "p"), "field p"), e, modulus)
 
     def __eq__(self, other):
         return (isinstance(other, Field)

@@ -28,14 +28,6 @@ class DimensionMismatch(ValueError):
     pass
 
 
-class BadFrame(ValueError):
-    pass
-
-
-class PointInCenter(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class Point:
     """A projective point: normalized coordinates plus canonical ordinal."""
@@ -292,19 +284,24 @@ class GeometryContext:
 
     # -- enumeration -----------------------------------------------------------
 
-    def subspace_count(self, m: int) -> int:
-        return gaussian(self.n + 1, m + 1, self.q)
+    def iter_subspaces(self, m: int, inside: Subspace | None = None):
+        """All m-spaces of the geometry, or of the space inside, exactly once.
 
-    def iter_subspaces(self, m: int):
-        """All m-spaces exactly once, in canonical echelon order: pivot-column
-        patterns lexicographically, then free entries in code order."""
-        if not 0 <= m <= self.n:
-            raise DimensionMismatch(f"need 0 <= m <= n, got m = {m}")
-        count = self.subspace_count(m)
+        The reduced-echelon (m+1)-row coefficient matrices over the d+1
+        coordinates (d = n, or inside.dim) come in canonical order: pivot-column
+        patterns lexicographically, then free entries in code order.  Inside a
+        space each row is lifted through its basis, and the lift is already
+        reduced: the basis carries the identity in its pivot columns, and each
+        lifted row is zero before the image of its pivot.
+        """
+        d = self.n if inside is None else inside.dim
+        if not 0 <= m <= d:
+            raise DimensionMismatch(f"need 0 <= m <= {d}, got m = {m}")
+        count = gaussian(d + 1, m + 1, self.q)
         if count > ENUMERATION_BUDGET:
             raise BudgetExceeded(
                 f"{count} {m}-spaces exceed the enumeration budget {ENUMERATION_BUDGET}")
-        cols = self.n + 1
+        cols = d + 1
         codes = range(self.q)
         for pivots in combinations(range(cols), m + 1):
             pivset = set(pivots)
@@ -313,14 +310,22 @@ class GeometryContext:
             template = [[0] * cols for _ in range(m + 1)]
             for i, p in enumerate(pivots):
                 template[i][p] = 1
-            if not free:
-                yield Subspace(m, tuple(tuple(r) for r in template))
-                continue
             for vals in product(codes, repeat=len(free)):
                 rows = [row[:] for row in template]
                 for (i, j), v in zip(free, vals):
                     rows[i][j] = v
+                if inside is not None:
+                    rows = [self._combine(row, inside.basis) for row in rows]
                 yield Subspace(m, tuple(tuple(r) for r in rows))
+
+    def _combine(self, coeffs, rows) -> list[int]:
+        """The sum of c * row over a coefficient vector and basis rows."""
+        add, mul = self.field.add, self.field.mul
+        vec = [0] * (self.n + 1)
+        for c, row in zip(coeffs, rows):
+            if c:
+                vec = [add(x, mul(c, y)) for x, y in zip(vec, row)]
+        return vec
 
     def subspaces(self, m: int) -> tuple[Subspace, ...]:
         if m not in self._subspaces:
@@ -371,20 +376,3 @@ class GeometryContext:
         """Hyperplanes containing the subspace (duals of the dual's points)."""
         return tuple(self.hyperplane(p.coords)
                      for p in self.subspace_points(self.dual(space)))
-
-    # -- projection ------------------------------------------------------------
-
-    def project_from(self, center: Subspace, screen: Subspace, pts) -> frozenset[Point]:
-        """Image of a point set under projection from center onto screen."""
-        if center.dim + screen.dim != self.n - 1 or self.meet(center, screen).dim != -1:
-            raise BadFrame("center and screen are not complementary")
-        image = set()
-        for pt in pts:
-            pt = self.point(pt)
-            if self.contains(center, pt):
-                raise PointInCenter(f"{pt!r} lies in the projection center")
-            hit = self.meet(self.span(center, pt), screen)
-            if hit.dim != 0:
-                raise BadFrame("projection did not produce a point")
-            image.add(self.point(hit.basis[0]))
-        return frozenset(image)

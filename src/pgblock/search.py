@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import constructions
-from .blocking import BlockingSet, incidence, is_blocking
+from .blocking import BlockingSet, check_k, incidence, is_blocking
 from .counting import OPEN, gaussian, minimum_size_bound, theta
 from .pgkernel import BudgetExceeded, GeometryContext
 
@@ -82,9 +82,6 @@ class SearchReport:
         out["workers"] = self.workers
         out["wall_time"] = round(self.wall_time, 3)
         return out
-
-    def blocking_sets(self, ctx: GeometryContext):
-        return [BlockingSet.from_indices(ctx, self.k, ids) for ids in self.minimum_sets]
 
 
 class _Cover:
@@ -324,6 +321,13 @@ def _exhaustive(cover: _Cover, cap: int, deadline: float | None):
     return None, (), nodes, 0
 
 
+def _check_input(ctx: GeometryContext, k: int, workers: int):
+    """Reject the k that BlockingSet rejects, and fewer than one worker."""
+    check_k(ctx, k)
+    if workers < 1:
+        raise ValueError(f"need workers >= 1, got workers={workers}")
+
+
 def min_blocking_search(ctx: GeometryContext, k: int, size_cap: int,
                         mode: str = "branch_and_bound", workers: int = 1,
                         budget_seconds: float | None = None) -> SearchReport:
@@ -334,6 +338,7 @@ def min_blocking_search(ctx: GeometryContext, k: int, size_cap: int,
     """
     if mode not in ("branch_and_bound", "exhaustive"):
         raise ValueError(f"unknown mode {mode!r}")
+    _check_input(ctx, k, workers)
     start = time.monotonic()
     deadline = start + budget_seconds if budget_seconds is not None else None
     cover = _Cover(ctx, k)
@@ -413,6 +418,7 @@ def refute_below(ctx: GeometryContext, k: int, target: int,
     unblocked by one side exceeds what the other side can possibly cover)
     or settled by a composition-constrained branch-and-bound run.
     """
+    _check_input(ctx, k, workers)
     n, q = ctx.n, ctx.q
     start = time.monotonic()
     deadline = start + budget_seconds if budget_seconds is not None else None

@@ -168,25 +168,6 @@ def test_skew_space_profile_construction(pg32):
     assert seen_equality
 
 
-def test_projection_injective_at_equality(pg32):
-    """Projecting the point part from an equality-case flat onto a
-    complementary screen keeps its size: no two points collapse."""
-    bset = pencil_partition(pg32, canonical_pencil_partition(pg32, 1))
-    point_idx = {p.index for p in bset.points}
-    checked = 0
-    for pt in pg32.points():
-        if pt.index in point_idx:
-            continue
-        center = Subspace(0, (pt.coords,))
-        if not skew_space_profile(bset, center).equality:
-            continue
-        screen = next(s for s in pg32.subspaces(2) if not pg32.contains(s, pt))
-        image = pg32.project_from(center, screen, bset.points)
-        assert len(image) == len(bset.points)
-        checked += 1
-    assert checked
-
-
 def test_skew_space_profile_pencil_of_hyperplanes(pg32):
     axis = pg32.point(0)
     hyps = pg32.hyperplanes_through(Subspace(0, (axis.coords,)))

@@ -174,6 +174,22 @@ def test_non_integer_params_rejected(capsys, tmp_path, value):
     assert captured.out == "" and "must be an integer" in captured.err
 
 
+@pytest.mark.parametrize("doc,message", [
+    ([1, 2], "blocking-set document must be a JSON object, got [1, 2]"),
+    ({**SMALL_SET, "field": [2]}, "field must be a JSON object, got [2]"),
+    ({key: v for key, v in SMALL_SET.items() if key != "q"}, "missing key 'q'"),
+    ({key: v for key, v in SMALL_SET.items() if key != "n"}, "missing key 'n'"),
+    ({key: v for key, v in SMALL_SET.items() if key != "k"}, "missing key 'k'"),
+    ({**SMALL_SET, "field": {"e": 1}}, "missing key 'p'"),
+], ids=["list", "field-list", "no-q", "no-n", "no-k", "field-no-p"])
+def test_malformed_document_rejected(capsys, tmp_path, doc, message):
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def test_duplicates_reported_on_stderr(capsys, tmp_path):
     doc = {"q": 3, "n": 3, "k": 1, "points": [[0, 0, 1, 1], [0, 0, 2, 2]],
            "hyperplanes": [[1, 0, 0, 0], [1, 0, 0, 0]]}
@@ -192,6 +208,18 @@ def test_budget_exit_code(capsys):
                  "--budget-seconds", "0.05"])
     assert code == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--k", "3"], "need 0 <= k < n, got k=3, n=3"),
+    (["--k", "-1"], "need 0 <= k < n, got k=-1, n=3"),
+    (["--k", "1", "--workers", "0"], "need workers >= 1, got workers=0"),
+    (["--k", "1", "--workers", "-3"], "need workers >= 1, got workers=-3"),
+], ids=["k=n", "k<0", "workers=0", "workers<0"])
+def test_search_rejects_bad_arguments(capsys, flags, message):
+    assert main(["search", "--q", "2", "--n", "3", "--cap", "3", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
 
 
 def test_search_json(capsys):

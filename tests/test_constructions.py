@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -110,14 +112,16 @@ def test_recognition_round_trip(pg32, pg33):
             assert pencil_partition(ctx, recovered) == bset
 
 
-@pytest.mark.parametrize("field", [Field(3), Field(2, 2)], ids=["pg33", "pg34"])
-def test_recognition_single_trace(field):
+@pytest.mark.parametrize("field,n,k",
+                         [(Field(3), 3, 1), (Field(2, 2), 3, 1), (Field(2), 5, 2)],
+                         ids=["pg33", "pg34", "pg52"])
+def test_recognition_single_trace(field, n, k):
     # t = q leaves one trace; any axis inside it regenerates the same set
-    ctx = GeometryContext(field, 3)
+    ctx = GeometryContext(field, n)
     rng = random.Random(ctx.q)
-    jobs = [canonical_pencil_partition(ctx, 1, ctx.q)]
+    jobs = [canonical_pencil_partition(ctx, k, ctx.q)]
     while len(jobs) < 4:
-        params = random_pencil_params(ctx, 1, rng)
+        params = random_pencil_params(ctx, k, rng)
         if len(params.hyperplane_spaces) == 1:
             jobs.append(params)
     for params in jobs:
@@ -127,7 +131,7 @@ def test_recognition_single_trace(field):
         assert recovered.hull == params.hull
         assert recovered.hyperplane_spaces == params.hyperplane_spaces
         (trace,) = recovered.hyperplane_spaces
-        assert recovered.axis == Subspace(0, (ctx.subspace_points(trace)[0].coords,))
+        assert recovered.axis == Subspace(k - 1, trace.basis[:k])
         assert pencil_partition(ctx, recovered) == bset
 
 
@@ -165,11 +169,25 @@ def test_instances_are_minimal(pg32, pg33):
             assert is_minimal(bset) == (True, None)
 
 
+def _digest(sets):
+    text = json.dumps([list(ids) for ids in sets], separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def test_distinct_sets_pg32(pg32):
     sets, tuples = distinct_pencil_partition_sets(pg32, 1)
     assert tuples == 630          # 15 hulls x 7 axes x 6 nonempty splits
     assert len(sets) == 210       # the tuple -> set map is 3-to-1 here
     assert all(len(ids) == 6 for ids in sets)
+    assert _digest(sets) == "8394311b1b3ff284"
+
+
+def test_distinct_sets_pg34():
+    # the one GF(4) pencil enumeration: 85 hulls x 21 axes x 30 nonempty splits
+    sets, tuples = distinct_pencil_partition_sets(GeometryContext(Field(2, 2), 3), 1)
+    assert tuples == 53550
+    assert len(sets) == 39270
+    assert _digest(sets) == "40462712896e9bc6"
 
 
 def test_bose_burton_points(pg32):

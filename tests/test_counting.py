@@ -5,14 +5,10 @@ from itertools import combinations
 import pytest
 
 from pgblock.blocking import BlockingSet, unblocked_count
-from pgblock.counting import (CONTAINS_SPACE, LARGE_NONTRIVIAL, OPEN,
-                              VIOLATES_BOUND, HypothesisViolated, InvalidQ,
-                              beutelspacher_classify, fraction_decimal_upper,
-                              gaussian, heger_nagy_bracket,
+from pgblock.counting import (OPEN, HypothesisViolated, InvalidQ,
+                              fraction_decimal_upper, gaussian, heger_nagy_bracket,
                               heger_nagy_upper_bound, metsch_dual_lower_bound,
                               metsch_lower_bound, minimum_size_bound, theta)
-from pgblock.gf import Field
-from pgblock.pgkernel import GeometryContext
 
 PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9]
 
@@ -153,51 +149,6 @@ def test_minimum_size_bound_duality():
             for k in range(0, n):
                 assert minimum_size_bound(n, k, q) == \
                     minimum_size_bound(n, n - 1 - k, q)
-
-
-def test_beutelspacher_contains_space(pg32):
-    plane = pg32.subspaces(2)[0]
-    pts = set(pg32.subspace_points(plane))
-    assert beutelspacher_classify(pg32, pts, 1) == CONTAINS_SPACE
-    extra = next(p for p in pg32.points() if p not in pts)
-    assert beutelspacher_classify(pg32, pts | {extra}, 1) == CONTAINS_SPACE
-
-
-def test_beutelspacher_violates_bound(pg32):
-    assert beutelspacher_classify(pg32, set(), 1) == VIOLATES_BOUND
-
-
-def test_beutelspacher_baer_subplane_pg24():
-    ctx = GeometryContext(Field(2, 2), 2)
-    lines = ctx.subspaces(1)
-    # brute force: no point set of size <= 6 without a full line blocks all lines
-    line_masks = []
-    for line in lines:
-        mask = 0
-        for pt in ctx.subspace_points(line):
-            mask |= 1 << pt.index
-        line_masks.append(mask)
-    full_lines = set(line_masks)
-    npts = len(ctx.points())
-    for size in (5, 6):
-        for combo in combinations(range(npts), size):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            if any(lm & mask == lm for lm in full_lines):
-                continue  # contains a line: trivial
-            if all(lm & mask for lm in line_masks):
-                pytest.fail(f"unexpected nontrivial blocking set of size {size}")
-    # the subplane over the prime subfield blocks every line in 1 or 3 points
-    baer = {p for p in ctx.points() if all(c in (0, 1) for c in p.coords)}
-    assert len(baer) == 7
-    baer_mask = 0
-    for p in baer:
-        baer_mask |= 1 << p.index
-    assert all(lm & baer_mask for lm in line_masks)
-    assert beutelspacher_classify(ctx, baer, 1) == LARGE_NONTRIVIAL
-    # exact arithmetic confirms the sqrt bound: 7 >= theta_1 + q^0 sqrt(q) = 5 + 2
-    assert len(baer) >= theta(1, 4) + 2
 
 
 def test_fraction_decimal_upper():

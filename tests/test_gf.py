@@ -46,6 +46,8 @@ def test_malformed_modulus():
 
 def test_spec_arithmetic_examples():
     assert Field(3).add(2, 2) == 1
+    assert Field(3).sub(0, 1) == 2
+    assert Field(3).neg(1) == 2
     assert Field(2, 2).mul(2, 2) == 3
     assert Field(5).inv(2) == 3
 
@@ -53,21 +55,6 @@ def test_spec_arithmetic_examples():
 def test_inverse_of_zero():
     with pytest.raises(InverseOfZero):
         Field(7).inv(0)
-
-
-def test_arith_dispatcher():
-    f = Field(3)
-    assert f.arith("add", 2, 2) == 1
-    assert f.arith("sub", 0, 1) == 2
-    assert f.arith("mul", 2, 2) == 1
-    assert f.arith("neg", 1) == 2
-    assert f.arith("inv", 2) == 2
-    with pytest.raises(FieldError):
-        f.arith("add", 2)
-    with pytest.raises(FieldError):
-        f.arith("mul", 1, 5)
-    with pytest.raises(FieldError):
-        f.arith("frobnicate", 1, 1)
 
 
 def test_elements_order():

@@ -4,9 +4,8 @@ import pytest
 
 from pgblock.counting import gaussian, theta
 from pgblock.gf import Field
-from pgblock.pgkernel import (EMPTY_SUBSPACE, BadFrame, BudgetExceeded,
-                              DimensionMismatch, GeometryContext, PointInCenter,
-                              Subspace, kernel_basis)
+from pgblock.pgkernel import (EMPTY_SUBSPACE, BudgetExceeded, DimensionMismatch,
+                              GeometryContext, Subspace, kernel_basis)
 
 
 def _product_formula(n, m, q):
@@ -213,22 +212,6 @@ def test_hyperplanes_through(pg32):
     assert all(pg32.contains(hp, line) for hp in through)
 
 
-def test_project_from_basics(pg32):
-    center = Subspace(0, ((1, 0, 0, 0),))
-    screen = pg32.dual(center)  # complementary: dims 0 + 2 = n - 1
-    on_screen = pg32.subspace_points(screen)[0]
-    assert pg32.project_from(center, screen, [on_screen]) == frozenset([on_screen])
-    # two points spanning the same space with the center collapse to one image
-    other = pg32.point((1, 0, 1, 1))
-    partner = pg32.point((0, 0, 1, 1))  # center + partner spans the same line
-    image = pg32.project_from(center, screen, [other, partner])
-    assert len(image) == 1
-    with pytest.raises(PointInCenter):
-        pg32.project_from(center, screen, [pg32.point((1, 0, 0, 0))])
-    with pytest.raises(BadFrame):
-        pg32.project_from(center, pg32.subspaces(1)[0], [on_screen])
-
-
 def test_enumeration_budget():
     ctx = GeometryContext(Field(3), 12)
     with pytest.raises(BudgetExceeded):
@@ -240,6 +223,26 @@ def test_subspace_out_of_range(pg32):
         pg32.subspaces(4)
     with pytest.raises(DimensionMismatch):
         pg32.subspaces(-1)
+    with pytest.raises(DimensionMismatch):
+        next(pg32.iter_subspaces(2, pg32.subspaces(1)[0]))
+
+
+@pytest.mark.parametrize("field,n", [(Field(2), 3), (Field(2, 2), 2), (Field(3), 3)],
+                         ids=["pg32", "pg24", "pg33"])
+def test_iter_subspaces_inside(field, n):
+    # reference: keep the m-spaces of the whole geometry that lie in the space
+    ctx = GeometryContext(field, n)
+    whole = ctx.whole_space()
+    for d in range(n + 1):
+        for space in ctx.subspaces(d):
+            for m in range(d + 1):
+                inside = list(ctx.iter_subspaces(m, space))
+                expected = {a for a in ctx.subspaces(m) if ctx.contains(space, a)}
+                assert set(inside) == expected
+                assert len(inside) == len(expected) == gaussian(d + 1, m + 1, ctx.q)
+                assert all(a == ctx.span(a) for a in inside)
+    for m in range(n + 1):
+        assert list(ctx.iter_subspaces(m, whole)) == list(ctx.subspaces(m))
 
 
 @pytest.mark.parametrize("field,n", [(Field(2), 3), (Field(2, 2), 2)],

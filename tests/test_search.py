@@ -6,7 +6,7 @@ import pytest
 from pgblock.blocking import BlockingSet, incidence, is_blocking, is_minimal
 from pgblock.counting import OPEN, gaussian
 from pgblock.gf import Field
-from pgblock.pgkernel import GeometryContext, Subspace
+from pgblock.pgkernel import DimensionMismatch, GeometryContext, Subspace
 from pgblock.search import (TimeBudgetExceeded, classify_minimum,
                             min_blocking_search, refute_below)
 
@@ -125,6 +125,19 @@ def test_refute_below_pg32(pg32):
     methods = {(c.points, c.hyperplanes): c.method for c in report.compositions}
     assert len(methods) == sum(range(1, 7))  # all exact compositions of sizes 0..5
     assert "counting-bound" in set(methods.values())
+
+
+@pytest.mark.parametrize("k,workers,error,message", [
+    (3, 1, DimensionMismatch, "need 0 <= k < n, got k=3, n=3"),
+    (-1, 1, DimensionMismatch, "need 0 <= k < n, got k=-1, n=3"),
+    (1, 0, ValueError, "need workers >= 1, got workers=0"),
+    (1, -3, ValueError, "need workers >= 1, got workers=-3"),
+], ids=["k=n", "k<0", "workers=0", "workers<0"])
+def test_search_rejects_bad_arguments(pg32, k, workers, error, message):
+    with pytest.raises(error, match=message):
+        min_blocking_search(pg32, k, 3, workers=workers)
+    with pytest.raises(error, match=message):
+        refute_below(pg32, k, 3, workers=workers)
 
 
 def test_refute_below_finds_counterexample(pg32):
