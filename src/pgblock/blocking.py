@@ -18,36 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .counting import theta
-from .gf import Field, field_for_order, json_object, plain_int, required
-from .pgkernel import GeometryContext, Point, Subspace, DimensionMismatch
-
-
-class NotBlocking(ValueError):
-    pass
-
-
-class NotALine(ValueError):
-    pass
-
-
-class FlatMeetsPoints(ValueError):
-    """The reference flat was required to be skew to the point part."""
-
-
-class WrongAmbient(ValueError):
-    """The statement needs ambient dimension n = 2k + 1."""
-
-
-class PointsNotInHull(ValueError):
-    pass
-
-
-class PinnedPointInSet(ValueError):
-    pass
-
-
-class PinnedPointNotInHull(ValueError):
-    pass
+from .gf import (Field, InputError, field_for_order, json_list, json_object,
+                 plain_int, required)
+from .pgkernel import GeometryContext, Point, Subspace
 
 
 SKEW = "skew"
@@ -123,7 +96,7 @@ def incidence(ctx: GeometryContext, s: int) -> IncidenceSystem:
 def check_k(ctx: GeometryContext, k: int):
     """The one range check on k, shared by BlockingSet and the search."""
     if not 0 <= k < ctx.n:
-        raise DimensionMismatch(f"need 0 <= k < n, got k={k}, n={ctx.n}")
+        raise InputError(f"need 0 <= k < n, got k={k}, n={ctx.n}")
 
 
 @dataclass(frozen=True)
@@ -139,10 +112,10 @@ class BlockingSet:
         check_k(self.ctx, self.k)
         for pt in self.points:
             if len(pt.coords) != self.ctx.n + 1:
-                raise DimensionMismatch(f"{pt!r} does not live in {self.ctx!r}")
+                raise InputError(f"{pt!r} does not live in {self.ctx!r}")
         for hp in self.hyperplanes:
             if hp.dim != self.ctx.n - 1:
-                raise DimensionMismatch(f"{hp!r} is not a hyperplane of {self.ctx!r}")
+                raise InputError(f"{hp!r} is not a hyperplane of {self.ctx!r}")
 
     @property
     def size(self) -> int:
@@ -190,15 +163,16 @@ class BlockingSet:
         if field_data is not None:
             fld = Field.from_dict(field_data)
             if "q" in data and plain_int(data["q"], "q") != fld.q:
-                raise ValueError(f"q = {data['q']} disagrees with field of order {fld.q}")
+                raise InputError(f"q = {data['q']} disagrees with field of order {fld.q}")
         else:
             fld = field_for_order(plain_int(required(data, "q"), "q"))
         ctx = GeometryContext(fld, plain_int(required(data, "n"), "n"))
 
         def read(kind):
             found = set()
-            for raw in data.get(kind + "s", ()):
-                coords = tuple(plain_int(c, f"{kind} coordinate") for c in raw)
+            for raw in json_list(data.get(kind + "s", []), kind + "s"):
+                coords = tuple(plain_int(c, f"{kind} coordinate")
+                               for c in json_list(raw, kind))
                 pt = ctx.point(coords)
                 if warn is not None and pt.coords != coords:
                     warn(f"{kind} {list(coords)} normalized to {list(pt.coords)}")
@@ -262,7 +236,7 @@ def is_minimal(bset: BlockingSet):
     """
     ok, _ = is_blocking(bset)
     if not ok:
-        raise NotBlocking("minimality is only defined for blocking sets")
+        raise InputError("minimality is only defined for blocking sets")
     pairs = _element_cover_pairs(bset)
     seen_once = 0
     seen_twice = 0
@@ -288,7 +262,7 @@ def dual_set(bset: BlockingSet) -> BlockingSet:
 def line_type(ctx: GeometryContext, line: Subspace, point_set) -> str:
     """skew / tangent / secant by meeting the set in 0 / 1 / >= 2 points."""
     if line.dim != 1:
-        raise NotALine(f"dim {line.dim} is not a line")
+        raise InputError(f"dim {line.dim} is not a line")
     idx = {ctx.point(p).index for p in point_set}
     hits = sum(1 for pt in ctx.subspace_points(line) if pt.index in idx)
     if hits == 0:
@@ -316,7 +290,7 @@ def tangent_closure(ctx: GeometryContext, point_set) -> TangentClosureReport:
     """
     pts = {ctx.point(p) for p in point_set}
     if not pts:
-        raise ValueError("tangent closure needs a nonempty point set")
+        raise InputError("tangent closure needs a nonempty point set")
     idx = {p.index for p in pts}
     num_points = ctx.num_points
     on_tangent = [False] * num_points
@@ -367,12 +341,12 @@ def skew_space_profile(bset: BlockingSet, flat: Subspace) -> SkewSpaceProfile:
     verify the two equality consequences."""
     ctx, k = bset.ctx, bset.k
     if ctx.n != 2 * k + 1:
-        raise WrongAmbient(f"need n = 2k + 1, got n={ctx.n}, k={k}")
+        raise InputError(f"need n = 2k + 1, got n={ctx.n}, k={k}")
     if flat.dim != k - 1:
-        raise DimensionMismatch(f"flat must have dimension k-1 = {k - 1}")
+        raise InputError(f"flat must have dimension k-1 = {k - 1}")
     point_idx = {p.index for p in bset.points}
     if any(p.index in point_idx for p in ctx.subspace_points(flat)):
-        raise FlatMeetsPoints("the flat meets the point part")
+        raise InputError("the flat meets the point part")
     count = sum(1 for hp in bset.hyperplanes if ctx.contains(hp, flat))
     qk = ctx.q ** k
     bound = Fraction(ctx.q + 1) - Fraction(len(point_idx), qk)
@@ -408,17 +382,17 @@ def pinned_hyperplanes(bset: BlockingSet, hull: Subspace, pin: Point) -> PinnedH
     >= q^(k-1) (q+1).  Vacuous when the set is not blocking."""
     ctx, k = bset.ctx, bset.k
     if ctx.n != 2 * k + 1:
-        raise WrongAmbient(f"need n = 2k + 1, got n={ctx.n}, k={k}")
+        raise InputError(f"need n = 2k + 1, got n={ctx.n}, k={k}")
     if hull.dim != k + 1:
-        raise DimensionMismatch(f"hull must have dimension k+1 = {k + 1}")
+        raise InputError(f"hull must have dimension k+1 = {k + 1}")
     hull_idx = {p.index for p in ctx.subspace_points(hull)}
     point_idx = {p.index for p in bset.points}
     if not point_idx <= hull_idx:
-        raise PointsNotInHull("the point part is not contained in the hull")
+        raise InputError("the point part is not contained in the hull")
     if pin.index not in hull_idx:
-        raise PinnedPointNotInHull(f"{pin!r} is not on the hull")
+        raise InputError(f"{pin!r} is not on the hull")
     if pin.index in point_idx:
-        raise PinnedPointInSet(f"{pin!r} belongs to the point part")
+        raise InputError(f"{pin!r} belongs to the point part")
     members = frozenset(hp for hp in bset.hyperplanes
                         if ctx.contains(hp, pin) and not ctx.contains(hp, hull))
     if not is_blocking(bset)[0]:

@@ -14,36 +14,30 @@ the hyperplane {x : sum a_i x_i = 0}.  Exact bound values are rendered as
 decimal strings so they survive 64-bit JSON consumers.
 
 Exit codes: 0 computed and any checked property holds; 1 computed and the
-property fails; 2 invalid input; 3 enumeration or time budget exceeded.
-All diagnostics go to stderr, stdout carries only JSON.
+property fails; 2 invalid input, meaning an `InputError`: malformed,
+unreadable or out-of-range input; 3 enumeration or time budget exceeded.
+Any other exception is a bug and surfaces as a traceback.  All diagnostics
+go to stderr, stdout carries only JSON.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import blocking, constructions, search
 from .blocking import BlockingSet
-from .counting import (BoundReport, HypothesisViolated, InvalidQ, gaussian,
-                       heger_nagy_upper_bound, metsch_dual_lower_bound,
-                       metsch_lower_bound, minimum_size_bound, theta)
-from .gf import FieldError, MalformedDocument, NotAnInteger, field_for_order
-from .pgkernel import BudgetExceeded, DimensionMismatch, GeometryContext
+from .counting import (BoundReport, gaussian, heger_nagy_upper_bound,
+                       metsch_dual_lower_bound, metsch_lower_bound,
+                       minimum_size_bound, theta)
+from .gf import InputError, field_for_order, json_list, json_object, required
+from .pgkernel import BudgetExceeded, GeometryContext
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILS = 1
 EXIT_INVALID_INPUT = 2
 EXIT_BUDGET = 3
-
-_INPUT_ERRORS = (FieldError, NotAnInteger, MalformedDocument, DimensionMismatch,
-                 InvalidQ, HypothesisViolated, blocking.NotBlocking,
-                 constructions.BadPencil, constructions.EmptyPart,
-                 constructions.WrongAnchorDim, constructions.WrongParameters,
-                 ValueError, KeyError, TypeError, json.JSONDecodeError,
-                 OSError)
 
 
 def _emit(payload: dict):
@@ -55,13 +49,20 @@ def _warn(message: str):
     print(f"pgblock: {message}", file=sys.stderr)
 
 
+def _read_json(path: str):
+    """The JSON document at path (- for stdin); an unreadable file or text
+    that is not JSON is an InputError."""
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InputError(str(exc)) from exc
+
+
 def _read_blocking_set(path: str) -> BlockingSet:
-    if path == "-":
-        data = json.load(sys.stdin)
-    else:
-        with open(path) as handle:
-            data = json.load(handle)
-    return BlockingSet.from_dict(data, warn=_warn)
+    return BlockingSet.from_dict(_read_json(path), warn=_warn)
 
 
 def _context(args) -> GeometryContext:
@@ -73,13 +74,6 @@ def _element_json(ctx: GeometryContext, element) -> dict:
         return {"type": "point", "coords": list(element.coords)}
     dual = ctx.hyperplane_dual_point(element)
     return {"type": "hyperplane", "dual": list(dual.coords)}
-
-
-def _default_budget(args) -> float | None:
-    if args.budget_seconds is not None:
-        return args.budget_seconds
-    env = os.environ.get("PGBLOCK_BUDGET_SECONDS")
-    return float(env) if env else None
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -113,36 +107,39 @@ def _cmd_dual(args) -> int:
 
 def _cmd_construct(args) -> int:
     ctx = _context(args)
-    params_doc = None
+    doc = None
     if args.params:
-        with open(args.params) as handle:
-            params_doc = json.load(handle)
+        doc = json_object(_read_json(args.params), "params document")
+
+    def space(rows, what):
+        """The subspace spanned by a JSON array of coordinate arrays."""
+        return ctx.subspace([json_list(row, f"{what} row") for row in json_list(rows, what)])
+
     if args.kind == "pencil-partition":
-        if params_doc is not None:
-            hull = ctx.subspace(params_doc["hull"])
-            axis = ctx.subspace(params_doc["axis"])
+        if doc is not None:
+            hull = space(required(doc, "hull"), "hull")
+            axis = space(required(doc, "axis"), "axis")
             members = constructions.pencil(ctx, axis, hull)
-            point_part = frozenset(ctx.subspace(rows)
-                                   for rows in params_doc["point_spaces"])
+            point_part = frozenset(
+                space(rows, "point space")
+                for rows in json_list(required(doc, "point_spaces"), "point_spaces"))
             hyp_part = frozenset(members) - point_part
             params = constructions.PencilPartitionParams(hull, axis, point_part, hyp_part)
         else:
             params = constructions.canonical_pencil_partition(ctx, args.k, args.t)
         bset = constructions.pencil_partition(ctx, params)
     elif args.kind == "bose-burton-points":
-        anchor = (ctx.subspace(params_doc["anchor"]) if params_doc
+        anchor = (space(required(doc, "anchor"), "anchor") if doc is not None
                   else constructions.canonical_anchor(ctx, ctx.n - args.k))
         bset = constructions.bose_burton(ctx, args.k, "points", anchor)
     elif args.kind == "bose-burton-hyperplanes":
-        anchor = (ctx.subspace(params_doc["anchor"]) if params_doc
+        anchor = (space(required(doc, "anchor"), "anchor") if doc is not None
                   else constructions.canonical_anchor(ctx, ctx.n - args.k - 2))
         bset = constructions.bose_burton(ctx, args.k, "hyperplanes", anchor)
-    elif args.kind == "q2-even":
+    else:  # q2-even; argparse admits no other kind
         if args.k != ctx.n // 2:
-            raise ValueError(f"q2-even needs k = n/2 = {ctx.n // 2}, got {args.k}")
+            raise InputError(f"q2-even needs k = n/2 = {ctx.n // 2}, got {args.k}")
         bset = constructions.q2_even_mixed_set(ctx)
-    else:
-        raise ValueError(f"unknown construction kind {args.kind!r}")
     _emit(bset.to_dict())
     return EXIT_OK
 
@@ -164,7 +161,7 @@ def _cmd_bounds(args) -> int:
     name, formula, arg_names = _FORMULAS[args.formula]
     missing = [f"--{a.replace('_', '-')}" for a in arg_names if getattr(args, a) is None]
     if missing:
-        raise ValueError(f"--formula {args.formula} needs {', '.join(missing)}")
+        raise InputError(f"--formula {args.formula} needs {', '.join(missing)}")
     params = {a: getattr(args, a) for a in arg_names}
     value = formula(*params.values())
     comparison = None
@@ -179,7 +176,7 @@ def _cmd_search(args) -> int:
     ctx = _context(args)
     report = search.min_blocking_search(ctx, args.k, args.cap, mode=args.mode,
                                         workers=args.workers,
-                                        budget_seconds=_default_budget(args))
+                                        budget_seconds=args.budget_seconds)
     _emit(report.to_dict())
     return EXIT_OK
 
@@ -188,7 +185,7 @@ def _cmd_classify(args) -> int:
     ctx = _context(args)
     verdict = search.classify_minimum(ctx, args.k, size_cap=args.cap,
                                       mode=args.mode, workers=args.workers,
-                                      budget_seconds=_default_budget(args))
+                                      budget_seconds=args.budget_seconds)
     _emit(verdict.to_dict())
     if verdict.all_minima_match_theorem is False:
         return EXIT_PROPERTY_FAILS
@@ -221,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="branch_and_bound")
         p.add_argument("--workers", type=int, default=1)
         p.add_argument("--budget-seconds", type=float, default=None,
-                       help="wall-clock budget (or env PGBLOCK_BUDGET_SECONDS)")
+                       help="wall-clock budget")
 
     p = sub.add_parser("verify", help="check the blocking property")
     p.add_argument("input", help="blocking-set JSON path, or - for stdin")
@@ -287,7 +284,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         _warn(f"budget exceeded: {exc}")
         return EXIT_BUDGET
-    except _INPUT_ERRORS as exc:
+    except InputError as exc:
         _warn(f"invalid input: {exc}")
         return EXIT_INVALID_INPUT
 

@@ -27,23 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blocking import BlockingSet
+from .gf import InputError
 from .pgkernel import GeometryContext, Subspace
-
-
-class BadPencil(ValueError):
-    pass
-
-
-class EmptyPart(ValueError):
-    pass
-
-
-class WrongAnchorDim(ValueError):
-    pass
-
-
-class WrongParameters(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -62,7 +47,7 @@ def pencil(ctx: GeometryContext, axis: Subspace, hull: Subspace) -> tuple[Subspa
     """The q+1 spaces between axis (codim 2 in hull) and hull, canonically
     ordered by their smallest off-axis point."""
     if hull.dim - axis.dim != 2 or not ctx.contains(hull, axis):
-        raise BadPencil(f"axis dim {axis.dim} / hull dim {hull.dim} do not form a pencil")
+        raise InputError(f"axis dim {axis.dim} / hull dim {hull.dim} do not form a pencil")
     return tuple(ctx.extensions(axis, hull))
 
 
@@ -84,16 +69,16 @@ def pencil_partition(ctx: GeometryContext, params: PencilPartitionParams) -> Blo
     hull, axis = params.hull, params.axis
     k = hull.dim - 1
     if ctx.n != 2 * k + 1 or axis.dim != k - 1:
-        raise BadPencil(
+        raise InputError(
             f"need hull dim k+1 and axis dim k-1 with n = 2k+1; "
             f"got hull {hull.dim}, axis {axis.dim}, n {ctx.n}")
     if not params.point_spaces or not params.hyperplane_spaces:
-        raise EmptyPart("both parts of the pencil partition must be nonempty")
+        raise InputError("both parts of the pencil partition must be nonempty")
     if params.point_spaces & params.hyperplane_spaces:
-        raise BadPencil("the two parts of the partition overlap")
+        raise InputError("the two parts of the partition overlap")
     members = set(pencil(ctx, axis, hull))
     if set(params.point_spaces) | set(params.hyperplane_spaces) != members:
-        raise BadPencil("the two parts do not partition the full pencil")
+        raise InputError("the two parts do not partition the full pencil")
     ids = set()
     for part, spaces in enumerate((params.point_spaces, params.hyperplane_spaces)):
         for member in spaces:
@@ -105,9 +90,9 @@ def canonical_pencil_partition(ctx: GeometryContext, k: int, t: int = 1) -> Penc
     """Standard-basis parameters: reproducible byte-for-byte outputs for the
     CLI when no explicit coordinates are supplied."""
     if ctx.n != 2 * k + 1 or k < 1:
-        raise WrongParameters(f"need n = 2k + 1 and k >= 1, got n={ctx.n}, k={k}")
+        raise InputError(f"need n = 2k + 1 and k >= 1, got n={ctx.n}, k={k}")
     if not 1 <= t <= ctx.q:
-        raise WrongParameters(f"need 1 <= t <= q, got t={t}")
+        raise InputError(f"need 1 <= t <= q, got t={t}")
     rows = ctx.whole_space().basis
     hull = Subspace(k + 1, rows[:k + 2])
     axis = Subspace(k - 1, rows[:k])
@@ -120,7 +105,7 @@ def distinct_pencil_partition_sets(ctx: GeometryContext, k: int):
     """(sorted tuple of distinct element-index tuples, number of parameter
     tuples (hull, axis, nonempty split))."""
     if ctx.n != 2 * k + 1 or k < 1:
-        raise WrongParameters(f"need n = 2k + 1 and k >= 1, got n={ctx.n}, k={k}")
+        raise InputError(f"need n = 2k + 1 and k >= 1, got n={ctx.n}, k={k}")
     seen = set()
     count = 0
     for hull in ctx.subspaces(k + 1):
@@ -189,23 +174,23 @@ def bose_burton(ctx: GeometryContext, k: int, variant: str, anchor: Subspace) ->
     (n-k-2)-space; the smallest one-type blocking sets."""
     if variant == "points":
         if anchor.dim != ctx.n - k:
-            raise WrongAnchorDim(
+            raise InputError(
                 f"points variant needs anchor dim n-k = {ctx.n - k}, got {anchor.dim}")
         return BlockingSet(ctx, k, frozenset(ctx.subspace_points(anchor)), frozenset())
     if variant == "hyperplanes":
         if anchor.dim != ctx.n - k - 2:
-            raise WrongAnchorDim(
+            raise InputError(
                 f"hyperplanes variant needs anchor dim n-k-2 = {ctx.n - k - 2}, "
                 f"got {anchor.dim}")
         return BlockingSet(ctx, k, frozenset(),
                            frozenset(ctx.hyperplanes_through(anchor)))
-    raise WrongParameters(f"variant must be 'points' or 'hyperplanes', got {variant!r}")
+    raise InputError(f"variant must be 'points' or 'hyperplanes', got {variant!r}")
 
 
 def canonical_anchor(ctx: GeometryContext, dim: int) -> Subspace:
     """The standard-basis subspace spanned by the first dim+1 unit vectors."""
     if not -1 <= dim <= ctx.n:
-        raise WrongAnchorDim(f"no subspace of dimension {dim} in {ctx!r}")
+        raise InputError(f"no subspace of dimension {dim} in {ctx!r}")
     rows = ctx.whole_space().basis
     return Subspace(dim, rows[:dim + 1])
 
@@ -216,7 +201,7 @@ def q2_even_mixed_set(ctx: GeometryContext) -> BlockingSet:
     not containing the (n/2)-space.  Size 2^(n/2 + 1), one more than the
     smallest point-only example."""
     if ctx.q != 2 or ctx.n % 2:
-        raise WrongParameters(f"needs q = 2 and even n, got q={ctx.q}, n={ctx.n}")
+        raise InputError(f"needs q = 2 and even n, got q={ctx.q}, n={ctx.n}")
     half = ctx.n // 2
     hull = canonical_anchor(ctx, half)
     inner = canonical_anchor(ctx, half - 1)

@@ -13,15 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .gf import prime_power_parts
+from .gf import InputError, prime_power_parts
 
 
-class InvalidQ(ValueError):
-    pass
-
-
-class HypothesisViolated(ValueError):
-    pass
+class HypothesisViolated(InputError):
+    """A bound formula was asked for outside the hypotheses it is proved under."""
 
 
 # Marker returned instead of a number for the q = 2, even-n cases the
@@ -31,7 +27,7 @@ OPEN = "open"
 
 def _check_q(q: int):
     if prime_power_parts(q) is None:
-        raise InvalidQ(f"q = {q} is not a prime power >= 2")
+        raise InputError(f"q = {q} is not a prime power >= 2")
 
 
 def gaussian(a: int, b: int, q: int) -> int:
@@ -124,7 +120,7 @@ def minimum_size_bound(n: int, k: int, q: int):
     """
     _check_q(q)
     if not 0 <= k < n:
-        raise ValueError(f"need 0 <= k < n, got k={k}, n={n}")
+        raise InputError(f"need 0 <= k < n, got k={k}, n={n}")
     if q == 2 and n % 2 == 0 and (2 * k == n - 2 or 2 * k == n):
         return OPEN
     if 2 * k < n - 1:

@@ -25,52 +25,38 @@ BUILTIN_MODULI = {
 }
 
 
-class FieldError(ValueError):
-    """Bad field construction or bad operand."""
+class InputError(ValueError):
+    """Input that the caller got wrong: malformed, unreadable or out of range.
 
-
-class NonPrimeP(FieldError):
-    pass
-
-
-class NoBuiltinModulus(FieldError):
-    pass
-
-
-class ReducibleModulus(FieldError):
-    pass
-
-
-class InverseOfZero(FieldError):
-    pass
-
-
-class NotAnInteger(ValueError):
-    """Input that must be an integer is some other value."""
-
-
-class MalformedDocument(ValueError):
-    """A JSON document or block that is not an object, or lacks a key."""
+    Every check on outside input raises this type (or a subclass), so a
+    front end can tell the caller's mistake from a bug in the library."""
 
 
 def plain_int(value, what: str) -> int:
     """value itself if it is a plain int; a float, string or bool is rejected."""
     if type(value) is not int:
-        raise NotAnInteger(f"{what} must be an integer, got {value!r}")
+        raise InputError(f"{what} must be an integer, got {value!r}")
     return value
 
 
 def json_object(value, what: str) -> dict:
     """value itself if it is a JSON object; a list, number or string is rejected."""
     if type(value) is not dict:
-        raise MalformedDocument(f"{what} must be a JSON object, got {value!r}")
+        raise InputError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
+def json_list(value, what: str) -> list:
+    """value itself if it is a JSON array; an object, number or string is rejected."""
+    if type(value) is not list:
+        raise InputError(f"{what} must be a JSON array, got {value!r}")
     return value
 
 
 def required(data: dict, key: str):
     """data[key]; a missing key is rejected by name."""
     if key not in data:
-        raise MalformedDocument(f"missing key {key!r}")
+        raise InputError(f"missing key {key!r}")
     return data[key]
 
 
@@ -134,29 +120,32 @@ class Field:
 
     def __init__(self, p: int, e: int = 1, modulus=None):
         if not is_prime(p):
-            raise NonPrimeP(f"p = {p} is not prime")
+            raise InputError(f"p = {p} is not prime")
         if e < 1:
-            raise FieldError(f"exponent e = {e} must be >= 1")
+            raise InputError(f"exponent e = {e} must be >= 1")
         q = p ** e
         if e == 1:
             modulus = (0, 1)  # x; never used by the arithmetic
         else:
             if modulus is None:
                 if q not in BUILTIN_MODULI:
-                    raise NoBuiltinModulus(
+                    raise InputError(
                         f"no built-in irreducible modulus for q = {q}; supply one")
                 modulus = BUILTIN_MODULI[q]
-            modulus = tuple(int(c) % p for c in modulus)
+            modulus = tuple(plain_int(c, "modulus coefficient") for c in modulus)
+            if any(not 0 <= c < p for c in modulus):
+                raise InputError(
+                    f"modulus coefficients must lie in [0, {p}), got {modulus}")
             if len(modulus) != e + 1 or modulus[-1] != 1:
-                raise FieldError(
+                raise InputError(
                     f"modulus must be monic of degree {e}, got {modulus}")
             if not _is_irreducible(modulus, p):
-                raise ReducibleModulus(
+                raise InputError(
                     f"modulus {modulus} is reducible over GF({p})")
         self.p = p
         self.e = e
         self.q = q
-        self.modulus = tuple(modulus)
+        self.modulus = modulus
         self._mul_table = None
         self._inv_table = None
         self._add_table = None
@@ -236,7 +225,7 @@ class Field:
 
     def inv(self, a: int) -> int:
         if a == 0:
-            raise InverseOfZero(f"0 has no inverse in {self!r}")
+            raise ZeroDivisionError(f"0 has no inverse in {self!r}")
         if self._inv_table is not None:
             return self._inv_table[a]
         if self.e == 1:
@@ -245,7 +234,7 @@ class Field:
         for b in range(1, self.q):
             if self._mul_raw(a, b) == 1:
                 return b
-        raise FieldError(f"no inverse found for {a}")  # unreachable for valid fields
+        raise RuntimeError(f"no inverse found for {a}")  # unreachable for valid fields
 
     def pow(self, a: int, m: int) -> int:
         out = 1
@@ -268,10 +257,9 @@ class Field:
     def from_dict(cls, data: dict) -> "Field":
         data = json_object(data, "field")
         e = plain_int(data.get("e", 1), "field e")
-        modulus = data.get("modulus") if e > 1 else None
-        if modulus is not None:
-            modulus = [plain_int(c, "modulus coefficient") for c in modulus]
-        return cls(plain_int(required(data, "p"), "field p"), e, modulus)
+        modulus = data.get("modulus")
+        return cls(plain_int(required(data, "p"), "field p"), e,
+                   None if modulus is None else json_list(modulus, "field modulus"))
 
     def __eq__(self, other):
         return (isinstance(other, Field)
@@ -310,5 +298,5 @@ def field_for_order(q: int) -> Field:
     """Build GF(q) from its prime-power factorization, using built-in moduli."""
     parts = prime_power_parts(q)
     if parts is None:
-        raise FieldError(f"q = {q} is not a prime power")
+        raise InputError(f"q = {q} is not a prime power")
     return Field(*parts)

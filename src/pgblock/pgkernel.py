@@ -15,16 +15,12 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .counting import gaussian, theta
-from .gf import Field, plain_int
+from .gf import Field, InputError, plain_int
 
 ENUMERATION_BUDGET = 10 ** 8
 
 
 class BudgetExceeded(RuntimeError):
-    pass
-
-
-class DimensionMismatch(ValueError):
     pass
 
 
@@ -117,7 +113,7 @@ class GeometryContext:
 
     def __init__(self, field: Field, n: int):
         if n < 1:
-            raise DimensionMismatch(f"projective dimension n = {n} must be >= 1")
+            raise InputError(f"projective dimension n = {n} must be >= 1")
         self.field = field
         self.n = n
         self._points: tuple[Point, ...] | None = None
@@ -151,13 +147,13 @@ class GeometryContext:
     def normalize(self, coords) -> tuple[int, ...]:
         coords = tuple(int(c) for c in coords)
         if len(coords) != self.n + 1:
-            raise DimensionMismatch(
+            raise InputError(
                 f"expected {self.n + 1} coordinates, got {len(coords)}")
         if any(not 0 <= c < self.q for c in coords):
-            raise DimensionMismatch(f"coordinates out of range for {self.field!r}")
+            raise InputError(f"coordinates out of range for {self.field!r}")
         lead = next((i for i, c in enumerate(coords) if c), None)
         if lead is None:
-            raise DimensionMismatch("the zero vector is not a projective point")
+            raise InputError("the zero vector is not a projective point")
         if coords[lead] == 1:
             return coords
         inv = self.field.inv(coords[lead])
@@ -206,14 +202,14 @@ class GeometryContext:
             return (part.coords,)
         if isinstance(part, Subspace):
             return part.basis
-        raise DimensionMismatch(f"expected Point or Subspace, got {type(part).__name__}")
+        raise InputError(f"expected Point or Subspace, got {type(part).__name__}")
 
     def span(self, *parts) -> Subspace:
         rows = []
         for part in parts:
             for row in self._rows_of(part):
                 if len(row) != self.n + 1:
-                    raise DimensionMismatch("part does not live in this geometry")
+                    raise InputError("part does not live in this geometry")
                 rows.append(row)
         basis = rref(self.field, rows)
         return Subspace(len(basis) - 1, basis)
@@ -222,7 +218,7 @@ class GeometryContext:
         """The subspace spanned by coordinate rows (none: the empty subspace)."""
         raw = tuple(tuple(plain_int(c, "coordinate") for c in row) for row in rows)
         if any(not 0 <= c < self.q for row in raw for c in row):
-            raise DimensionMismatch(f"coordinates out of range for {self.field!r}")
+            raise InputError(f"coordinates out of range for {self.field!r}")
         return self.span(Subspace(len(raw) - 1, raw))
 
     def extensions(self, space: Subspace, ambient: Subspace):
@@ -270,7 +266,7 @@ class GeometryContext:
         pivots = [next(j for j, x in enumerate(row) if x) for row in outer.basis]
         for row in rows:
             if len(row) != self.n + 1:
-                raise DimensionMismatch("operand does not live in this geometry")
+                raise InputError("operand does not live in this geometry")
             vec = list(row)
             for i, p in enumerate(pivots):
                 if vec[p]:
@@ -296,7 +292,7 @@ class GeometryContext:
         """
         d = self.n if inside is None else inside.dim
         if not 0 <= m <= d:
-            raise DimensionMismatch(f"need 0 <= m <= {d}, got m = {m}")
+            raise InputError(f"need 0 <= m <= {d}, got m = {m}")
         count = gaussian(d + 1, m + 1, self.q)
         if count > ENUMERATION_BUDGET:
             raise BudgetExceeded(
@@ -364,7 +360,7 @@ class GeometryContext:
 
     def hyperplane_dual_point(self, space: Subspace) -> Point:
         if space.dim != self.n - 1:
-            raise DimensionMismatch(f"dim {space.dim} is not a hyperplane in {self!r}")
+            raise InputError(f"dim {space.dim} is not a hyperplane in {self!r}")
         dual = self.dual(space)
         return self.point(dual.basis[0])
 

@@ -35,6 +35,7 @@ from itertools import combinations
 from . import constructions
 from .blocking import BlockingSet, check_k, incidence, is_blocking
 from .counting import OPEN, gaussian, minimum_size_bound, theta
+from .gf import InputError
 from .pgkernel import BudgetExceeded, GeometryContext
 
 _WORKER_STATE = {}
@@ -325,7 +326,7 @@ def _check_input(ctx: GeometryContext, k: int, workers: int):
     """Reject the k that BlockingSet rejects, and fewer than one worker."""
     check_k(ctx, k)
     if workers < 1:
-        raise ValueError(f"need workers >= 1, got workers={workers}")
+        raise InputError(f"need workers >= 1, got workers={workers}")
 
 
 def min_blocking_search(ctx: GeometryContext, k: int, size_cap: int,
@@ -337,7 +338,7 @@ def min_blocking_search(ctx: GeometryContext, k: int, size_cap: int,
     universe ordinals of one minimum blocking set.
     """
     if mode not in ("branch_and_bound", "exhaustive"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InputError(f"unknown mode {mode!r}")
     _check_input(ctx, k, workers)
     start = time.monotonic()
     deadline = start + budget_seconds if budget_seconds is not None else None
@@ -505,6 +506,10 @@ def matches_theorem_family(ctx: GeometryContext, k: int, bset: BlockingSet) -> b
         if bset.hyperplanes or len(bset.points) != theta(n - k, ctx.q):
             return False
         return ctx.span(*bset.points).dim == n - k
+    if n == 1:
+        # a hyperplane of a line is a point: any q + 1 blockers taking each
+        # point once, as a point or as a hyperplane, meet the bound
+        return bset.size == ctx.q + 1 and is_blocking(bset)[0]
     return constructions.recognize_pencil_partition(bset) is not None
 
 

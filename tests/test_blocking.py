@@ -5,16 +5,14 @@ from itertools import combinations
 import pytest
 
 from pgblock.blocking import (COUNT_BOUND, FULL_TRACE, SECANT, SKEW, TANGENT,
-                              VACUOUS, BlockingSet, FlatMeetsPoints, NotALine,
-                              NotBlocking, PinnedHyperplanesReport,
-                              PinnedPointInSet, PointsNotInHull, SkewSpaceProfile,
-                              WrongAmbient, dual_set, is_blocking, is_minimal,
+                              VACUOUS, BlockingSet, PinnedHyperplanesReport,
+                              SkewSpaceProfile, dual_set, is_blocking, is_minimal,
                               lemma_checks, line_type, pinned_hyperplanes,
                               skew_space_profile, tangent_closure, unblocked_count)
 from pgblock.constructions import (bose_burton, canonical_pencil_partition,
                                    pencil_partition)
 from pgblock.counting import theta
-from pgblock.gf import Field
+from pgblock.gf import Field, InputError
 from pgblock.pgkernel import GeometryContext, Subspace
 
 
@@ -63,7 +61,7 @@ def test_is_minimal(pg32):
     padded = _point_set(pg32, 1, set(pg32.subspace_points(plane)) | {extra})
     ok, removable = is_minimal(padded)
     assert not ok and removable == extra
-    with pytest.raises(NotBlocking):
+    with pytest.raises(InputError, match="minimality is only defined for blocking sets"):
         is_minimal(_point_set(pg32, 1, ()))
 
 
@@ -113,7 +111,7 @@ def test_line_type(pg32):
     assert line_type(pg32, line, ()) == SKEW
     assert line_type(pg32, line, [pts[0]]) == TANGENT
     assert line_type(pg32, line, pts[:2]) == SECANT
-    with pytest.raises(NotALine):
+    with pytest.raises(InputError, match="dim 2 is not a line"):
         line_type(pg32, pg32.subspaces(2)[0], ())
 
 
@@ -179,11 +177,11 @@ def test_skew_space_profile_pencil_of_hyperplanes(pg32):
 def test_skew_space_profile_errors(pg32, pg42):
     bset = pencil_partition(pg32, canonical_pencil_partition(pg32, 1))
     inside = next(iter(bset.points))
-    with pytest.raises(FlatMeetsPoints):
+    with pytest.raises(InputError, match="the flat meets the point part"):
         skew_space_profile(bset, Subspace(0, (inside.coords,)))
     plane42 = pg42.subspaces(2)[0]
     wrong = BlockingSet(pg42, 2, frozenset(pg42.subspace_points(plane42)), frozenset())
-    with pytest.raises(WrongAmbient):
+    with pytest.raises(InputError, match=r"need n = 2k \+ 1, got n=4, k=2"):
         skew_space_profile(wrong, Subspace(1, plane42.basis[:2]))
 
 
@@ -218,12 +216,12 @@ def test_pinned_hyperplanes_errors(pg32):
     bset = pencil_partition(pg32, params)
     hull = params.hull
     inside = next(iter(bset.points))
-    with pytest.raises(PinnedPointInSet):
+    with pytest.raises(InputError, match="belongs to the point part"):
         pinned_hyperplanes(bset, hull, inside)
     outside_hull_pt = next(p for p in pg32.points() if not pg32.contains(hull, p))
     other_hull = pg32.span(hull)  # same hull; points must lie inside
     moved = BlockingSet(pg32, 1, frozenset([outside_hull_pt]), bset.hyperplanes)
-    with pytest.raises(PointsNotInHull):
+    with pytest.raises(InputError, match="the point part is not contained in the hull"):
         pinned_hyperplanes(moved, other_hull, next(
             p for p in pg32.subspace_points(hull) if p != outside_hull_pt))
 

@@ -1,12 +1,18 @@
+import importlib
+import inspect
 import json
+import pkgutil
 
 import pytest
 
+import pgblock
+from pgblock import blocking
 from pgblock.blocking import lemma_checks
 from pgblock.cli import main
 from pgblock.constructions import canonical_pencil_partition, pencil_partition
-from pgblock.gf import Field
-from pgblock.pgkernel import GeometryContext
+from pgblock.gf import Field, InputError
+from pgblock.pgkernel import BudgetExceeded, GeometryContext
+from pgblock.search import TimeBudgetExceeded
 
 
 def run_cli(capsys, *argv):
@@ -181,13 +187,88 @@ def test_non_integer_params_rejected(capsys, tmp_path, value):
     ({key: v for key, v in SMALL_SET.items() if key != "n"}, "missing key 'n'"),
     ({key: v for key, v in SMALL_SET.items() if key != "k"}, "missing key 'k'"),
     ({**SMALL_SET, "field": {"e": 1}}, "missing key 'p'"),
-], ids=["list", "field-list", "no-q", "no-n", "no-k", "field-no-p"])
+    ({**SMALL_SET, "points": 5}, "points must be a JSON array, got 5"),
+    ({**SMALL_SET, "points": [5]}, "point must be a JSON array, got 5"),
+    ({**SMALL_SET, "hyperplanes": 5}, "hyperplanes must be a JSON array, got 5"),
+    ({**SMALL_SET, "hyperplanes": [5]}, "hyperplane must be a JSON array, got 5"),
+    ({**SMALL_SET, "q": 4, "field": {"p": 2, "e": 2, "modulus": 5}},
+     "field modulus must be a JSON array, got 5"),
+    ({**SMALL_SET, "q": 4, "field": {"p": 2, "e": 2, "modulus": [1, 3, 1]}},
+     "modulus coefficients must lie in [0, 2), got (1, 3, 1)"),
+], ids=["list", "field-list", "no-q", "no-n", "no-k", "field-no-p", "points", "point",
+        "hyperplanes", "hyperplane", "modulus", "modulus-range"])
 def test_malformed_document_rejected(capsys, tmp_path, doc, message):
     path = tmp_path / "set.json"
     path.write_text(json.dumps(doc))
     assert main(["verify", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
+
+
+@pytest.mark.parametrize("content,message", [
+    (b"\x89PNG\r\n\x1a\n\x00\xff", "can't decode byte 0x89"),
+    (None, "No such file or directory"),
+], ids=["binary", "missing"])
+def test_unreadable_file_rejected(capsys, tmp_path, content, message):
+    path = tmp_path / "set.json"
+    if content is not None:
+        path.write_bytes(content)
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+PENCIL_PARAMS = {"hull": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+                 "axis": [[1, 0, 0, 0]],
+                 "point_spaces": [[[1, 0, 0, 0], [0, 1, 0, 0]]]}
+
+
+@pytest.mark.parametrize("kind,doc,message", [
+    ("pencil-partition", [1, 2], "params document must be a JSON object, got [1, 2]"),
+    ("pencil-partition", {key: v for key, v in PENCIL_PARAMS.items() if key != "hull"},
+     "missing key 'hull'"),
+    ("pencil-partition", {**PENCIL_PARAMS, "hull": 5}, "hull must be a JSON array, got 5"),
+    ("pencil-partition", {**PENCIL_PARAMS, "axis": [5]}, "axis row must be a JSON array, got 5"),
+    ("pencil-partition", {**PENCIL_PARAMS, "point_spaces": 3},
+     "point_spaces must be a JSON array, got 3"),
+    ("pencil-partition", {**PENCIL_PARAMS, "point_spaces": [3]},
+     "point space must be a JSON array, got 3"),
+    ("bose-burton-points", {}, "missing key 'anchor'"),
+    ("bose-burton-points", {"anchor": 5}, "anchor must be a JSON array, got 5"),
+], ids=["list", "no-hull", "hull", "axis-row", "point-spaces", "point-space",
+        "no-anchor", "anchor"])
+def test_params_document_shape_rejected(capsys, tmp_path, kind, doc, message):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(doc))
+    assert main(["construct", "--q", "2", "--n", "3", "--k", "1", "--kind", kind,
+                 "--params", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+def test_internal_error_is_not_invalid_input(monkeypatch, tmp_path):
+    def broken(bset):
+        raise KeyError("internal")
+    monkeypatch.setattr(blocking, "is_blocking", broken)
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(SMALL_SET))
+    with pytest.raises(KeyError, match="internal"):
+        main(["verify", str(path)])
+
+
+def test_only_input_and_budget_errors_are_defined():
+    """Exit 2 is InputError and exit 3 is BudgetExceeded; any other
+    exception class in the package would escape both."""
+    classes = set()
+    for info in pkgutil.iter_modules(pgblock.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"pgblock.{info.name}")
+        classes |= {obj for _, obj in inspect.getmembers(module, inspect.isclass)
+                    if issubclass(obj, Exception) and obj.__module__ == module.__name__}
+    assert InputError in classes
+    assert {c for c in classes if not issubclass(c, InputError)} == {
+        BudgetExceeded, TimeBudgetExceeded}
 
 
 def test_duplicates_reported_on_stderr(capsys, tmp_path):
@@ -249,6 +330,17 @@ def test_classify_json(capsys):
     assert data["expected_bound"] == 4
     assert data["observed_minimum"] == 4
     assert data["all_minima_match_theorem"] is True
+
+
+@pytest.mark.parametrize("q,minima", [(2, 8), (3, 16)], ids=["pg12", "pg13"])
+def test_classify_projective_line(capsys, q, minima):
+    # a hyperplane of PG(1,q) is a point, so every minimum takes each of the
+    # q + 1 points once, as a point or as a hyperplane
+    code, data = run_cli(capsys, "classify", "--q", str(q), "--n", "1", "--k", "0")
+    assert code == 0
+    assert data["expected_bound"] == data["observed_minimum"] == q + 1
+    assert data["minima_count"] == minima
+    assert data["all_minima_match_theorem"] is True and data["mismatches"] == []
 
 
 def test_classify_open_json(capsys):

@@ -5,14 +5,13 @@ import random
 import pytest
 
 from pgblock.blocking import dual_set, is_blocking, is_minimal
-from pgblock.constructions import (BadPencil, EmptyPart, PencilPartitionParams,
-                                   WrongAnchorDim, WrongParameters, bose_burton,
+from pgblock.constructions import (PencilPartitionParams, bose_burton,
                                    canonical_anchor, canonical_pencil_partition,
                                    distinct_pencil_partition_sets, pencil,
                                    pencil_partition, q2_even_mixed_set,
                                    recognize_pencil_partition)
 from pgblock.counting import theta
-from pgblock.gf import Field
+from pgblock.gf import Field, InputError
 from pgblock.pgkernel import GeometryContext, Subspace
 
 
@@ -58,7 +57,7 @@ def test_pencil_partition_pg33_sizes(pg33):
 def test_empty_part_rejected(pg32):
     params = canonical_pencil_partition(pg32, 1)
     members = frozenset(pencil(pg32, params.axis, params.hull))
-    with pytest.raises(EmptyPart):
+    with pytest.raises(InputError, match="both parts of the pencil partition must be nonempty"):
         pencil_partition(pg32, PencilPartitionParams(
             params.hull, params.axis, frozenset(), members))
 
@@ -66,7 +65,7 @@ def test_empty_part_rejected(pg32):
 def test_bad_pencil_rejected(pg32):
     params = canonical_pencil_partition(pg32, 1)
     members = list(pencil(pg32, params.axis, params.hull))
-    with pytest.raises(BadPencil):
+    with pytest.raises(InputError, match="the two parts of the partition overlap"):
         pencil_partition(pg32, PencilPartitionParams(
             params.hull, params.axis,
             frozenset(members[:1]), frozenset(members[:2])))  # overlapping parts
@@ -74,10 +73,10 @@ def test_bad_pencil_rejected(pg32):
                       if not pg32.contains(params.axis, p))
     from pgblock.pgkernel import Subspace
     foreign = pencil(pg32, Subspace(0, (other_axis.coords,)), params.hull)
-    with pytest.raises(BadPencil):
+    with pytest.raises(InputError, match="the two parts do not partition the full pencil"):
         pencil_partition(pg32, PencilPartitionParams(
             params.hull, params.axis, frozenset(members[:1]),
-            frozenset(foreign[1:])))  # not the full pencil of the axis
+            frozenset(foreign) - frozenset(members)))  # not the full pencil of the axis
 
 
 @pytest.mark.parametrize("k,q", [(1, 2), (1, 3), (1, 4), (2, 2)])
@@ -207,9 +206,9 @@ def test_bose_burton_hyperplanes_pg52():
 
 
 def test_bose_burton_wrong_anchor(pg32):
-    with pytest.raises(WrongAnchorDim):
+    with pytest.raises(InputError, match="points variant needs anchor dim n-k = 2, got 1"):
         bose_burton(pg32, 1, "points", canonical_anchor(pg32, 1))
-    with pytest.raises(WrongParameters):
+    with pytest.raises(InputError, match="variant must be 'points' or 'hyperplanes', got 'lines'"):
         bose_burton(pg32, 1, "lines", canonical_anchor(pg32, 2))
 
 
@@ -228,9 +227,9 @@ def test_q2_even_mixed_set_pg42(pg42):
 
 
 def test_q2_even_wrong_parameters(pg32, pg23):
-    with pytest.raises(WrongParameters):
+    with pytest.raises(InputError, match="needs q = 2 and even n, got q=3, n=2"):
         q2_even_mixed_set(pg23)  # q = 3
-    with pytest.raises(WrongParameters):
+    with pytest.raises(InputError, match="needs q = 2 and even n, got q=2, n=3"):
         q2_even_mixed_set(pg32)  # odd n
 
 

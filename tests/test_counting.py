@@ -5,10 +5,11 @@ from itertools import combinations
 import pytest
 
 from pgblock.blocking import BlockingSet, unblocked_count
-from pgblock.counting import (OPEN, HypothesisViolated, InvalidQ,
+from pgblock.counting import (OPEN, HypothesisViolated,
                               fraction_decimal_upper, gaussian, heger_nagy_bracket,
                               heger_nagy_upper_bound, metsch_dual_lower_bound,
                               metsch_lower_bound, minimum_size_bound, theta)
+from pgblock.gf import InputError
 
 PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9]
 
@@ -22,9 +23,9 @@ def test_gaussian_examples(pg33):
 
 
 def test_gaussian_invalid_q():
-    with pytest.raises(InvalidQ):
+    with pytest.raises(InputError, match="q = 6 is not a prime power >= 2"):
         gaussian(4, 2, 6)
-    with pytest.raises(InvalidQ):
+    with pytest.raises(InputError, match="q = 1 is not a prime power >= 2"):
         theta(2, 1)
 
 
@@ -53,9 +54,9 @@ def test_theta_is_gaussian_column(q):
 def test_metsch_examples():
     assert metsch_lower_bound(3, 2, 1, 1, 0) == 34
     assert metsch_lower_bound(3, 2, 1, 1, 3) == 16
-    with pytest.raises(HypothesisViolated):
+    with pytest.raises(HypothesisViolated, match=r"need 0 <= \|B\| <= theta_1 = 3, got 4"):
         metsch_lower_bound(3, 2, 1, 1, 4)  # 4 > theta_1 = 3
-    with pytest.raises(HypothesisViolated):
+    with pytest.raises(HypothesisViolated, match=r"need d, s >= 0 and n >= d \+ s, got n=1"):
         metsch_lower_bound(1, 2, 1, 1, 0)  # n < d + s
 
 
@@ -122,7 +123,7 @@ def test_heger_nagy_examples():
     assert gaussian(4, 2, 2) == 35 < lo2
     assert abs(float(hi2) - 62.3) < 0.1
     assert heger_nagy_upper_bound(4, 2, 3) == hi3
-    with pytest.raises(InvalidQ):
+    with pytest.raises(InputError, match="q = 6 is not a prime power >= 2"):
         heger_nagy_upper_bound(4, 2, 6)
 
 

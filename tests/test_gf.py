@@ -1,8 +1,7 @@
 import pytest
 
-from pgblock.gf import (BUILTIN_MODULI, Field, FieldError, InverseOfZero,
-                        NoBuiltinModulus, NonPrimeP, ReducibleModulus,
-                        field_for_order, prime_power_parts)
+from pgblock.gf import (BUILTIN_MODULI, Field, InputError, field_for_order,
+                        prime_power_parts)
 
 TABLE_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27]
 
@@ -21,27 +20,35 @@ def test_gf4_explicit_modulus():
 
 def test_reducible_modulus_rejected():
     # x^2 + 1 = (x + 1)^2 over GF(2)
-    with pytest.raises(ReducibleModulus):
+    with pytest.raises(InputError, match=r"modulus \(1, 0, 1\) is reducible over GF\(2\)"):
         Field(2, 2, [1, 0, 1])
 
 
 def test_non_prime_p():
-    with pytest.raises(NonPrimeP):
+    with pytest.raises(InputError, match="p = 4 is not prime"):
         Field(4)
-    with pytest.raises(NonPrimeP):
+    with pytest.raises(InputError, match="p = 1 is not prime"):
         Field(1)
 
 
 def test_no_builtin_modulus():
-    with pytest.raises(NoBuiltinModulus):
+    with pytest.raises(InputError, match="no built-in irreducible modulus for q = 32"):
         Field(2, 5)  # q = 32 is outside the built-in table
 
 
 def test_malformed_modulus():
-    with pytest.raises(FieldError):
+    with pytest.raises(InputError, match="modulus must be monic of degree 2"):
         Field(2, 2, [1, 1])      # wrong degree
-    with pytest.raises(FieldError):
+    with pytest.raises(InputError, match="modulus must be monic of degree 2"):
         Field(3, 2, [1, 0, 2])   # not monic
+
+
+@pytest.mark.parametrize("modulus", [[1, 3, 1], [1, -1, 1], [3, 1, 1]],
+                         ids=["3", "-1", "constant"])
+def test_modulus_coefficient_out_of_range(modulus):
+    # each reduces mod 2 to the irreducible x^2 + x + 1, and none is coerced
+    with pytest.raises(InputError, match=r"modulus coefficients must lie in \[0, 2\)"):
+        Field(2, 2, modulus)
 
 
 def test_spec_arithmetic_examples():
@@ -53,7 +60,7 @@ def test_spec_arithmetic_examples():
 
 
 def test_inverse_of_zero():
-    with pytest.raises(InverseOfZero):
+    with pytest.raises(ZeroDivisionError, match="0 has no inverse in GF\\(7\\)"):
         Field(7).inv(0)
 
 
@@ -114,9 +121,9 @@ def test_equality_and_hash():
 
 
 def test_field_for_order_rejects_non_prime_powers():
-    with pytest.raises(FieldError):
+    with pytest.raises(InputError, match="q = 6 is not a prime power"):
         field_for_order(6)
-    with pytest.raises(FieldError):
+    with pytest.raises(InputError, match="q = 1 is not a prime power"):
         field_for_order(1)
 
 

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from pgblock.counting import gaussian, theta
-from pgblock.gf import Field
-from pgblock.pgkernel import (EMPTY_SUBSPACE, BudgetExceeded, DimensionMismatch,
+from pgblock.gf import Field, InputError
+from pgblock.pgkernel import (EMPTY_SUBSPACE, BudgetExceeded,
                               GeometryContext, Subspace, kernel_basis)
 
 
@@ -44,7 +44,7 @@ def test_normalization_idempotent_and_unique(pg33):
 
 
 def test_zero_vector_rejected(pg32):
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InputError, match="the zero vector is not a projective point"):
         pg32.point((0, 0, 0, 0))
 
 
@@ -219,11 +219,11 @@ def test_enumeration_budget():
 
 
 def test_subspace_out_of_range(pg32):
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InputError, match="need 0 <= m <= 3, got m = 4"):
         pg32.subspaces(4)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InputError, match="need 0 <= m <= 3, got m = -1"):
         pg32.subspaces(-1)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InputError, match="need 0 <= m <= 1, got m = 2"):
         next(pg32.iter_subspaces(2, pg32.subspaces(1)[0]))
 
 
