@@ -5,21 +5,26 @@ Three families live here:
 * Bose-Burton sets: all points of an (n-k)-space, or dually all
   hyperplanes through an (n-k-2)-space.
 * Pencil-partition sets in PG(2k+1, q): fix a (k+1)-space (the hull) and
-  a (k-1)-space inside it (the axis), split the pencil of q+1 k-spaces
-  between them into two nonempty parts, and take the off-axis points of
-  one part together with the hyperplanes that cut the hull exactly in a
-  member of the other part.  Size is always (q+1) q^k.
+  a (k-1)-space inside it (the axis, empty for k = 0), split the pencil of
+  q+1 k-spaces between them into two nonempty parts, and take the
+  off-axis points of one part together with the hyperplanes that cut the
+  hull exactly in a member of the other part.  Size is always (q+1) q^k.
 * The q = 2 even-dimension variant of the same idea, one level up, for
   k = n/2.
+
+`theorem_family` enumerates the minimum sets the classification names:
+every Bose-Burton and pencil-partition set whose size is the bound, as
+sorted universe ordinals.  Classification tests the search minima for
+membership in it, so recognition is not on the classification path.
 
 A pencil member contributes the same elements in every split: its
 off-axis points in one part, the hyperplanes through it off the hull in the
 other.  Generation unions these per member, so enumerating every split of a
 pencil builds it once.  The axes of a hull are enumerated inside it, through
 its own basis (`GeometryContext.iter_subspaces(k - 1, hull)`), not by
-filtering the (k-1)-spaces of the whole geometry.  Recognition is
-generate-and-compare: recover candidate parameters, run the generator, and
-demand exact set equality.
+filtering the (k-1)-spaces of the whole geometry.  Recognition recovers the
+parameters of one given set by generate-and-compare: recover candidate
+parameters, run the generator, and demand exact set equality.
 """
 
 from __future__ import annotations
@@ -27,8 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blocking import BlockingSet
+from .counting import minimum_size_bound, theta
 from .gf import InputError
-from .pgkernel import GeometryContext, Subspace
+from .pgkernel import EMPTY_SUBSPACE, GeometryContext, Subspace
 
 
 @dataclass(frozen=True)
@@ -104,14 +110,15 @@ def canonical_pencil_partition(ctx: GeometryContext, k: int, t: int = 1) -> Penc
 def distinct_pencil_partition_sets(ctx: GeometryContext, k: int):
     """(sorted tuple of distinct element-index tuples, number of parameter
     tuples (hull, axis, nonempty split))."""
-    if ctx.n != 2 * k + 1 or k < 1:
-        raise InputError(f"need n = 2k + 1 and k >= 1, got n={ctx.n}, k={k}")
+    if ctx.n != 2 * k + 1:
+        raise InputError(f"need n = 2k + 1, got n={ctx.n}, k={k}")
     seen = set()
     count = 0
     for hull in ctx.subspaces(k + 1):
-        for axis in ctx.iter_subspaces(k - 1, hull):
+        axes = ctx.iter_subspaces(k - 1, hull) if k else (EMPTY_SUBSPACE,)
+        for axis in axes:
             parts = [_member_ordinals(ctx, axis, hull, member)
-                     for member in pencil(ctx, axis, hull)]
+                     for member in ctx.extensions(axis, hull)]
             for split in range(1, 2 ** (ctx.q + 1) - 1):
                 ids = set()
                 for i, (points, hyperplanes) in enumerate(parts):
@@ -119,6 +126,24 @@ def distinct_pencil_partition_sets(ctx: GeometryContext, k: int):
                 seen.add(tuple(sorted(ids)))
                 count += 1
     return tuple(sorted(seen)), count
+
+
+def theorem_family(ctx: GeometryContext, k: int):
+    """(sorted tuple of the element-index tuples of every construction whose
+    size is minimum_size_bound, number of parameter tuples that built them).
+
+    The Bose-Burton point sets are the (n-k)-spaces; the hyperplanes through
+    an (n-k-2)-space are the dual points of a (k+1)-space.  Those sets are
+    pure (all points or all hyperplanes) and the pencil-partition sets mixed,
+    so the two parts share no set.  Open cases have no family.
+    """
+    bound = minimum_size_bound(ctx.n, k, ctx.q)
+    sets, count = distinct_pencil_partition_sets(ctx, k) if ctx.n == 2 * k + 1 else ((), 0)
+    pure = tuple(tuple(offset + p.index for p in ctx.subspace_points(space))
+                 for dim, offset in ((ctx.n - k, 0), (k + 1, ctx.num_points))
+                 if theta(dim, ctx.q) == bound
+                 for space in ctx.iter_subspaces(dim))
+    return tuple(sorted(sets + pure)), count + len(pure)
 
 
 def recognize_pencil_partition(bset: BlockingSet) -> PencilPartitionParams | None:

@@ -97,6 +97,8 @@ def heger_nagy_bracket(a: int, b: int, q: int) -> tuple[Fraction, Fraction]:
     """Certified rational bracket of the upper-bound formula for [a choose b]_q:
     q^((a-b)b) * e^(1/(q-2)) for q > 2, and 2^((a-b)b + 1) * e^(2/3) for q = 2."""
     _check_q(q)
+    if not 0 <= b <= a:
+        raise HypothesisViolated(f"need 0 <= b <= a, got a={a}, b={b}")
     if q == 2:
         lead = 2 ** ((a - b) * b + 1)
         lo, hi = _exp_bracket(Fraction(2, 3))

@@ -60,17 +60,6 @@ def required(data: dict, key: str):
     return data[key]
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _poly_trim(c: list[int]) -> list[int]:
     while c and c[-1] == 0:
         c.pop()
@@ -119,7 +108,7 @@ class Field:
     """
 
     def __init__(self, p: int, e: int = 1, modulus=None):
-        if not is_prime(p):
+        if prime_power_parts(p) != (p, 1):
             raise InputError(f"p = {p} is not prime")
         if e < 1:
             raise InputError(f"exponent e = {e} must be >= 1")

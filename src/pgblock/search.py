@@ -24,6 +24,10 @@ Reports are deterministic for a given (geometry, k, cap, mode): worker
 sharding splits the root branches, each shard runs with its own local
 incumbent, and the merge is order-independent.  Wall time is reported but
 excluded from the canonical form of a report.
+
+Classification compares the minima, as ordinal tuples, with the family the
+theorem names (`constructions.theorem_family`); it recognizes no set one by
+one.
 """
 
 from __future__ import annotations
@@ -491,38 +495,15 @@ class MiddleCaseFallback:
         }
 
 
-def matches_theorem_family(ctx: GeometryContext, k: int, bset: BlockingSet) -> bool:
-    """Does a minimum set belong to the family the classification predicts?"""
-    n = ctx.n
-    if 2 * k < n - 1:
-        if bset.points or len(bset.hyperplanes) != theta(k + 1, ctx.q):
-            return False
-        it = iter(bset.hyperplanes)
-        common = next(it)
-        for hp in it:
-            common = ctx.meet(common, hp)
-        return common.dim == n - k - 2
-    if 2 * k > n - 1:
-        if bset.hyperplanes or len(bset.points) != theta(n - k, ctx.q):
-            return False
-        return ctx.span(*bset.points).dim == n - k
-    if n == 1:
-        # a hyperplane of a line is a point: any q + 1 blockers taking each
-        # point once, as a point or as a hyperplane, meet the bound
-        return bset.size == ctx.q + 1 and is_blocking(bset)[0]
-    return constructions.recognize_pencil_partition(bset) is not None
-
-
 def verify_middle_case(ctx: GeometryContext, k: int, workers: int = 1,
                        budget_seconds: float | None = None) -> MiddleCaseFallback:
-    """Generate every pencil-partition instance, check each blocks, and refute
-    all sizes below (q+1) q^k with bound-assisted pruning."""
-    sets, tuples = constructions.distinct_pencil_partition_sets(ctx, k)
-    all_blocking = True
-    for ids in sets:
-        if not is_blocking(BlockingSet.from_indices(ctx, k, ids))[0]:
-            all_blocking = False
-            break
+    """Generate every member of the theorem family, check each blocks, and
+    refute all sizes below (q+1) q^k with bound-assisted pruning."""
+    if ctx.n != 2 * k + 1:
+        raise InputError(f"need n = 2k + 1, got n={ctx.n}, k={k}")
+    sets, tuples = constructions.theorem_family(ctx, k)
+    all_blocking = all(is_blocking(BlockingSet.from_indices(ctx, k, ids))[0]
+                       for ids in sets)
     bound = (ctx.q + 1) * ctx.q ** k
     refutation = refute_below(ctx, k, bound, workers, budget_seconds)
     return MiddleCaseFallback(tuples, len(sets), all_blocking, refutation)
@@ -559,25 +540,21 @@ def classify_minimum(ctx: GeometryContext, k: int, size_cap: int | None = None,
             report=None,
             fallback=fallback,
         )
+    found = report.minimum_sets
     if expected == OPEN:
-        return ClassificationVerdict(
-            expected_bound=OPEN,
-            observed_minimum=report.minimum_size,
-            all_minima_match_theorem=True,  # nothing is claimed for open cases
-            mismatches=(),
-            minima_count=len(report.minimum_sets),
-            method="search",
-            report=report,
-        )
-    mismatches = tuple(
-        ids for ids in report.minimum_sets
-        if not matches_theorem_family(ctx, k, BlockingSet.from_indices(ctx, k, ids)))
+        mismatches = ()  # nothing is claimed for open cases
+    elif report.minimum_size == expected:
+        family = set(constructions.theorem_family(ctx, k)[0])
+        mismatches = tuple(ids for ids in found if ids not in family)
+    else:
+        mismatches = found
     return ClassificationVerdict(
         expected_bound=expected,
         observed_minimum=report.minimum_size,
-        all_minima_match_theorem=(report.minimum_size == expected and not mismatches),
+        all_minima_match_theorem=(report.minimum_size is not None and not mismatches
+                                  and expected in (OPEN, report.minimum_size)),
         mismatches=mismatches,
-        minima_count=len(report.minimum_sets),
+        minima_count=len(found),
         method="search",
         report=report,
     )

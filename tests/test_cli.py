@@ -6,7 +6,7 @@ import pkgutil
 import pytest
 
 import pgblock
-from pgblock import blocking
+from pgblock import blocking, constructions
 from pgblock.blocking import lemma_checks
 from pgblock.cli import main
 from pgblock.constructions import canonical_pencil_partition, pencil_partition
@@ -341,6 +341,43 @@ def test_classify_projective_line(capsys, q, minima):
     assert data["expected_bound"] == data["observed_minimum"] == q + 1
     assert data["minima_count"] == minima
     assert data["all_minima_match_theorem"] is True and data["mismatches"] == []
+
+
+@pytest.mark.parametrize("q", [2, 3], ids=["pg12", "pg13"])
+def test_classify_projective_line_fallback(capsys, q):
+    code, data = run_cli(capsys, "classify", "--q", str(q), "--n", "1", "--k", "0",
+                         "--budget-seconds", "0")
+    assert code == 0
+    assert data["method"] == "fallback"
+    assert data["observed_minimum"] == q + 1
+    assert data["minima_count"] == data["fallback"]["distinct_sets"] == 2 ** (q + 1)
+    assert data["fallback"]["all_blocking"] and data["fallback"]["refutation"]["refuted"]
+
+
+def test_classify_open_case_nothing_found(capsys):
+    code, data = run_cli(capsys, "classify", "--q", "2", "--n", "2", "--k", "0",
+                         "--cap", "1")
+    assert code == 1
+    assert data["observed_minimum"] is None
+    assert data["all_minima_match_theorem"] is False
+
+
+def test_classify_mismatch_exit_code(capsys, monkeypatch):
+    sets, tuples = constructions.theorem_family(GeometryContext(Field(3), 2), 1)
+    monkeypatch.setattr(constructions, "theorem_family",
+                        lambda ctx, k: (sets[1:], tuples - 1))
+    code, data = run_cli(capsys, "classify", "--q", "3", "--n", "2", "--k", "1")
+    assert code == 1
+    assert data["mismatches"] == [list(sets[0])]
+    assert data["all_minima_match_theorem"] is False
+
+
+@pytest.mark.parametrize("a,b", [("1", "2"), ("3", "-1")])
+def test_bounds_heger_nagy_b_out_of_range(capsys, a, b):
+    code = main(["bounds", "--formula", "heger-nagy", "--a", a, "--b", b, "--q", "3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"need 0 <= b <= a, got a={a}, b={b}" in captured.err
 
 
 def test_classify_open_json(capsys):

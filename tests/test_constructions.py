@@ -4,15 +4,16 @@ import random
 
 import pytest
 
-from pgblock.blocking import dual_set, is_blocking, is_minimal
+from pgblock.blocking import BlockingSet, dual_set, is_blocking, is_minimal
 from pgblock.constructions import (PencilPartitionParams, bose_burton,
                                    canonical_anchor, canonical_pencil_partition,
                                    distinct_pencil_partition_sets, pencil,
                                    pencil_partition, q2_even_mixed_set,
-                                   recognize_pencil_partition)
-from pgblock.counting import theta
-from pgblock.gf import Field, InputError
+                                   recognize_pencil_partition, theorem_family)
+from pgblock.counting import minimum_size_bound, theta
+from pgblock.gf import Field, InputError, field_for_order
 from pgblock.pgkernel import GeometryContext, Subspace
+from pgblock.search import min_blocking_search
 
 
 def random_pencil_params(ctx, k, rng):
@@ -242,3 +243,34 @@ def test_dual_of_instance_parameter_shape(pg32):
     assert recovered is not None
     assert len(recovered.point_spaces) == len(params.hyperplane_spaces)
     assert len(recovered.hyperplane_spaces) == len(params.point_spaces)
+
+
+@pytest.mark.parametrize("q,n,k", [
+    (2, 1, 0), (3, 1, 0), (4, 1, 0), (5, 1, 0),
+    (3, 2, 0), (3, 2, 1), (4, 2, 0), (4, 2, 1),
+    (2, 3, 0), (2, 3, 1), (3, 3, 0), (3, 3, 2), (2, 4, 0), (2, 4, 3),
+], ids=lambda v: str(v))
+def test_theorem_family_is_the_search_minima(q, n, k):
+    # the enumerated family against branch-and-bound, as sets both ways
+    ctx = GeometryContext(field_for_order(q), n)
+    bound = minimum_size_bound(n, k, q)
+    sets, tuples = theorem_family(ctx, k)
+    report = min_blocking_search(ctx, k, bound)
+    assert report.minimum_size == bound
+    assert set(sets) == set(report.minimum_sets)
+    assert list(sets) == sorted(set(sets)) and tuples >= len(sets)
+    if n == 1:
+        assert len(sets) == tuples == 2 ** (q + 1)
+
+
+def test_theorem_family_pg32_middle_is_recognized(pg32):
+    sets, tuples = theorem_family(pg32, 1)
+    assert (sets, tuples) == distinct_pencil_partition_sets(pg32, 1)
+    for ids in sets:
+        bset = BlockingSet.from_indices(pg32, 1, ids)
+        params = recognize_pencil_partition(bset)
+        assert params is not None and pencil_partition(pg32, params) == bset
+
+
+def test_theorem_family_open_case_is_empty(pg42):
+    assert theorem_family(pg42, 2) == ((), 0)

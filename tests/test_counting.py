@@ -127,6 +127,12 @@ def test_heger_nagy_examples():
         heger_nagy_upper_bound(4, 2, 6)
 
 
+@pytest.mark.parametrize("a,b", [(1, 2), (3, -1), (0, 1), (-1, 0)])
+def test_heger_nagy_rejects_b_outside_0_a(a, b):
+    with pytest.raises(InputError, match=f"need 0 <= b <= a, got a={a}, b={b}"):
+        heger_nagy_bracket(a, b, 3)
+
+
 def test_heger_nagy_bracket_is_tight():
     lo, hi = heger_nagy_bracket(6, 3, 2)
     assert lo < hi

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from pgblock import constructions
 from pgblock.blocking import BlockingSet, incidence, is_blocking, is_minimal
 from pgblock.counting import OPEN, gaussian
 from pgblock.gf import Field, InputError
@@ -172,6 +173,17 @@ def test_classify_open_case(pg22):
     assert verdict.expected_bound == OPEN
     assert verdict.observed_minimum == 3
     assert verdict.all_minima_match_theorem is True  # vacuous for open cases
+
+
+def test_classify_lists_minima_missing_from_family(pg23, monkeypatch):
+    sets, tuples = constructions.theorem_family(pg23, 1)
+    missing = sets[5]
+    monkeypatch.setattr(constructions, "theorem_family",
+                        lambda ctx, k: (sets[:5] + sets[6:], tuples - 1))
+    verdict = classify_minimum(pg23, 1)
+    assert verdict.observed_minimum == 4 and verdict.minima_count == 13
+    assert verdict.mismatches == (missing,)
+    assert verdict.all_minima_match_theorem is False
 
 
 def test_classify_fallback_path(pg32):
