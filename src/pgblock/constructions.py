@@ -15,7 +15,7 @@ Three families live here:
 `theorem_family` enumerates the minimum sets the classification names:
 every Bose-Burton and pencil-partition set whose size is the bound, as
 sorted universe ordinals.  Classification tests the search minima for
-membership in it, so recognition is not on the classification path.
+membership in it, but recognizes each one in the middle case, k >= 1.
 
 A pencil member contributes the same elements in every split: its
 off-axis points in one part, the hyperplanes through it off the hull in the

@@ -186,6 +186,19 @@ def test_classify_lists_minima_missing_from_family(pg23, monkeypatch):
     assert verdict.all_minima_match_theorem is False
 
 
+def test_classify_middle_case_lists_unrecognized_minima(pg32, monkeypatch):
+    sets, _ = constructions.theorem_family(pg32, 1)
+    missing = sets[7]
+    recognize = constructions.recognize_pencil_partition
+    monkeypatch.setattr(constructions, "recognize_pencil_partition",
+                        lambda bset: None if bset.element_indices() == missing
+                        else recognize(bset))
+    verdict = classify_minimum(pg32, 1)
+    assert verdict.observed_minimum == 6 and verdict.minima_count == 210
+    assert verdict.mismatches == (missing,)
+    assert verdict.all_minima_match_theorem is False
+
+
 def test_classify_fallback_path(pg32):
     # force the budget failure; the middle-case fallback must still decide
     verdict = classify_minimum(pg32, 1, budget_seconds=0.0)
