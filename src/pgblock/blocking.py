@@ -32,27 +32,18 @@ SECANT = "secant"
 class IncidenceSystem:
     """Bitset incidence between blocker candidates and the s-spaces.
 
-    covers[u] has bit j set iff universe element u blocks the j-th s-space
-    (point on it, or hyperplane through it).  candidates[j] lists the
-    universe elements that block space j, in increasing ordinal order.
+    covers[u] has bit j set iff universe element u blocks spaces[j] (point
+    on it, or hyperplane through it); candidate_masks[j] has bit u set iff
+    the same holds.  The two are the directions of one relation: element to
+    spaces and space to elements.
     """
 
     ctx: GeometryContext
     s: int
     spaces: tuple[Subspace, ...]
-    space_index: dict
     covers: tuple[int, ...]
-    candidates: tuple[tuple[int, ...], ...]
     candidate_masks: tuple[int, ...]
     full_mask: int
-
-    @property
-    def num_points(self) -> int:
-        return self.ctx.num_points
-
-    @property
-    def universe_size(self) -> int:
-        return 2 * self.ctx.num_points
 
 
 def incidence(ctx: GeometryContext, s: int) -> IncidenceSystem:
@@ -62,30 +53,21 @@ def incidence(ctx: GeometryContext, s: int) -> IncidenceSystem:
     spaces = ctx.subspaces(s)
     num_points = ctx.num_points
     covers = [0] * (2 * num_points)
-    candidates = []
     cand_masks = []
     for j, space in enumerate(spaces):
         bit = 1 << j
-        cand = []
-        for pt in ctx.subspace_points(space):
-            covers[pt.index] |= bit
-            cand.append(pt.index)
-        for dual_pt in ctx.subspace_points(ctx.dual(space)):
-            covers[num_points + dual_pt.index] |= bit
-            cand.append(num_points + dual_pt.index)
-        cand.sort()
-        candidates.append(tuple(cand))
         mask = 0
-        for u in cand:
+        ids = [pt.index for pt in ctx.subspace_points(space)]
+        ids.extend(num_points + pt.index for pt in ctx.subspace_points(ctx.dual(space)))
+        for u in ids:
+            covers[u] |= bit
             mask |= 1 << u
         cand_masks.append(mask)
     system = IncidenceSystem(
         ctx=ctx,
         s=s,
         spaces=spaces,
-        space_index={space: j for j, space in enumerate(spaces)},
         covers=tuple(covers),
-        candidates=tuple(candidates),
         candidate_masks=tuple(cand_masks),
         full_mask=(1 << len(spaces)) - 1,
     )
@@ -189,7 +171,7 @@ class BlockingSet:
 def blocked_mask(bset: BlockingSet, s: int | None = None) -> int:
     """Bitset of s-spaces incident with at least one element of the set."""
     inc = incidence(bset.ctx, bset.k if s is None else s)
-    num_points = inc.num_points
+    num_points = bset.ctx.num_points
     mask = 0
     for pt in bset.points:
         mask |= inc.covers[pt.index]
@@ -219,7 +201,7 @@ def unblocked_count(bset: BlockingSet, s: int) -> int:
 def _element_cover_pairs(bset: BlockingSet):
     """(universe ordinal, element, cover mask) for every element, sorted."""
     inc = incidence(bset.ctx, bset.k)
-    num_points = inc.num_points
+    num_points = bset.ctx.num_points
     pairs = [(pt.index, pt, inc.covers[pt.index]) for pt in bset.points]
     for hp in bset.hyperplanes:
         u = num_points + bset.ctx.hyperplane_dual_point(hp).index
@@ -405,7 +387,7 @@ def pinned_hyperplanes(bset: BlockingSet, hull: Subspace, pin: Point) -> PinnedH
     traces = Counter(ctx.meet(hp, hull) for hp in members)
     full = [trace for trace, count in traces.items() if count == q ** k]
     if full:
-        witness = min(full, key=incidence(ctx, k).space_index.__getitem__)
+        witness = min(full, key=incidence(ctx, k).spaces.index)
         return PinnedHyperplanesReport(members, FULL_TRACE, witness,
                                        q ** k, len(members) >= q ** k)
     bound = q ** (k - 1) * (q + 1)

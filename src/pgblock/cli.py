@@ -106,6 +106,10 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    if args.t is not None and (args.params or args.kind != "pencil-partition"):
+        raise InputError("--t applies only to --kind pencil-partition without --params")
+    if args.params and args.kind == "q2-even":
+        raise InputError("--params does not apply to --kind q2-even")
     ctx = _context(args)
     doc = None
     if args.params:
@@ -118,6 +122,9 @@ def _cmd_construct(args) -> int:
     if args.kind == "pencil-partition":
         if doc is not None:
             hull = space(required(doc, "hull"), "hull")
+            if hull.dim - 1 != args.k:
+                raise InputError(f"--k {args.k} disagrees with the hull in --params "
+                                 f"(dimension {hull.dim}, so k = {hull.dim - 1})")
             axis = space(required(doc, "axis"), "axis")
             members = constructions.pencil(ctx, axis, hull)
             point_part = frozenset(
@@ -126,7 +133,8 @@ def _cmd_construct(args) -> int:
             hyp_part = frozenset(members) - point_part
             params = constructions.PencilPartitionParams(hull, axis, point_part, hyp_part)
         else:
-            params = constructions.canonical_pencil_partition(ctx, args.k, args.t)
+            t = 1 if args.t is None else args.t
+            params = constructions.canonical_pencil_partition(ctx, args.k, t)
         bset = constructions.pencil_partition(ctx, params)
     elif args.kind == "bose-burton-points":
         anchor = (space(required(doc, "anchor"), "anchor") if doc is not None
@@ -237,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", default="pencil-partition",
                    choices=("pencil-partition", "bose-burton-points",
                             "bose-burton-hyperplanes", "q2-even"))
-    p.add_argument("--t", type=int, default=1,
-                   help="pencil members contributing points (1 <= t <= q)")
+    p.add_argument("--t", type=int, default=None,
+                   help="pencil members contributing points (1 <= t <= q, default 1)")
     p.add_argument("--params", default=None,
                    help="JSON file with explicit subspace bases")
     p.set_defaults(func=_cmd_construct)
@@ -254,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--s", type=int, default=None)
-    p.add_argument("--b-size", type=int, default=0)
+    p.add_argument("--b-size", type=int, default=None)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("search", help="find all minimum blocking sets up to a cap")

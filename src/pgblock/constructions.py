@@ -95,8 +95,8 @@ def pencil_partition(ctx: GeometryContext, params: PencilPartitionParams) -> Blo
 def canonical_pencil_partition(ctx: GeometryContext, k: int, t: int = 1) -> PencilPartitionParams:
     """Standard-basis parameters: reproducible byte-for-byte outputs for the
     CLI when no explicit coordinates are supplied."""
-    if ctx.n != 2 * k + 1 or k < 1:
-        raise InputError(f"need n = 2k + 1 and k >= 1, got n={ctx.n}, k={k}")
+    if ctx.n != 2 * k + 1:
+        raise InputError(f"need n = 2k + 1, got n={ctx.n}, k={k}")
     if not 1 <= t <= ctx.q:
         raise InputError(f"need 1 <= t <= q, got t={t}")
     rows = ctx.whole_space().basis
@@ -159,7 +159,7 @@ def recognize_pencil_partition(bset: BlockingSet) -> PencilPartitionParams | Non
     """
     ctx, k = bset.ctx, bset.k
     q = ctx.q
-    if ctx.n != 2 * k + 1 or k < 1:
+    if ctx.n != 2 * k + 1:
         return None
     if not bset.points or not bset.hyperplanes:
         return None

@@ -4,11 +4,20 @@ The search treats blocking as a set-cover problem over the 2*theta_n
 candidate blockers (points, then hyperplanes by dual ordinal) and finds
 every minimum cover up to a size cap:
 
-* exhaustive mode sweeps subsets by increasing size;
+* exhaustive mode sweeps subsets by increasing size, on one worker;
 * branch-and-bound branches on a currently unblocked k-space with the
   fewest remaining candidates, pruning with coverage lower bounds, and
   keeps leaves duplicate-free by forbidding, inside each branch, the
   candidates tried earlier at the same node.
+
+A shard reads the incidence system itself: `covers` (element to spaces),
+`candidate_masks` (space to elements) and `full_mask`, and takes its
+candidates lowest bit first, in increasing ordinal order.  Its only other
+inputs are the composition caps and the per-point and per-hyperplane
+ceilings, the Gaussian counts [n,k]_q and [n,k+1]_q of the k-spaces one
+element blocks.  The root branches on space 0: every k-space has
+theta_k + theta_{n-k-1} candidates, so the root has no more-constrained
+space to prefer.
 
 Each node scans its uncovered spaces once, in ordinal order.  The scan
 finds the most-constrained space (stopping at one with at most one
@@ -37,7 +46,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import constructions
-from .blocking import BlockingSet, check_k, incidence, is_blocking
+from .blocking import BlockingSet, IncidenceSystem, check_k, incidence, is_blocking
 from .counting import OPEN, gaussian, minimum_size_bound, theta
 from .gf import InputError
 from .pgkernel import BudgetExceeded, GeometryContext
@@ -89,44 +98,28 @@ class SearchReport:
         return out
 
 
-class _Cover:
-    """Immutable cover data shared by all shards of one search."""
-
-    def __init__(self, ctx: GeometryContext, k: int,
-                 max_points: int | None = None, max_hyperplanes: int | None = None):
-        inc = incidence(ctx, k)
-        self.covers = inc.covers
-        self.candidates = inc.candidates
-        self.candidate_masks = inc.candidate_masks
-        self.full = inc.full_mask
-        self.num_spaces = len(inc.spaces)
-        self.num_points = inc.num_points
-        self.universe = inc.universe_size
-        self.static_max = max((c.bit_count() for c in self.covers), default=1)
-        self.max_cover_points = max(
-            (c.bit_count() for c in self.covers[:self.num_points]), default=0)
-        self.max_cover_hyps = max(
-            (c.bit_count() for c in self.covers[self.num_points:]), default=0)
-        self.max_points = max_points
-        self.max_hyperplanes = max_hyperplanes
+def _ceilings(ctx: GeometryContext, k: int) -> tuple[int, int]:
+    """(k-spaces through a point, k-spaces inside a hyperplane): the most
+    k-spaces that one point, or one hyperplane, blocks."""
+    return gaussian(ctx.n, k, ctx.q), gaussian(ctx.n, k + 1, ctx.q)
 
 
-def _shard_search(cover: _Cover, cap: int, chosen0, covered0: int, forbidden0: int,
-                  deadline: float | None, first_only: bool = False):
+def _shard_search(inc: IncidenceSystem, caps, cap: int, chosen0, covered0: int,
+                  forbidden0: int, deadline: float | None, first_only: bool = False):
     """Explore one branch-and-bound shard; returns (best, sets, nodes, pruned).
 
-    best is the smallest solution size found (initialized to cap), sets the
-    complete list of solutions of that size inside this shard.
+    caps is (max points, max hyperplanes), None for no limit.  best is the
+    smallest solution size found (initialized to cap), sets the complete
+    list of solutions of that size inside this shard.
     """
-    covers = cover.covers
-    candidates = cover.candidates
-    cand_masks = cover.candidate_masks
-    full = cover.full
-    num_points = cover.num_points
-    static_max = cover.static_max
-    universe = cover.universe
-    max_pts = cover.max_points
-    max_hyps = cover.max_hyperplanes
+    covers = inc.covers
+    cand_masks = inc.candidate_masks
+    full = inc.full_mask
+    num_points = inc.ctx.num_points
+    point_mask = (1 << num_points) - 1
+    per_point, per_hyperplane = _ceilings(inc.ctx, inc.s)
+    static_max = max(per_point, per_hyperplane)
+    max_pts, max_hyps = caps
     composition = max_pts is not None or max_hyps is not None
 
     best = cap
@@ -163,9 +156,7 @@ def _shard_search(cover: _Cover, cap: int, chosen0, covered0: int, forbidden0: i
             pts_room = need if max_pts is None else min(need, max_pts - pts_used)
             hyps_room = need if max_hyps is None else min(need, max_hyps - hyps_used)
             room = min(need, pts_room + hyps_room)
-            ceiling = (pts_room * cover.max_cover_points
-                       + hyps_room * cover.max_cover_hyps)
-            if ceiling < ucnt:
+            if pts_room * per_point + hyps_room * per_hyperplane < ucnt:
                 pruned += 1
                 return
         elif ucnt > need * static_max:
@@ -177,8 +168,8 @@ def _shard_search(cover: _Cover, cap: int, chosen0, covered0: int, forbidden0: i
         # elements (any blocker of a space is one of its candidates), so even
         # a partial packing is a lower bound and may prune mid-scan.
         allowed = ~forbidden
-        best_j = -1
-        best_cnt = universe + 1
+        branch = 0
+        best_cnt = len(covers) + 1
         packing = 0
         taken = 0
         union = 0
@@ -191,7 +182,7 @@ def _shard_search(cover: _Cover, cap: int, chosen0, covered0: int, forbidden0: i
             cnt = cm.bit_count()
             if cnt < best_cnt:
                 best_cnt = cnt
-                best_j = j
+                branch = cm
                 if cnt <= 1:
                     break
             union |= cm
@@ -221,17 +212,17 @@ def _shard_search(cover: _Cover, cap: int, chosen0, covered0: int, forbidden0: i
             if ucnt > room * adaptive:
                 pruned += 1
                 return
+        # a part at its cap offers no candidates
+        if max_pts is not None and pts_used >= max_pts:
+            branch &= ~point_mask
+        if max_hyps is not None and hyps_used >= max_hyps:
+            branch &= point_mask
         tried = 0
-        for e in candidates[best_j]:
-            bit = 1 << e
-            if bit & forbidden:
-                continue
+        while branch:
+            bit = branch & -branch
+            branch ^= bit
+            e = bit.bit_length() - 1
             is_point = e < num_points
-            if composition:
-                if is_point and max_pts is not None and pts_used >= max_pts:
-                    continue
-                if not is_point and max_hyps is not None and hyps_used >= max_hyps:
-                    continue
             chosen.append(e)
             explore(chosen, covered | covers[e], forbidden | tried,
                     pts_used + is_point, hyps_used + (not is_point))
@@ -244,45 +235,47 @@ def _shard_search(cover: _Cover, cap: int, chosen0, covered0: int, forbidden0: i
     return best, sets, nodes, pruned
 
 
-def _init_worker(cover, cap, deadline, first_only):
-    _WORKER_STATE["args"] = (cover, cap, deadline, first_only)
+def _init_worker(*args):
+    _WORKER_STATE["args"] = args
 
 
 def _run_task(task):
-    cover, cap, deadline, first_only = _WORKER_STATE["args"]
-    chosen0, covered0, forbidden0 = task
-    return _shard_search(cover, cap, chosen0, covered0, forbidden0, deadline, first_only)
+    inc, caps, cap, deadline, first_only = _WORKER_STATE["args"]
+    return _shard_search(inc, caps, cap, *task, deadline, first_only)
 
 
-def _branch_and_bound(cover: _Cover, cap: int, workers: int,
+def _branch_and_bound(inc: IncidenceSystem, caps, cap: int, workers: int,
                       deadline: float | None, first_only: bool = False):
     """Shard the root branches and merge; the merge is associative, so the
-    result does not depend on worker count or scheduling."""
+    result does not depend on worker count or scheduling.  The root
+    branches on space 0 (see the module docstring)."""
     nodes = 1  # the root
     pruned = 0
-    root_j = min(range(cover.num_spaces), key=lambda j: len(cover.candidates[j]))
+    root = inc.candidate_masks[0]
+    point_mask = (1 << inc.ctx.num_points) - 1
+    if caps[0] == 0:
+        root &= ~point_mask
+    if caps[1] == 0:
+        root &= point_mask
     tasks = []
     tried = 0
-    for e in cover.candidates[root_j]:
-        if cover.max_points is not None and e < cover.num_points and cover.max_points == 0:
-            continue
-        if cover.max_hyperplanes is not None and e >= cover.num_points and cover.max_hyperplanes == 0:
-            continue
-        tasks.append(((e,), cover.covers[e], tried))
-        tried |= 1 << e
+    while root:
+        bit = root & -root
+        root ^= bit
+        e = bit.bit_length() - 1
+        tasks.append(((e,), inc.covers[e], tried))
+        tried |= bit
     if cap < 1 or not tasks:
         return None, (), nodes, pruned
-    results = []
     if workers <= 1 or len(tasks) == 1:
-        _init_worker(cover, cap, deadline, first_only)
-        for task in tasks:
-            results.append(_run_task(task))
+        results = [_shard_search(inc, caps, cap, *task, deadline, first_only)
+                   for task in tasks]
     else:
         import multiprocessing
 
         mp = multiprocessing.get_context("fork")
         with mp.Pool(min(workers, len(tasks)), _init_worker,
-                     (cover, cap, deadline, first_only)) as pool:
+                     (inc, caps, cap, deadline, first_only)) as pool:
             results = pool.map(_run_task, tasks)
     best = cap + 1
     merged: set[tuple[int, ...]] = set()
@@ -300,27 +293,22 @@ def _branch_and_bound(cover: _Cover, cap: int, workers: int,
     return best, tuple(sorted(merged)), nodes, pruned
 
 
-def _exhaustive(cover: _Cover, cap: int, deadline: float | None):
-    covers = cover.covers
-    full = cover.full
+def _exhaustive(inc: IncidenceSystem, cap: int, deadline: float | None):
+    covers = inc.covers
+    full = inc.full_mask
     nodes = 0
     for size in range(cap + 1):
         found = []
-        if size == 0:
+        for combo in combinations(range(len(covers)), size):
             nodes += 1
-            if full == 0:
-                found.append(())
-        else:
-            for combo in combinations(range(cover.universe), size):
-                nodes += 1
-                if deadline is not None and nodes % 65536 == 0 \
-                        and time.monotonic() > deadline:
-                    raise TimeBudgetExceeded("search budget exhausted", nodes, 0)
-                mask = 0
-                for e in combo:
-                    mask |= covers[e]
-                if mask == full:
-                    found.append(combo)
+            if deadline is not None and nodes % 65536 == 0 \
+                    and time.monotonic() > deadline:
+                raise TimeBudgetExceeded("search budget exhausted", nodes, 0)
+            mask = 0
+            for e in combo:
+                mask |= covers[e]
+            if mask == full:
+                found.append(combo)
         if found:
             return size, tuple(sorted(found)), nodes, 0
     return None, (), nodes, 0
@@ -344,13 +332,16 @@ def min_blocking_search(ctx: GeometryContext, k: int, size_cap: int,
     if mode not in ("branch_and_bound", "exhaustive"):
         raise InputError(f"unknown mode {mode!r}")
     _check_input(ctx, k, workers)
+    if mode == "exhaustive" and workers > 1:
+        raise InputError(f"exhaustive mode runs on one worker, got workers={workers}")
     start = time.monotonic()
     deadline = start + budget_seconds if budget_seconds is not None else None
-    cover = _Cover(ctx, k)
+    inc = incidence(ctx, k)
     if mode == "exhaustive":
-        best, sets, nodes, pruned = _exhaustive(cover, size_cap, deadline)
+        best, sets, nodes, pruned = _exhaustive(inc, size_cap, deadline)
     else:
-        best, sets, nodes, pruned = _branch_and_bound(cover, size_cap, workers, deadline)
+        best, sets, nodes, pruned = _branch_and_bound(inc, (None, None), size_cap,
+                                                      workers, deadline)
     return SearchReport(
         n=ctx.n, q=ctx.q, k=k, size_cap=size_cap, mode=mode, workers=workers,
         minimum_size=best, minimum_sets=sets,
@@ -427,8 +418,8 @@ def refute_below(ctx: GeometryContext, k: int, target: int,
     n, q = ctx.n, ctx.q
     start = time.monotonic()
     deadline = start + budget_seconds if budget_seconds is not None else None
-    per_point = gaussian(n, k, q)          # k-spaces through a point
-    per_hyperplane = gaussian(n, k + 1, q)  # k-spaces inside a hyperplane
+    per_point, per_hyperplane = _ceilings(ctx, k)
+    inc = incidence(ctx, k)
     outcomes = []
     total_nodes = 0
     for total in range(target):
@@ -438,8 +429,7 @@ def refute_below(ctx: GeometryContext, k: int, target: int,
                     or _skew_space_floor(n, q, k, b1, dual=True) > b0 * per_point):
                 outcomes.append(CompositionOutcome(b0, b1, "counting-bound"))
                 continue
-            cover = _Cover(ctx, k, max_points=b0, max_hyperplanes=b1)
-            _, sets, nodes, _ = _branch_and_bound(cover, total, workers,
+            _, sets, nodes, _ = _branch_and_bound(inc, (b0, b1), total, workers,
                                                   deadline, first_only=True)
             total_nodes += nodes
             outcomes.append(CompositionOutcome(b0, b1, "search", nodes))
@@ -546,6 +536,9 @@ def classify_minimum(ctx: GeometryContext, k: int, size_cap: int | None = None,
     elif report.minimum_size != expected:
         mismatches = found
     elif ctx.n == 2 * k + 1 and k:
+        # not at k = 0: the family of PG(1,q) also holds the two pure
+        # Bose-Burton sets (all points, all hyperplanes), which are no
+        # pencil partition, so recognition would reject them
         recognize = constructions.recognize_pencil_partition
         mismatches = tuple(ids for ids in found
                            if recognize(BlockingSet.from_indices(ctx, k, ids)) is None)

@@ -6,13 +6,13 @@ import pytest
 
 from pgblock.blocking import (COUNT_BOUND, FULL_TRACE, SECANT, SKEW, TANGENT,
                               VACUOUS, BlockingSet, PinnedHyperplanesReport,
-                              SkewSpaceProfile, dual_set, is_blocking, is_minimal,
-                              lemma_checks, line_type, pinned_hyperplanes,
+                              SkewSpaceProfile, dual_set, incidence, is_blocking,
+                              is_minimal, lemma_checks, line_type, pinned_hyperplanes,
                               skew_space_profile, tangent_closure, unblocked_count)
 from pgblock.constructions import (bose_burton, canonical_pencil_partition,
                                    pencil_partition)
-from pgblock.counting import theta
-from pgblock.gf import Field, InputError
+from pgblock.counting import gaussian, theta
+from pgblock.gf import Field, InputError, field_for_order
 from pgblock.pgkernel import GeometryContext, Subspace
 
 
@@ -387,3 +387,19 @@ def test_pinned_hyperplanes_matches_kspace_scan(field, k, samples):
             assert rep == brute_pinned_hyperplanes(bset, hull, pin)
             cases.add(rep.case)
     assert cases == {FULL_TRACE, COUNT_BOUND, VACUOUS}
+
+
+@pytest.mark.parametrize("q,n,ks", [
+    (3, 2, (0, 1)), (2, 3, (0, 1, 2)), (3, 3, (0, 1, 2)), (2, 4, (1, 2)), (2, 5, (2,)),
+], ids=["pg23", "pg32", "pg33", "pg42", "pg52"])
+def test_incidence_counts_are_uniform(q, n, ks):
+    # the search relies on these: every space has theta_k + theta_{n-k-1}
+    # candidates, a point blocks [n,k]_q spaces and a hyperplane [n,k+1]_q
+    ctx = GeometryContext(field_for_order(q), n)
+    for k in ks:
+        inc = incidence(ctx, k)
+        assert {m.bit_count() for m in inc.candidate_masks} == \
+            {theta(k, q) + theta(n - k - 1, q)}
+        assert {c.bit_count() for c in inc.covers[:ctx.num_points]} == {gaussian(n, k, q)}
+        assert {c.bit_count() for c in inc.covers[ctx.num_points:]} == \
+            {gaussian(n, k + 1, q)}

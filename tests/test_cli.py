@@ -59,8 +59,10 @@ def test_bounds_other_formulas(capsys):
     ("metsch", ["--n", "3", "--d", "1"], "--s"),
     ("metsch-dual", ["--d", "1", "--s", "1"], "--n"),
     ("heger-nagy", ["--b", "2"], "--a"),
+    ("metsch", ["--n", "3", "--d", "1", "--s", "1"], "--b-size"),
+    ("metsch-dual", ["--n", "3", "--d", "1", "--s", "1"], "--b-size"),
 ], ids=["main-theorem", "gaussian", "gaussian-b", "theta", "metsch", "metsch-dual",
-        "heger-nagy"])
+        "heger-nagy", "metsch-b-size", "metsch-dual-b-size"])
 def test_bounds_missing_flag_named(capsys, formula, given, missing):
     code = main(["bounds", "--formula", formula, "--q", "2", *given])
     captured = capsys.readouterr()
@@ -102,6 +104,41 @@ def test_construct_all_kinds(capsys, tmp_path):
         path.write_text(json.dumps(doc))
         code, res = run_cli(capsys, "verify", str(path))
         assert code == 0 and res["blocking"] is True
+
+
+def test_construct_k0_on_the_line(capsys, tmp_path):
+    for t in ("1", "2"):
+        code, doc = run_cli(capsys, "construct", "--q", "2", "--n", "1", "--k", "0",
+                            "--t", t)
+        assert code == 0 and doc["k"] == 0
+        assert (len(doc["points"]), len(doc["hyperplanes"])) == (int(t), 3 - int(t))
+        path = tmp_path / "set.json"
+        path.write_text(json.dumps(doc))
+        code, res = run_cli(capsys, "verify", str(path))
+        assert code == 0 and res["blocking"] is True
+
+
+def test_construct_omitted_t_means_one(capsys):
+    assert run_cli(capsys, "construct", "--q", "3", "--n", "3", "--k", "1") == \
+        run_cli(capsys, "construct", "--q", "3", "--n", "3", "--k", "1", "--t", "1")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["--k", "0", "--params"], "--k 0 disagrees with the hull in --params"),
+    (["--k", "1", "--t", "1", "--params"], "--t applies only"),
+    (["--k", "1", "--t", "2", "--kind", "bose-burton-points"], "--t applies only"),
+    (["--k", "1", "--kind", "q2-even", "--params"],
+     "--params does not apply to --kind q2-even"),
+], ids=["k-vs-hull", "t-with-params", "t-with-kind", "params-with-q2-even"])
+def test_construct_rejects_ignored_flags(capsys, tmp_path, argv, flag):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(PENCIL_PARAMS))
+    if argv[-1] == "--params":
+        argv = [*argv, str(path)]
+    code = main(["construct", "--q", "2", "--n", "3", *argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert flag in captured.err
 
 
 def test_construct_with_explicit_params(capsys, tmp_path):
@@ -296,7 +333,9 @@ def test_budget_exit_code(capsys):
     (["--k", "-1"], "need 0 <= k < n, got k=-1, n=3"),
     (["--k", "1", "--workers", "0"], "need workers >= 1, got workers=0"),
     (["--k", "1", "--workers", "-3"], "need workers >= 1, got workers=-3"),
-], ids=["k=n", "k<0", "workers=0", "workers<0"])
+    (["--k", "1", "--mode", "exhaustive", "--workers", "2"],
+     "exhaustive mode runs on one worker, got workers=2"),
+], ids=["k=n", "k<0", "workers=0", "workers<0", "exhaustive-workers"])
 def test_search_rejects_bad_arguments(capsys, flags, message):
     assert main(["search", "--q", "2", "--n", "3", "--cap", "3", *flags]) == 2
     captured = capsys.readouterr()

@@ -274,3 +274,26 @@ def test_theorem_family_pg32_middle_is_recognized(pg32):
 
 def test_theorem_family_open_case_is_empty(pg42):
     assert theorem_family(pg42, 2) == ((), 0)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_k0_pencil_partitions_on_the_line(q):
+    # PG(1,q), k = 0: the axis is empty and the pencil is every point
+    ctx = GeometryContext(field_for_order(q), 1)
+    sets, _ = theorem_family(ctx, 0)
+    for t in range(1, q + 1):
+        params = canonical_pencil_partition(ctx, 0, t)
+        assert params.axis.dim == -1 and len(params.point_spaces) == t
+        bset = pencil_partition(ctx, params)
+        assert is_blocking(bset)[0] and bset.element_indices() in sets
+    unrecognized = []
+    for ids in sets:
+        bset = BlockingSet.from_indices(ctx, 0, ids)
+        params = recognize_pencil_partition(bset)
+        if params is None:
+            unrecognized.append(bset)
+        else:
+            assert pencil_partition(ctx, params) == bset
+    # only the two pure Bose-Burton sets: all points, all hyperplanes
+    assert sorted((len(b.points), len(b.hyperplanes)) for b in unrecognized) == \
+        [(0, q + 1), (q + 1, 0)]

@@ -141,6 +141,21 @@ def test_search_rejects_bad_arguments(pg32, k, workers, message):
         refute_below(pg32, k, 3, workers=workers)
 
 
+def test_exhaustive_mode_runs_on_one_worker(pg22):
+    with pytest.raises(InputError, match="exhaustive mode runs on one worker, got workers=2"):
+        min_blocking_search(pg22, 1, 3, mode="exhaustive", workers=2)
+
+
+def test_refute_below_pg33_worker_independent(pg33):
+    # two compositions survive the counting bounds; their node counts are
+    # pinned, and the report is the same at any worker count
+    docs = [refute_below(pg33, 1, 12, workers=w).to_dict() for w in (1, 2)]
+    assert docs[0] == docs[1]
+    assert docs[0]["refuted"] and docs[0]["nodes_expanded"] == 28445
+    assert [(c["points"], c["hyperplanes"], c["nodes"]) for c in docs[0]["compositions"]
+            if c["method"] == "search"] == [(5, 6, 14089), (6, 5, 14356)]
+
+
 def test_refute_below_finds_counterexample(pg32):
     report = refute_below(pg32, 1, 7)  # size-6 sets exist
     assert not report.refuted
