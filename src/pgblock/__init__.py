@@ -7,8 +7,8 @@ search.
 """
 
 from .blocking import (BlockingSet, dual_set, is_blocking, is_minimal,
-                       lemma_checks, line_type, pinned_hyperplanes,
-                       skew_space_profile, tangent_closure, unblocked_count)
+                       lemma_checks, pinned_hyperplanes, skew_space_profile,
+                       tangent_closure, unblocked_count)
 from .constructions import (PencilPartitionParams, bose_burton,
                             canonical_pencil_partition, pencil,
                             pencil_partition, q2_even_mixed_set,
@@ -27,7 +27,7 @@ __all__ = [
     "PencilPartitionParams", "Point", "SearchReport", "Subspace",
     "bose_burton", "canonical_pencil_partition", "classify_minimum",
     "dual_set", "field_for_order", "gaussian", "heger_nagy_upper_bound",
-    "is_blocking", "is_minimal", "lemma_checks", "line_type",
+    "is_blocking", "is_minimal", "lemma_checks",
     "metsch_dual_lower_bound", "metsch_lower_bound", "min_blocking_search",
     "minimum_size_bound",
     "pencil", "pencil_partition", "pinned_hyperplanes",

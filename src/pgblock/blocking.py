@@ -23,11 +23,6 @@ from .gf import (Field, InputError, field_for_order, json_list, json_object,
 from .pgkernel import GeometryContext, Point, Subspace
 
 
-SKEW = "skew"
-TANGENT = "tangent"
-SECANT = "secant"
-
-
 @dataclass(frozen=True)
 class IncidenceSystem:
     """Bitset incidence between blocker candidates and the s-spaces.
@@ -46,20 +41,26 @@ class IncidenceSystem:
     full_mask: int
 
 
+def candidates(ctx: GeometryContext, space: Subspace) -> list[int]:
+    """The universe ordinals that block space: its points, then the
+    hyperplanes through it (the points of its dual)."""
+    num_points = ctx.num_points
+    ids = [pt.index for pt in ctx.subspace_points(space)]
+    ids.extend(num_points + pt.index for pt in ctx.subspace_points(ctx.dual(space)))
+    return ids
+
+
 def incidence(ctx: GeometryContext, s: int) -> IncidenceSystem:
     cached = ctx.incidence_systems.get(s)
     if cached is not None:
         return cached
     spaces = ctx.subspaces(s)
-    num_points = ctx.num_points
-    covers = [0] * (2 * num_points)
+    covers = [0] * (2 * ctx.num_points)
     cand_masks = []
     for j, space in enumerate(spaces):
         bit = 1 << j
         mask = 0
-        ids = [pt.index for pt in ctx.subspace_points(space)]
-        ids.extend(num_points + pt.index for pt in ctx.subspace_points(ctx.dual(space)))
-        for u in ids:
+        for u in candidates(ctx, space):
             covers[u] |= bit
             mask |= 1 << u
         cand_masks.append(mask)
@@ -170,13 +171,10 @@ class BlockingSet:
 
 def blocked_mask(bset: BlockingSet, s: int | None = None) -> int:
     """Bitset of s-spaces incident with at least one element of the set."""
-    inc = incidence(bset.ctx, bset.k if s is None else s)
-    num_points = bset.ctx.num_points
+    covers = incidence(bset.ctx, bset.k if s is None else s).covers
     mask = 0
-    for pt in bset.points:
-        mask |= inc.covers[pt.index]
-    for hp in bset.hyperplanes:
-        mask |= inc.covers[num_points + bset.ctx.hyperplane_dual_point(hp).index]
+    for u in bset.element_indices():
+        mask |= covers[u]
     return mask
 
 
@@ -239,19 +237,6 @@ def dual_set(bset: BlockingSet) -> BlockingSet:
     new_hyps = frozenset(ctx.hyperplane(pt.coords) for pt in bset.points)
     new_pts = frozenset(ctx.hyperplane_dual_point(hp) for hp in bset.hyperplanes)
     return BlockingSet(ctx, ctx.n - 1 - bset.k, new_pts, new_hyps)
-
-
-def line_type(ctx: GeometryContext, line: Subspace, point_set) -> str:
-    """skew / tangent / secant by meeting the set in 0 / 1 / >= 2 points."""
-    if line.dim != 1:
-        raise InputError(f"dim {line.dim} is not a line")
-    idx = {ctx.point(p).index for p in point_set}
-    hits = sum(1 for pt in ctx.subspace_points(line) if pt.index in idx)
-    if hits == 0:
-        return SKEW
-    if hits == 1:
-        return TANGENT
-    return SECANT
 
 
 @dataclass(frozen=True)

@@ -18,23 +18,26 @@ sorted universe ordinals.  Classification tests the search minima for
 membership in it, but recognizes each one in the middle case, k >= 1.
 
 A pencil member contributes the same elements in every split: its
-off-axis points in one part, the hyperplanes through it off the hull in the
-other.  Generation unions these per member, so enumerating every split of a
-pencil builds it once.  The axes of a hull are enumerated inside it, through
-its own basis (`GeometryContext.iter_subspaces(k - 1, hull)`), not by
-filtering the (k-1)-spaces of the whole geometry.  Recognition recovers the
-parameters of one given set by generate-and-compare: recover candidate
-parameters, run the generator, and demand exact set equality.
+`blocking.candidates` minus those all members share (the axis points and
+the hyperplanes through the hull), points to one part, hyperplanes to the
+other.  So enumerating every split of a pencil builds it once.  The
+enumeration reads each hull's members, axes and pencils off the bitmasks of
+`blocking.incidence(ctx, k)`, with no subspace arithmetic inside the hull.
+Recognition recovers the parameters of one given set by generate-and-compare:
+recover candidate parameters, run the generator, and demand exact set
+equality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 
-from .blocking import BlockingSet
+from .blocking import BlockingSet, candidates, incidence
 from .counting import minimum_size_bound, theta
 from .gf import InputError
-from .pgkernel import EMPTY_SUBSPACE, GeometryContext, Subspace
+from .pgkernel import GeometryContext, Subspace
 
 
 @dataclass(frozen=True)
@@ -57,17 +60,25 @@ def pencil(ctx: GeometryContext, axis: Subspace, hull: Subspace) -> tuple[Subspa
     return tuple(ctx.extensions(axis, hull))
 
 
-def _member_ordinals(ctx: GeometryContext, axis: Subspace, hull: Subspace,
-                     member: Subspace) -> tuple[frozenset[int], frozenset[int]]:
-    """The universe ordinals a pencil member contributes in either part:
-    (its off-axis points, the hyperplanes through it off the hull, which are
-    the points of dual(member) outside dual(hull))."""
-    def ordinals(space, offset=0):
-        return frozenset(offset + p.index for p in ctx.subspace_points(space))
+def _contributions(ctx: GeometryContext, member_masks) -> list[tuple[int, int]]:
+    """(points, hyperplanes) each pencil member contributes in either part,
+    as universe bitmasks: its candidates off the AND of all the members'
+    candidates, which is the axis points plus the hyperplanes through the
+    hull, split at theta_n."""
+    common = reduce(and_, member_masks)
+    point_part = (1 << ctx.num_points) - 1
+    return [(mask & ~common & point_part, mask & ~common & ~point_part)
+            for mask in member_masks]
 
-    num_points = ctx.num_points
-    return (ordinals(member) - ordinals(axis),
-            ordinals(ctx.dual(member), num_points) - ordinals(ctx.dual(hull), num_points))
+
+def _ordinals(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of a bitmask, ascending."""
+    ids = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(ids)
 
 
 def pencil_partition(ctx: GeometryContext, params: PencilPartitionParams) -> BlockingSet:
@@ -82,14 +93,14 @@ def pencil_partition(ctx: GeometryContext, params: PencilPartitionParams) -> Blo
         raise InputError("both parts of the pencil partition must be nonempty")
     if params.point_spaces & params.hyperplane_spaces:
         raise InputError("the two parts of the partition overlap")
-    members = set(pencil(ctx, axis, hull))
-    if set(params.point_spaces) | set(params.hyperplane_spaces) != members:
+    members = pencil(ctx, axis, hull)
+    if params.point_spaces | params.hyperplane_spaces != set(members):
         raise InputError("the two parts do not partition the full pencil")
-    ids = set()
-    for part, spaces in enumerate((params.point_spaces, params.hyperplane_spaces)):
-        for member in spaces:
-            ids |= _member_ordinals(ctx, axis, hull, member)[part]
-    return BlockingSet.from_indices(ctx, k, ids)
+    masks = [sum(1 << u for u in candidates(ctx, member)) for member in members]
+    ids = 0
+    for member, (points, hyperplanes) in zip(members, _contributions(ctx, masks)):
+        ids |= points if member in params.point_spaces else hyperplanes
+    return BlockingSet.from_indices(ctx, k, _ordinals(ids))
 
 
 def canonical_pencil_partition(ctx: GeometryContext, k: int, t: int = 1) -> PencilPartitionParams:
@@ -112,20 +123,28 @@ def distinct_pencil_partition_sets(ctx: GeometryContext, k: int):
     tuples (hull, axis, nonempty split))."""
     if ctx.n != 2 * k + 1:
         raise InputError(f"need n = 2k + 1, got n={ctx.n}, k={k}")
+    inc = incidence(ctx, k)
+    num_points = ctx.num_points
+    point_part = (1 << num_points) - 1
     seen = set()
     count = 0
     for hull in ctx.subspaces(k + 1):
-        axes = ctx.iter_subspaces(k - 1, hull) if k else (EMPTY_SUBSPACE,)
+        inside = reduce(and_, (inc.covers[num_points + h.index]
+                               for h in ctx.subspace_points(ctx.dual(hull))),
+                        inc.full_mask)
+        members = [inc.candidate_masks[j] for j in _ordinals(inside)]
+        member_points = [mask & point_part for mask in members]
+        axes = {a & b for i, a in enumerate(member_points) for b in member_points[:i]}
         for axis in axes:
-            parts = [_member_ordinals(ctx, axis, hull, member)
-                     for member in ctx.extensions(axis, hull)]
+            parts = _contributions(ctx, [mask for mask, pts in zip(members, member_points)
+                                         if pts & axis == axis])
             for split in range(1, 2 ** (ctx.q + 1) - 1):
-                ids = set()
+                ids = 0
                 for i, (points, hyperplanes) in enumerate(parts):
                     ids |= points if split >> i & 1 else hyperplanes
-                seen.add(tuple(sorted(ids)))
+                seen.add(ids)
                 count += 1
-    return tuple(sorted(seen)), count
+    return tuple(sorted(_ordinals(ids) for ids in seen)), count
 
 
 def theorem_family(ctx: GeometryContext, k: int):

@@ -225,20 +225,6 @@ class Field:
                 return b
         raise RuntimeError(f"no inverse found for {a}")  # unreachable for valid fields
 
-    def pow(self, a: int, m: int) -> int:
-        out = 1
-        base = a
-        while m:
-            if m & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            m >>= 1
-        return out
-
-    def elements(self) -> list[int]:
-        """All q elements in increasing code order (the canonical order)."""
-        return list(range(self.q))
-
     def to_dict(self) -> dict:
         return {"p": self.p, "e": self.e, "modulus": list(self.modulus)}
 

@@ -280,24 +280,20 @@ class GeometryContext:
 
     # -- enumeration -----------------------------------------------------------
 
-    def iter_subspaces(self, m: int, inside: Subspace | None = None):
-        """All m-spaces of the geometry, or of the space inside, exactly once.
+    def iter_subspaces(self, m: int):
+        """All m-spaces of the geometry, exactly once.
 
-        The reduced-echelon (m+1)-row coefficient matrices over the d+1
-        coordinates (d = n, or inside.dim) come in canonical order: pivot-column
-        patterns lexicographically, then free entries in code order.  Inside a
-        space each row is lifted through its basis, and the lift is already
-        reduced: the basis carries the identity in its pivot columns, and each
-        lifted row is zero before the image of its pivot.
+        The reduced-echelon (m+1)-row matrices come in canonical order:
+        pivot-column patterns lexicographically, then free entries in code
+        order.
         """
-        d = self.n if inside is None else inside.dim
-        if not 0 <= m <= d:
-            raise InputError(f"need 0 <= m <= {d}, got m = {m}")
-        count = gaussian(d + 1, m + 1, self.q)
+        if not 0 <= m <= self.n:
+            raise InputError(f"need 0 <= m <= {self.n}, got m = {m}")
+        count = gaussian(self.n + 1, m + 1, self.q)
         if count > ENUMERATION_BUDGET:
             raise BudgetExceeded(
                 f"{count} {m}-spaces exceed the enumeration budget {ENUMERATION_BUDGET}")
-        cols = d + 1
+        cols = self.n + 1
         codes = range(self.q)
         for pivots in combinations(range(cols), m + 1):
             pivset = set(pivots)
@@ -310,18 +306,7 @@ class GeometryContext:
                 rows = [row[:] for row in template]
                 for (i, j), v in zip(free, vals):
                     rows[i][j] = v
-                if inside is not None:
-                    rows = [self._combine(row, inside.basis) for row in rows]
                 yield Subspace(m, tuple(tuple(r) for r in rows))
-
-    def _combine(self, coeffs, rows) -> list[int]:
-        """The sum of c * row over a coefficient vector and basis rows."""
-        add, mul = self.field.add, self.field.mul
-        vec = [0] * (self.n + 1)
-        for c, row in zip(coeffs, rows):
-            if c:
-                vec = [add(x, mul(c, y)) for x, y in zip(vec, row)]
-        return vec
 
     def subspaces(self, m: int) -> tuple[Subspace, ...]:
         if m not in self._subspaces:
@@ -363,10 +348,6 @@ class GeometryContext:
             raise InputError(f"dim {space.dim} is not a hyperplane in {self!r}")
         dual = self.dual(space)
         return self.point(dual.basis[0])
-
-    def hyperplanes(self) -> tuple[Subspace, ...]:
-        """All hyperplanes, ordered by the ordinal of their dual point."""
-        return tuple(self.hyperplane(p.coords) for p in self.points())
 
     def hyperplanes_through(self, space: Subspace) -> tuple[Subspace, ...]:
         """Hyperplanes containing the subspace (duals of the dual's points)."""

@@ -4,16 +4,16 @@ from itertools import combinations
 
 import pytest
 
-from pgblock.blocking import (COUNT_BOUND, FULL_TRACE, SECANT, SKEW, TANGENT,
-                              VACUOUS, BlockingSet, PinnedHyperplanesReport,
-                              SkewSpaceProfile, dual_set, incidence, is_blocking,
-                              is_minimal, lemma_checks, line_type, pinned_hyperplanes,
-                              skew_space_profile, tangent_closure, unblocked_count)
+from pgblock.blocking import (COUNT_BOUND, FULL_TRACE, VACUOUS, BlockingSet,
+                              PinnedHyperplanesReport, SkewSpaceProfile, dual_set,
+                              incidence, is_blocking, is_minimal, lemma_checks,
+                              pinned_hyperplanes, skew_space_profile, tangent_closure,
+                              unblocked_count)
 from pgblock.constructions import (bose_burton, canonical_pencil_partition,
                                    pencil_partition)
 from pgblock.counting import gaussian, theta
 from pgblock.gf import Field, InputError, field_for_order
-from pgblock.pgkernel import GeometryContext, Subspace
+from pgblock.pgkernel import EMPTY_SUBSPACE, GeometryContext, Subspace
 
 
 def _point_set(ctx, k, points):
@@ -73,7 +73,7 @@ def test_is_minimal_construction(pg32):
 def test_dual_set_involution_and_soundness(pg32):
     rng = random.Random(3)
     pts = pg32.points()
-    hyps = pg32.hyperplanes()
+    hyps = pg32.hyperplanes_through(EMPTY_SUBSPACE)
     for _ in range(25):
         bset = BlockingSet(
             pg32, rng.choice([0, 1, 2]),
@@ -98,21 +98,11 @@ def test_blocking_monotone(pg32):
     plane = pg32.subspaces(2)[0]
     base = set(pg32.subspace_points(plane))
     others = [p for p in pg32.points() if p not in base]
-    hyps = pg32.hyperplanes()
+    hyps = pg32.hyperplanes_through(EMPTY_SUBSPACE)
     for _ in range(10):
         superset = base | set(rng.sample(others, rng.randrange(0, 4)))
         extra_h = frozenset(rng.sample(hyps, rng.randrange(0, 3)))
         assert is_blocking(BlockingSet(pg32, 1, frozenset(superset), extra_h))[0]
-
-
-def test_line_type(pg32):
-    line = pg32.subspaces(1)[0]
-    pts = pg32.subspace_points(line)
-    assert line_type(pg32, line, ()) == SKEW
-    assert line_type(pg32, line, [pts[0]]) == TANGENT
-    assert line_type(pg32, line, pts[:2]) == SECANT
-    with pytest.raises(InputError, match="dim 2 is not a line"):
-        line_type(pg32, pg32.subspaces(2)[0], ())
 
 
 def test_tangent_closure_single_point(pg32):
@@ -269,7 +259,7 @@ def test_json_normalization_warning(pg32):
 def test_lemma_checks_independent_of_insertion_order(pg33):
     # one set, its frozensets filled in opposite orders
     pts = list(pg33.subspace_points(pg33.subspaces(2)[0]))
-    hyps = list(pg33.hyperplanes()[:6])
+    hyps = list(pg33.hyperplanes_through(EMPTY_SUBSPACE)[:6])
     forward = BlockingSet(pg33, 1, frozenset(pts), frozenset(hyps))
     backward = BlockingSet(pg33, 1, frozenset(reversed(pts)), frozenset(reversed(hyps)))
     checks = lemma_checks(forward)
@@ -340,7 +330,7 @@ def test_skew_space_profile_matches_kspace_scan(field, k, samples):
             pts = rng.sample(off_flat[0], 2) + [
                 rng.choice(cands) for cands in off_flat[1:t * q ** k - 1]]
         hyps = rng.sample(ctx.hyperplanes_through(flat), q + 1 - t)
-        hyps += rng.sample([hp for hp in ctx.hyperplanes()
+        hyps += rng.sample([hp for hp in ctx.hyperplanes_through(EMPTY_SUBSPACE)
                             if not ctx.contains(hp, flat)], 2)
         bset = BlockingSet(ctx, k, frozenset(pts), frozenset(hyps))
         point_idx = {p.index for p in pts}
@@ -366,7 +356,7 @@ def test_pinned_hyperplanes_matches_kspace_scan(field, k, samples):
     for t in range(1, q + 1):
         params = canonical_pencil_partition(ctx, k, t)
         bset = pencil_partition(ctx, params)
-        extra = frozenset(rng.sample(ctx.hyperplanes(), 3))
+        extra = frozenset(rng.sample(ctx.hyperplanes_through(EMPTY_SUBSPACE), 3))
         jobs.append((bset, params.hull))
         jobs.append((BlockingSet(ctx, k, bset.points, bset.hyperplanes | extra),
                      params.hull))
@@ -376,8 +366,8 @@ def test_pinned_hyperplanes_matches_kspace_scan(field, k, samples):
                      rng.choice(ctx.subspaces(k + 1))))
         hull = rng.choice(ctx.subspaces(k + 1))
         pts = rng.sample(ctx.subspace_points(hull), 2)
-        jobs.append((BlockingSet(ctx, k, frozenset(pts),
-                                 frozenset(rng.sample(ctx.hyperplanes(), 4))), hull))
+        hyps = rng.sample(ctx.hyperplanes_through(EMPTY_SUBSPACE), 4)
+        jobs.append((BlockingSet(ctx, k, frozenset(pts), frozenset(hyps)), hull))
     cases = set()
     for bset, hull in jobs:
         for pin in ctx.subspace_points(hull):

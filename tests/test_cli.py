@@ -308,6 +308,12 @@ def test_only_input_and_budget_errors_are_defined():
         BudgetExceeded, TimeBudgetExceeded}
 
 
+def test_every_export_resolves():
+    # a name dropped from a module but left in __all__ breaks `import *`
+    missing = [name for name in pgblock.__all__ if not hasattr(pgblock, name)]
+    assert not missing
+
+
 def test_duplicates_reported_on_stderr(capsys, tmp_path):
     doc = {"q": 3, "n": 3, "k": 1, "points": [[0, 0, 1, 1], [0, 0, 2, 2]],
            "hyperplanes": [[1, 0, 0, 0], [1, 0, 0, 0]]}

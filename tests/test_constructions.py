@@ -12,7 +12,7 @@ from pgblock.constructions import (PencilPartitionParams, bose_burton,
                                    recognize_pencil_partition, theorem_family)
 from pgblock.counting import minimum_size_bound, theta
 from pgblock.gf import Field, InputError, field_for_order
-from pgblock.pgkernel import GeometryContext, Subspace
+from pgblock.pgkernel import EMPTY_SUBSPACE, GeometryContext, Subspace
 from pgblock.search import min_blocking_search
 
 
@@ -188,6 +188,61 @@ def test_distinct_sets_pg34():
     assert tuples == 53550
     assert len(sets) == 39270
     assert _digest(sets) == "40462712896e9bc6"
+
+
+@pytest.mark.parametrize("q,n,k,sets,tuples,digest", [
+    (3, 3, 1, 4160, 7280, "800471438cabb9c9"),
+    (2, 5, 2, 19530, 136710, "a861032d1d3520e3"),
+], ids=["pg33", "pg52"])
+def test_distinct_sets_pinned(q, n, k, sets, tuples, digest):
+    found, count = distinct_pencil_partition_sets(GeometryContext(field_for_order(q), n), k)
+    assert (len(found), count, _digest(found)) == (sets, tuples, digest)
+
+
+def _subspace_pencil_sets(ctx, k):
+    """Reference builder on Subspace objects: the axes of each hull by
+    containment, each pencil by `extensions`, and each member's part from its
+    points off the axis and the points of its dual off the hull's dual."""
+    num_points = ctx.num_points
+
+    def ordinals(space, offset=0):
+        return frozenset(offset + p.index for p in ctx.subspace_points(space))
+
+    seen = set()
+    count = 0
+    for hull in ctx.subspaces(k + 1):
+        axes = ([a for a in ctx.subspaces(k - 1) if ctx.contains(hull, a)]
+                if k else [EMPTY_SUBSPACE])
+        for axis in axes:
+            hull_hyperplanes = ordinals(ctx.dual(hull), num_points)
+            parts = [(ordinals(member) - ordinals(axis),
+                      ordinals(ctx.dual(member), num_points) - hull_hyperplanes)
+                     for member in ctx.extensions(axis, hull)]
+            for split in range(1, 2 ** (ctx.q + 1) - 1):
+                ids = set()
+                for i, (points, hyperplanes) in enumerate(parts):
+                    ids |= points if split >> i & 1 else hyperplanes
+                seen.add(tuple(sorted(ids)))
+                count += 1
+    return tuple(sorted(seen)), count
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 1, 0), (3, 1, 0), (4, 1, 0), (5, 1, 0),
+                                   (2, 3, 1), (3, 3, 1)], ids=lambda v: str(v))
+def test_distinct_sets_match_subspace_builder(q, n, k):
+    ctx = GeometryContext(field_for_order(q), n)
+    assert distinct_pencil_partition_sets(ctx, k) == _subspace_pencil_sets(ctx, k)
+
+
+@pytest.mark.parametrize("q,n,k", [(3, 1, 0), (2, 3, 1), (3, 3, 1), (2, 5, 2)],
+                         ids=lambda v: str(v))
+def test_pencil_partition_builds_no_incidence(q, n, k):
+    # construct must stay cheap on geometries whose incidence is large
+    ctx = GeometryContext(field_for_order(q), n)
+    for t in range(1, q + 1):
+        assert pencil_partition(ctx, canonical_pencil_partition(ctx, k, t)).size == \
+            (q + 1) * q ** k
+    assert ctx.incidence_systems == {}
 
 
 def test_bose_burton_points(pg32):

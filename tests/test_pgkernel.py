@@ -199,7 +199,7 @@ def test_kspaces_per_point(request, fixture, k):
 
 
 def test_hyperplanes_ordered_by_dual_point(pg32):
-    hyps = pg32.hyperplanes()
+    hyps = pg32.hyperplanes_through(EMPTY_SUBSPACE)
     assert len(hyps) == 15
     for i, hp in enumerate(hyps):
         assert pg32.hyperplane_dual_point(hp).index == i
@@ -223,26 +223,6 @@ def test_subspace_out_of_range(pg32):
         pg32.subspaces(4)
     with pytest.raises(InputError, match="need 0 <= m <= 3, got m = -1"):
         pg32.subspaces(-1)
-    with pytest.raises(InputError, match="need 0 <= m <= 1, got m = 2"):
-        next(pg32.iter_subspaces(2, pg32.subspaces(1)[0]))
-
-
-@pytest.mark.parametrize("field,n", [(Field(2), 3), (Field(2, 2), 2), (Field(3), 3)],
-                         ids=["pg32", "pg24", "pg33"])
-def test_iter_subspaces_inside(field, n):
-    # reference: keep the m-spaces of the whole geometry that lie in the space
-    ctx = GeometryContext(field, n)
-    whole = ctx.whole_space()
-    for d in range(n + 1):
-        for space in ctx.subspaces(d):
-            for m in range(d + 1):
-                inside = list(ctx.iter_subspaces(m, space))
-                expected = {a for a in ctx.subspaces(m) if ctx.contains(space, a)}
-                assert set(inside) == expected
-                assert len(inside) == len(expected) == gaussian(d + 1, m + 1, ctx.q)
-                assert all(a == ctx.span(a) for a in inside)
-    for m in range(n + 1):
-        assert list(ctx.iter_subspaces(m, whole)) == list(ctx.subspaces(m))
 
 
 @pytest.mark.parametrize("field,n", [(Field(2), 3), (Field(2, 2), 2)],
