@@ -50,6 +50,16 @@ def candidates(ctx: GeometryContext, space: Subspace) -> list[int]:
     return ids
 
 
+def ordinals(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of a bitmask, ascending."""
+    ids = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(ids)
+
+
 def incidence(ctx: GeometryContext, s: int) -> IncidenceSystem:
     cached = ctx.incidence_systems.get(s)
     if cached is not None:
@@ -106,11 +116,18 @@ class BlockingSet:
 
     def element_indices(self) -> tuple[int, ...]:
         """Sorted universe ordinals (points, then hyperplanes by dual ordinal)."""
+        # a list, not a generator: tuple() grows a generator's result by
+        # resizing, which raised the peak memory of checking 4160 sets
+        return tuple([u for u, _ in self._indexed_elements()])
+
+    def _indexed_elements(self) -> list[tuple[int, Point | Subspace]]:
+        """(universe ordinal, element) for every element, by ordinal."""
         num_points = self.ctx.num_points
-        ids = [pt.index for pt in self.points]
-        ids.extend(num_points + self.ctx.hyperplane_dual_point(hp).index
-                   for hp in self.hyperplanes)
-        return tuple(sorted(ids))
+        pairs = [(pt.index, pt) for pt in self.points]
+        pairs.extend((num_points + self.ctx.hyperplane_dual_point(hp).index, hp)
+                     for hp in self.hyperplanes)
+        pairs.sort(key=lambda pair: pair[0])
+        return pairs
 
     @classmethod
     def from_indices(cls, ctx: GeometryContext, k: int, ids) -> "BlockingSet":
@@ -196,18 +213,6 @@ def unblocked_count(bset: BlockingSet, s: int) -> int:
     return (inc.full_mask & ~mask).bit_count()
 
 
-def _element_cover_pairs(bset: BlockingSet):
-    """(universe ordinal, element, cover mask) for every element, sorted."""
-    inc = incidence(bset.ctx, bset.k)
-    num_points = bset.ctx.num_points
-    pairs = [(pt.index, pt, inc.covers[pt.index]) for pt in bset.points]
-    for hp in bset.hyperplanes:
-        u = num_points + bset.ctx.hyperplane_dual_point(hp).index
-        pairs.append((u, hp, inc.covers[u]))
-    pairs.sort(key=lambda t: t[0])
-    return pairs
-
-
 def is_minimal(bset: BlockingSet):
     """(True, None) if no single element can be removed, else (False, element).
 
@@ -217,14 +222,15 @@ def is_minimal(bset: BlockingSet):
     ok, _ = is_blocking(bset)
     if not ok:
         raise InputError("minimality is only defined for blocking sets")
-    pairs = _element_cover_pairs(bset)
+    covers = incidence(bset.ctx, bset.k).covers
+    pairs = [(element, covers[u]) for u, element in bset._indexed_elements()]
     seen_once = 0
     seen_twice = 0
-    for _, _, mask in pairs:
+    for _, mask in pairs:
         seen_twice |= seen_once & mask
         seen_once |= mask
     uniquely_covered = seen_once & ~seen_twice
-    for _, element, mask in pairs:
+    for element, mask in pairs:
         if mask & uniquely_covered == 0:
             return False, element
     return True, None
@@ -347,6 +353,14 @@ def pinned_hyperplanes(bset: BlockingSet, hull: Subspace, pin: Point) -> PinnedH
     either some k-space of the hull has its whole fibre of hyperplanes in
     the collection (size >= q^k), or the collection has size
     >= q^(k-1) (q+1).  Vacuous when the set is not blocking."""
+    report = _pinned_hyperplanes(bset, hull, pin)
+    if not is_blocking(bset)[0]:
+        return PinnedHyperplanesReport(report.hyperplanes, VACUOUS, None, None, None)
+    return report
+
+
+def _pinned_hyperplanes(bset: BlockingSet, hull: Subspace, pin: Point) -> PinnedHyperplanesReport:
+    """pinned_hyperplanes for a set already known to block: never VACUOUS."""
     ctx, k = bset.ctx, bset.k
     if ctx.n != 2 * k + 1:
         raise InputError(f"need n = 2k + 1, got n={ctx.n}, k={k}")
@@ -362,8 +376,6 @@ def pinned_hyperplanes(bset: BlockingSet, hull: Subspace, pin: Point) -> PinnedH
         raise InputError(f"{pin!r} belongs to the point part")
     members = frozenset(hp for hp in bset.hyperplanes
                         if ctx.contains(hp, pin) and not ctx.contains(hp, hull))
-    if not is_blocking(bset)[0]:
-        return PinnedHyperplanesReport(members, VACUOUS, None, None, None)
     q = ctx.q
     # Case 1: a k-space of the hull through the pin whose full hyperplane
     # fibre {H : H meet hull = that k-space} sits inside the collection.  A
@@ -461,8 +473,7 @@ def lemma_checks(bset: BlockingSet) -> dict:
                 if pt.index in point_idx:
                     continue
                 pins += 1
-                rep = pinned_hyperplanes(bset, hull, pt)
-                if rep.case != VACUOUS and not rep.bound_ok:
+                if not _pinned_hyperplanes(bset, hull, pt).bound_ok:
                     failures.append(list(pt.coords))
             checks["pinned_hyperplane_dichotomy"] = {
                 "applicable": True,

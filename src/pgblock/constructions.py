@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import and_
 
-from .blocking import BlockingSet, candidates, incidence
+from .blocking import BlockingSet, candidates, incidence, ordinals
 from .counting import minimum_size_bound, theta
 from .gf import InputError
 from .pgkernel import GeometryContext, Subspace
@@ -71,16 +71,6 @@ def _contributions(ctx: GeometryContext, member_masks) -> list[tuple[int, int]]:
             for mask in member_masks]
 
 
-def _ordinals(mask: int) -> tuple[int, ...]:
-    """The positions of the set bits of a bitmask, ascending."""
-    ids = []
-    while mask:
-        low = mask & -mask
-        ids.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(ids)
-
-
 def pencil_partition(ctx: GeometryContext, params: PencilPartitionParams) -> BlockingSet:
     """Build the blocking set from validated pencil-partition parameters."""
     hull, axis = params.hull, params.axis
@@ -100,7 +90,7 @@ def pencil_partition(ctx: GeometryContext, params: PencilPartitionParams) -> Blo
     ids = 0
     for member, (points, hyperplanes) in zip(members, _contributions(ctx, masks)):
         ids |= points if member in params.point_spaces else hyperplanes
-    return BlockingSet.from_indices(ctx, k, _ordinals(ids))
+    return BlockingSet.from_indices(ctx, k, ordinals(ids))
 
 
 def canonical_pencil_partition(ctx: GeometryContext, k: int, t: int = 1) -> PencilPartitionParams:
@@ -132,7 +122,7 @@ def distinct_pencil_partition_sets(ctx: GeometryContext, k: int):
         inside = reduce(and_, (inc.covers[num_points + h.index]
                                for h in ctx.subspace_points(ctx.dual(hull))),
                         inc.full_mask)
-        members = [inc.candidate_masks[j] for j in _ordinals(inside)]
+        members = [inc.candidate_masks[j] for j in ordinals(inside)]
         member_points = [mask & point_part for mask in members]
         axes = {a & b for i, a in enumerate(member_points) for b in member_points[:i]}
         for axis in axes:
@@ -144,7 +134,7 @@ def distinct_pencil_partition_sets(ctx: GeometryContext, k: int):
                     ids |= points if split >> i & 1 else hyperplanes
                 seen.add(ids)
                 count += 1
-    return tuple(sorted(_ordinals(ids) for ids in seen)), count
+    return tuple(sorted(ordinals(ids) for ids in seen)), count
 
 
 def theorem_family(ctx: GeometryContext, k: int):

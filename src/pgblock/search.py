@@ -19,15 +19,21 @@ element blocks.  The root branches on space 0: every k-space has
 theta_k + theta_{n-k-1} candidates, so the root has no more-constrained
 space to prefer.
 
-Each node scans its uncovered spaces once, in ordinal order.  The scan
-finds the most-constrained space (stopping at one with at most one
-candidate left), builds the greedy packing of spaces with disjoint
-candidate sets and the union of their candidates, and prunes as soon as
-the packing exceeds the room left.  The bounds apply in a fixed order:
-the static size bound (or, per composition, the point/hyperplane cover
-ceiling) before the scan, the packing bound during it, and the adaptive
-coverage bound over the candidate union after it.  Plain and
-composition-constrained searches share this one path.
+Each node inherits its uncovered spaces from its parent as an ascending
+list of ordinals: a child keeps the spaces its new element does not block,
+looked up in that element's frozenset of blocked spaces (built once per
+search from `covers`), and a node with an empty list is a leaf.  The node
+scans the list once.  The scan finds the most-constrained space (stopping
+at one with at most one candidate left), builds the greedy packing of
+spaces with disjoint candidate sets and the union of their candidates, and
+prunes as soon as the packing exceeds the room left.  The bounds apply in
+a fixed order: the static size bound (or, per composition, the
+point/hyperplane cover ceiling) before the scan, the packing bound during
+it, and the adaptive coverage bound over the candidate union after it.
+The adaptive bound stops at the first union element that blocks
+ceil(uncovered / room) uncovered spaces, which decides exactly as the
+maximum cover would.  Plain and composition-constrained searches share
+this one path.
 
 Reports are deterministic for a given (geometry, k, cap, mode): worker
 sharding splits the root branches, each shard runs with its own local
@@ -46,7 +52,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import constructions
-from .blocking import BlockingSet, IncidenceSystem, check_k, incidence, is_blocking
+from .blocking import (BlockingSet, IncidenceSystem, check_k, incidence, is_blocking,
+                       ordinals)
 from .counting import OPEN, gaussian, minimum_size_bound, theta
 from .gf import InputError
 from .pgkernel import BudgetExceeded, GeometryContext
@@ -104,13 +111,16 @@ def _ceilings(ctx: GeometryContext, k: int) -> tuple[int, int]:
     return gaussian(ctx.n, k, ctx.q), gaussian(ctx.n, k + 1, ctx.q)
 
 
-def _shard_search(inc: IncidenceSystem, caps, cap: int, chosen0, covered0: int,
-                  forbidden0: int, deadline: float | None, first_only: bool = False):
+def _shard_search(inc: IncidenceSystem, blocked, caps, cap: int, chosen0, unc0,
+                  covered0: int, forbidden0: int, deadline: float | None,
+                  first_only: bool = False):
     """Explore one branch-and-bound shard; returns (best, sets, nodes, pruned).
 
-    caps is (max points, max hyperplanes), None for no limit.  best is the
-    smallest solution size found (initialized to cap), sets the complete
-    list of solutions of that size inside this shard.
+    blocked[e] is the frozenset of the spaces element e blocks, unc0 the
+    ascending list of the spaces chosen0 leaves uncovered.  caps is (max
+    points, max hyperplanes), None for no limit.  best is the smallest
+    solution size found (initialized to cap), sets the complete list of
+    solutions of that size inside this shard.
     """
     covers = inc.covers
     cand_masks = inc.candidate_masks
@@ -130,12 +140,12 @@ def _shard_search(inc: IncidenceSystem, caps, cap: int, chosen0, covered0: int,
     if deadline is not None and time.monotonic() > deadline:
         raise TimeBudgetExceeded("search budget exhausted", nodes, pruned)
 
-    def explore(chosen, covered, forbidden, pts_used, hyps_used):
+    def explore(chosen, unc, covered, forbidden, pts_used, hyps_used):
         nonlocal best, sets, nodes, pruned
         nodes += 1
         if deadline is not None and nodes % check_every == 0 and time.monotonic() > deadline:
             raise TimeBudgetExceeded("search budget exhausted", nodes, pruned)
-        if covered == full:
+        if not unc:
             size = len(chosen)
             if size < best:
                 best = size
@@ -149,8 +159,7 @@ def _shard_search(inc: IncidenceSystem, caps, cap: int, chosen0, covered0: int,
         if need <= 0:
             pruned += 1
             return
-        uncovered = full & ~covered
-        ucnt = uncovered.bit_count()
+        ucnt = len(unc)
         room = need
         if composition:
             pts_room = need if max_pts is None else min(need, max_pts - pts_used)
@@ -173,11 +182,7 @@ def _shard_search(inc: IncidenceSystem, caps, cap: int, chosen0, covered0: int,
         packing = 0
         taken = 0
         union = 0
-        m = uncovered
-        while m:
-            low = m & -m
-            j = low.bit_length() - 1
-            m ^= low
+        for j in unc:
             cm = cand_masks[j] & allowed
             cnt = cm.bit_count()
             if cnt < best_cnt:
@@ -197,19 +202,18 @@ def _shard_search(inc: IncidenceSystem, caps, cap: int, chosen0, covered0: int,
             return
         if best_cnt > 1:
             # adaptive coverage bound over the elements that still matter
-            # (every blocker of an uncovered space lies in the union mask)
-            adaptive = 0
+            # (every blocker of an uncovered space lies in the union mask):
+            # room elements cover ucnt spaces only if one of them blocks
+            # ceil(ucnt / room), so the scan stops at the first that does
+            uncovered = full & ~covered
+            threshold = -(-ucnt // room)
             m = union
             while m:
                 low = m & -m
-                e = low.bit_length() - 1
                 m ^= low
-                c = (covers[e] & uncovered).bit_count()
-                if c > adaptive:
-                    adaptive = c
-                    if adaptive >= static_max:
-                        break
-            if ucnt > room * adaptive:
+                if (covers[low.bit_length() - 1] & uncovered).bit_count() >= threshold:
+                    break
+            else:
                 pruned += 1
                 return
         # a part at its cap offers no candidates
@@ -224,14 +228,15 @@ def _shard_search(inc: IncidenceSystem, caps, cap: int, chosen0, covered0: int,
             e = bit.bit_length() - 1
             is_point = e < num_points
             chosen.append(e)
-            explore(chosen, covered | covers[e], forbidden | tried,
-                    pts_used + is_point, hyps_used + (not is_point))
+            blocked_e = blocked[e]
+            explore(chosen, [j for j in unc if j not in blocked_e], covered | covers[e],
+                    forbidden | tried, pts_used + is_point, hyps_used + (not is_point))
             chosen.pop()
             if first_only and sets:
                 return
             tried |= bit
     pts0 = sum(1 for e in chosen0 if e < num_points)
-    explore(list(chosen0), covered0, forbidden0, pts0, len(chosen0) - pts0)
+    explore(list(chosen0), unc0, covered0, forbidden0, pts0, len(chosen0) - pts0)
     return best, sets, nodes, pruned
 
 
@@ -240,8 +245,8 @@ def _init_worker(*args):
 
 
 def _run_task(task):
-    inc, caps, cap, deadline, first_only = _WORKER_STATE["args"]
-    return _shard_search(inc, caps, cap, *task, deadline, first_only)
+    inc, blocked, caps, cap, deadline, first_only = _WORKER_STATE["args"]
+    return _shard_search(inc, blocked, caps, cap, *task, deadline, first_only)
 
 
 def _branch_and_bound(inc: IncidenceSystem, caps, cap: int, workers: int,
@@ -257,25 +262,25 @@ def _branch_and_bound(inc: IncidenceSystem, caps, cap: int, workers: int,
         root &= ~point_mask
     if caps[1] == 0:
         root &= point_mask
+    if cap < 1 or not root:
+        return None, (), nodes, pruned
+    blocked = tuple(frozenset(ordinals(c)) for c in inc.covers)
+    unc = ordinals(inc.full_mask)
     tasks = []
     tried = 0
-    while root:
-        bit = root & -root
-        root ^= bit
-        e = bit.bit_length() - 1
-        tasks.append(((e,), inc.covers[e], tried))
-        tried |= bit
-    if cap < 1 or not tasks:
-        return None, (), nodes, pruned
+    for e in ordinals(root):
+        blocked_e = blocked[e]
+        tasks.append(((e,), [j for j in unc if j not in blocked_e], inc.covers[e], tried))
+        tried |= 1 << e
     if workers <= 1 or len(tasks) == 1:
-        results = [_shard_search(inc, caps, cap, *task, deadline, first_only)
+        results = [_shard_search(inc, blocked, caps, cap, *task, deadline, first_only)
                    for task in tasks]
     else:
         import multiprocessing
 
         mp = multiprocessing.get_context("fork")
         with mp.Pool(min(workers, len(tasks)), _init_worker,
-                     (inc, caps, cap, deadline, first_only)) as pool:
+                     (inc, blocked, caps, cap, deadline, first_only)) as pool:
             results = pool.map(_run_task, tasks)
     best = cap + 1
     merged: set[tuple[int, ...]] = set()

@@ -16,6 +16,16 @@ def pg23():
 
 
 @pytest.fixture(scope="session")
+def pg24():
+    return GeometryContext(Field(2, 2), 2)
+
+
+@pytest.fixture(scope="session")
+def pg25():
+    return GeometryContext(Field(5), 2)
+
+
+@pytest.fixture(scope="session")
 def pg32():
     return GeometryContext(Field(2), 3)
 

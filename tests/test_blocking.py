@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from pgblock import blocking
 from pgblock.blocking import (COUNT_BOUND, FULL_TRACE, VACUOUS, BlockingSet,
                               PinnedHyperplanesReport, SkewSpaceProfile, dual_set,
                               incidence, is_blocking, is_minimal, lemma_checks,
@@ -269,6 +270,21 @@ def test_lemma_checks_independent_of_insertion_order(pg33):
     listed = [(pg33.point(c["point"]).index, pg33.point(c["hyperplane"]).index)
               for c in checks["no_incident_pair"]["counterexamples"]]
     assert listed == incident[:3] and len(incident) > 3
+
+
+def test_lemma_checks_checks_blocking_once(pg32, monkeypatch):
+    # the pins are checked at equality, where blocking is already known
+    bset = pencil_partition(pg32, canonical_pencil_partition(pg32, 1))
+    calls = []
+
+    def counted(arg):
+        calls.append(arg)
+        return is_blocking(arg)
+
+    monkeypatch.setattr(blocking, "is_blocking", counted)
+    checks = lemma_checks(bset)
+    assert checks["pinned_hyperplane_dichotomy"]["pins_checked"] > 1
+    assert calls == [bset]
 
 
 # -- slow reference scans over every k-space of the geometry -------------------

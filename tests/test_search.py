@@ -89,6 +89,8 @@ def test_worker_determinism(pg32):
     ("pg32", 1, 6, 1940, 1188),
     ("pg42", 2, 7, 10311, 8228),
     ("pg23", 1, 4, 121, 76),
+    ("pg24", 1, 5, 309, 218),
+    ("pg25", 1, 6, 674, 511),
 ])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_branch_and_bound_counters_pinned(request, fixture, k, cap, nodes, pruned, workers):
