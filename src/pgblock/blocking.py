@@ -2,13 +2,16 @@
 
 A blocking set with respect to k-spaces holds a set of points and a set
 of hyperplanes; it blocks a k-space by containing one of its points or
-by one of the hyperplanes containing it.  Verification runs on bitsets
-over canonical k-space ordinals, precomputed once per (context, k) and
-shared with the search module.
+one of the hyperplanes through it.
 
 The universe of potential blockers is indexed 0..2*theta_n - 1: ordinals
-below theta_n are point ordinals, the rest are hyperplanes keyed by the
-ordinal of their dual point.
+below theta_n are point ordinals, the rest are hyperplanes keyed by
+theta_n plus the ordinal of their dual point.  A BlockingSet stores only
+its sorted ordinals, the form that the search, the incidence bitmasks and
+the theorem family share; its Point and hyperplane Subspace objects are
+views built on first use, through `element`.  Verification ORs bitsets
+over canonical k-space ordinals, precomputed once per (context, k) and
+shared with the search module.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .counting import theta
 from .gf import (Field, InputError, field_for_order, json_list, json_object,
@@ -44,9 +48,8 @@ class IncidenceSystem:
 def candidates(ctx: GeometryContext, space: Subspace) -> list[int]:
     """The universe ordinals that block space: its points, then the
     hyperplanes through it (the points of its dual)."""
-    num_points = ctx.num_points
     ids = [pt.index for pt in ctx.subspace_points(space)]
-    ids.extend(num_points + pt.index for pt in ctx.subspace_points(ctx.dual(space)))
+    ids.extend(ctx.num_points + pt.index for pt in ctx.subspace_points(ctx.dual(space)))
     return ids
 
 
@@ -92,68 +95,64 @@ def check_k(ctx: GeometryContext, k: int):
         raise InputError(f"need 0 <= k < n, got k={k}, n={ctx.n}")
 
 
+def element(ctx: GeometryContext, u: int) -> Point | Subspace:
+    """The point or the hyperplane with universe ordinal u."""
+    if u < ctx.num_points:
+        return ctx.point(u)
+    return ctx.hyperplane(ctx.point(u - ctx.num_points).coords)
+
+
 @dataclass(frozen=True)
 class BlockingSet:
-    """The pair (points, hyperplanes) with its ambient geometry and target k."""
+    """A set of points and hyperplanes with its ambient geometry and target
+    k, stored as its universe ordinals: ids may be given as any iterable
+    and are kept sorted and deduplicated.  `points` and `hyperplanes` are
+    views built on first use."""
 
     ctx: GeometryContext
     k: int
-    points: frozenset[Point]
-    hyperplanes: frozenset[Subspace]
+    ids: tuple[int, ...]
 
     def __post_init__(self):
         check_k(self.ctx, self.k)
-        for pt in self.points:
-            if len(pt.coords) != self.ctx.n + 1:
-                raise InputError(f"{pt!r} does not live in {self.ctx!r}")
-        for hp in self.hyperplanes:
-            if hp.dim != self.ctx.n - 1:
-                raise InputError(f"{hp!r} is not a hyperplane of {self.ctx!r}")
+        ids = tuple(sorted(set(self.ids)))
+        if ids and not (0 <= ids[0] and ids[-1] < 2 * self.ctx.num_points):
+            raise InputError(f"element ordinals {ids[0]}..{ids[-1]} leave "
+                             f"[0, {2 * self.ctx.num_points})")
+        object.__setattr__(self, "ids", ids)
+
+    @classmethod
+    def from_elements(cls, ctx: GeometryContext, k: int, points, hyperplanes) -> "BlockingSet":
+        """The set of the given Point and hyperplane Subspace objects; a point
+        from another geometry or a subspace that is no hyperplane is invalid."""
+        ids = [ctx.point(pt.coords).index for pt in points]
+        ids.extend(ctx.num_points + ctx.hyperplane_dual_point(hp).index for hp in hyperplanes)
+        return cls(ctx, k, ids)
 
     @property
     def size(self) -> int:
-        return len(self.points) + len(self.hyperplanes)
+        return len(self.ids)
 
-    def element_indices(self) -> tuple[int, ...]:
-        """Sorted universe ordinals (points, then hyperplanes by dual ordinal)."""
-        # a list, not a generator: tuple() grows a generator's result by
-        # resizing, which raised the peak memory of checking 4160 sets
-        return tuple([u for u, _ in self._indexed_elements()])
+    @cached_property
+    def points(self) -> frozenset[Point]:
+        return frozenset(element(self.ctx, u) for u in self.ids if u < self.ctx.num_points)
 
-    def _indexed_elements(self) -> list[tuple[int, Point | Subspace]]:
-        """(universe ordinal, element) for every element, by ordinal."""
-        num_points = self.ctx.num_points
-        pairs = [(pt.index, pt) for pt in self.points]
-        pairs.extend((num_points + self.ctx.hyperplane_dual_point(hp).index, hp)
-                     for hp in self.hyperplanes)
-        pairs.sort(key=lambda pair: pair[0])
-        return pairs
-
-    @classmethod
-    def from_indices(cls, ctx: GeometryContext, k: int, ids) -> "BlockingSet":
-        num_points = ctx.num_points
-        pts = []
-        hyps = []
-        for u in ids:
-            if u < num_points:
-                pts.append(ctx.point(u))
-            else:
-                hyps.append(ctx.hyperplane(ctx.point(u - num_points).coords))
-        return cls(ctx, k, frozenset(pts), frozenset(hyps))
+    @cached_property
+    def hyperplanes(self) -> frozenset[Subspace]:
+        return frozenset(element(self.ctx, u) for u in self.ids if u >= self.ctx.num_points)
 
     # -- JSON interchange -------------------------------------------------
 
     def to_dict(self) -> dict:
-        pts = sorted(self.points, key=lambda p: p.index)
-        hyps = sorted((self.ctx.hyperplane_dual_point(h) for h in self.hyperplanes),
-                      key=lambda p: p.index)
+        ctx = self.ctx
         return {
-            "q": self.ctx.q,
-            "n": self.ctx.n,
+            "q": ctx.q,
+            "n": ctx.n,
             "k": self.k,
-            "field": self.ctx.field.to_dict(),
-            "points": [list(p.coords) for p in pts],
-            "hyperplanes": [list(p.coords) for p in hyps],
+            "field": ctx.field.to_dict(),
+            "points": [list(ctx.point(u).coords) for u in self.ids if u < ctx.num_points],
+            "hyperplanes": [list(ctx.point(u - ctx.num_points).coords)
+                            for u in self.ids if u >= ctx.num_points],
         }
 
     @classmethod
@@ -176,21 +175,21 @@ class BlockingSet:
                 pt = ctx.point(coords)
                 if warn is not None and pt.coords != coords:
                     warn(f"{kind} {list(coords)} normalized to {list(pt.coords)}")
-                if warn is not None and pt in found:
+                if warn is not None and pt.index in found:
                     warn(f"duplicate {kind} {list(pt.coords)} kept once")
-                found.add(pt)
+                found.add(pt.index)
             return found
 
-        points = frozenset(read("point"))
-        hyps = frozenset(ctx.hyperplane(pt.coords) for pt in read("hyperplane"))
-        return cls(ctx, plain_int(required(data, "k"), "k"), points, hyps)
+        points = read("point")
+        ids = points | {ctx.num_points + u for u in read("hyperplane")}
+        return cls(ctx, plain_int(required(data, "k"), "k"), ids)
 
 
 def blocked_mask(bset: BlockingSet, s: int | None = None) -> int:
     """Bitset of s-spaces incident with at least one element of the set."""
     covers = incidence(bset.ctx, bset.k if s is None else s).covers
     mask = 0
-    for u in bset.element_indices():
+    for u in bset.ids:
         mask |= covers[u]
     return mask
 
@@ -223,16 +222,15 @@ def is_minimal(bset: BlockingSet):
     if not ok:
         raise InputError("minimality is only defined for blocking sets")
     covers = incidence(bset.ctx, bset.k).covers
-    pairs = [(element, covers[u]) for u, element in bset._indexed_elements()]
     seen_once = 0
     seen_twice = 0
-    for _, mask in pairs:
-        seen_twice |= seen_once & mask
-        seen_once |= mask
+    for u in bset.ids:
+        seen_twice |= seen_once & covers[u]
+        seen_once |= covers[u]
     uniquely_covered = seen_once & ~seen_twice
-    for element, mask in pairs:
-        if mask & uniquely_covered == 0:
-            return False, element
+    for u in bset.ids:
+        if covers[u] & uniquely_covered == 0:
+            return False, element(bset.ctx, u)
     return True, None
 
 
@@ -240,9 +238,9 @@ def dual_set(bset: BlockingSet) -> BlockingSet:
     """Swap points and hyperplanes through the standard duality; the result
     blocks (n-1-k)-spaces iff the input blocks k-spaces."""
     ctx = bset.ctx
-    new_hyps = frozenset(ctx.hyperplane(pt.coords) for pt in bset.points)
-    new_pts = frozenset(ctx.hyperplane_dual_point(hp) for hp in bset.hyperplanes)
-    return BlockingSet(ctx, ctx.n - 1 - bset.k, new_pts, new_hyps)
+    half = ctx.num_points
+    return BlockingSet(ctx, ctx.n - 1 - bset.k,
+                       [(u + half) % (2 * half) for u in bset.ids])
 
 
 @dataclass(frozen=True)

@@ -86,11 +86,16 @@ def pencil_partition(ctx: GeometryContext, params: PencilPartitionParams) -> Blo
     members = pencil(ctx, axis, hull)
     if params.point_spaces | params.hyperplane_spaces != set(members):
         raise InputError("the two parts do not partition the full pencil")
+    return _pencil_partition_set(ctx, k, members, params.point_spaces)
+
+
+def _pencil_partition_set(ctx: GeometryContext, k: int, members, point_spaces) -> BlockingSet:
+    """The set that the members in point_spaces give points, the rest hyperplanes."""
     masks = [sum(1 << u for u in candidates(ctx, member)) for member in members]
     ids = 0
     for member, (points, hyperplanes) in zip(members, _contributions(ctx, masks)):
-        ids |= points if member in params.point_spaces else hyperplanes
-    return BlockingSet.from_indices(ctx, k, ordinals(ids))
+        ids |= points if member in point_spaces else hyperplanes
+    return BlockingSet(ctx, k, ordinals(ids))
 
 
 def canonical_pencil_partition(ctx: GeometryContext, k: int, t: int = 1) -> PencilPartitionParams:
@@ -194,12 +199,14 @@ def recognize_pencil_partition(bset: BlockingSet) -> PencilPartitionParams | Non
             axis = ctx.meet(axis, trace)
         if axis.dim != k - 1:
             continue
-        point_part = frozenset(pencil(ctx, axis, hull)) - traces
+        # every trace contains the axis and lies in the hull, so the traces
+        # and point_part partition the pencil
+        members = pencil(ctx, axis, hull)
+        point_part = frozenset(members) - traces
         if len(point_part) != t:
             continue
-        params = PencilPartitionParams(hull, axis, point_part, traces)
-        if pencil_partition(ctx, params) == bset:
-            return params
+        if _pencil_partition_set(ctx, k, members, point_part) == bset:
+            return PencilPartitionParams(hull, axis, point_part, traces)
     return None
 
 
@@ -210,14 +217,13 @@ def bose_burton(ctx: GeometryContext, k: int, variant: str, anchor: Subspace) ->
         if anchor.dim != ctx.n - k:
             raise InputError(
                 f"points variant needs anchor dim n-k = {ctx.n - k}, got {anchor.dim}")
-        return BlockingSet(ctx, k, frozenset(ctx.subspace_points(anchor)), frozenset())
+        return BlockingSet(ctx, k, [u for u in candidates(ctx, anchor) if u < ctx.num_points])
     if variant == "hyperplanes":
         if anchor.dim != ctx.n - k - 2:
             raise InputError(
                 f"hyperplanes variant needs anchor dim n-k-2 = {ctx.n - k - 2}, "
                 f"got {anchor.dim}")
-        return BlockingSet(ctx, k, frozenset(),
-                           frozenset(ctx.hyperplanes_through(anchor)))
+        return BlockingSet(ctx, k, [u for u in candidates(ctx, anchor) if u >= ctx.num_points])
     raise InputError(f"variant must be 'points' or 'hyperplanes', got {variant!r}")
 
 
@@ -237,10 +243,8 @@ def q2_even_mixed_set(ctx: GeometryContext) -> BlockingSet:
     if ctx.q != 2 or ctx.n % 2:
         raise InputError(f"needs q = 2 and even n, got q={ctx.q}, n={ctx.n}")
     half = ctx.n // 2
+    # the points of inner lie in hull, and the hyperplanes through hull
+    # pass through inner
     hull = canonical_anchor(ctx, half)
     inner = canonical_anchor(ctx, half - 1)
-    inner_idx = {p.index for p in ctx.subspace_points(inner)}
-    points = frozenset(p for p in ctx.subspace_points(hull) if p.index not in inner_idx)
-    hyperplanes = frozenset(hp for hp in ctx.hyperplanes_through(inner)
-                            if not ctx.contains(hp, hull))
-    return BlockingSet(ctx, half, points, hyperplanes)
+    return BlockingSet(ctx, half, set(candidates(ctx, hull)) ^ set(candidates(ctx, inner)))

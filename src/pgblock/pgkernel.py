@@ -116,7 +116,7 @@ class GeometryContext:
             raise InputError(f"projective dimension n = {n} must be >= 1")
         self.field = field
         self.n = n
-        self._points: tuple[Point, ...] | None = None
+        self.num_points = theta(n, field.q)
         self._subspaces: dict[int, tuple[Subspace, ...]] = {}
         self._subspace_points: dict[Subspace, tuple[Point, ...]] = {}
         self._duals: dict[Subspace, Subspace] = {}
@@ -127,10 +127,6 @@ class GeometryContext:
     @property
     def q(self) -> int:
         return self.field.q
-
-    @property
-    def num_points(self) -> int:
-        return theta(self.n, self.q)
 
     def __eq__(self, other):
         return (isinstance(other, GeometryContext)
@@ -172,28 +168,29 @@ class GeometryContext:
         if isinstance(arg, Point):
             return arg
         if isinstance(arg, int):
-            return self.points()[arg]
+            # invert point_index: one point has n leading zeros, q points
+            # have n-1, q^2 have n-2, and so on
+            if not 0 <= arg < self.num_points:
+                raise InputError(f"point ordinal {arg} is outside [0, {self.num_points})")
+            q = self.q
+            offset, block, lead = arg, 1, self.n
+            while offset >= block:
+                offset -= block
+                block *= q
+                lead -= 1
+            tail = [0] * (self.n - lead)
+            for i in range(len(tail) - 1, -1, -1):
+                offset, tail[i] = divmod(offset, q)
+            return Point((0,) * lead + (1,) + tuple(tail), arg)
         coords = self.normalize(arg)
         return Point(coords, self.point_index(coords))
 
     def points(self) -> tuple[Point, ...]:
-        if self._points is None:
-            if self.num_points > ENUMERATION_BUDGET:
-                raise BudgetExceeded(
-                    f"{self.num_points} points exceed the enumeration budget "
-                    f"{ENUMERATION_BUDGET}")
-            q, n = self.q, self.n
-            pts = []
-            for lead in range(n, -1, -1):
-                prefix = (0,) * lead + (1,)
-                for tail in product(range(q), repeat=n - lead):
-                    coords = prefix + tail
-                    pts.append(Point(coords, len(pts)))
-            if len(pts) != self.num_points:
-                raise RuntimeError(
-                    f"point enumeration produced {len(pts)} != theta = {self.num_points}")
-            self._points = tuple(pts)
-        return self._points
+        if self.num_points > ENUMERATION_BUDGET:
+            raise BudgetExceeded(
+                f"{self.num_points} points exceed the enumeration budget "
+                f"{ENUMERATION_BUDGET}")
+        return tuple(map(self.point, range(self.num_points)))
 
     # -- basic subspace algebra ----------------------------------------------
 

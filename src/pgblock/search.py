@@ -497,7 +497,7 @@ def verify_middle_case(ctx: GeometryContext, k: int, workers: int = 1,
     if ctx.n != 2 * k + 1:
         raise InputError(f"need n = 2k + 1, got n={ctx.n}, k={k}")
     sets, tuples = constructions.theorem_family(ctx, k)
-    all_blocking = all(is_blocking(BlockingSet.from_indices(ctx, k, ids))[0]
+    all_blocking = all(is_blocking(BlockingSet(ctx, k, ids))[0]
                        for ids in sets)
     bound = (ctx.q + 1) * ctx.q ** k
     refutation = refute_below(ctx, k, bound, workers, budget_seconds)
@@ -546,7 +546,7 @@ def classify_minimum(ctx: GeometryContext, k: int, size_cap: int | None = None,
         # pencil partition, so recognition would reject them
         recognize = constructions.recognize_pencil_partition
         mismatches = tuple(ids for ids in found
-                           if recognize(BlockingSet.from_indices(ctx, k, ids)) is None)
+                           if recognize(BlockingSet(ctx, k, ids)) is None)
     else:
         family = set(constructions.theorem_family(ctx, k)[0])
         mismatches = tuple(ids for ids in found if ids not in family)

@@ -67,7 +67,7 @@ def test_criterion_1_middle_case_classification():
         assert report.minimum_size == 6 == (ctx.q + 1) * ctx.q
         from pgblock.constructions import pencil_partition
         for ids in report.minimum_sets:
-            bset = BlockingSet.from_indices(ctx, 1, ids)
+            bset = BlockingSet(ctx, 1, ids)
             params = recognize_pencil_partition(bset)
             assert params is not None, f"unrecognized minimum set {ids}"
             assert pencil_partition(ctx, params) == bset
@@ -144,14 +144,14 @@ def test_criterion_5_metsch_bounds_vs_brute_force():
         pts = ctx.points()
         for size in range(theta(1, 2) + 1):
             for combo in combinations(range(len(pts)), size):
-                bset = BlockingSet(ctx, 1,
-                                   frozenset(pts[i] for i in combo), frozenset())
+                bset = BlockingSet.from_elements(ctx, 1, frozenset(pts[i] for i in combo),
+                                                 frozenset())
                 for s in (0, 1, 2):
                     assert unblocked_count(bset, s) >= \
                         metsch_lower_bound(3, 2, 1, s, size)
         line = ctx.subspaces(1)[0]
-        full_line = BlockingSet(ctx, 1, frozenset(ctx.subspace_points(line)),
-                                frozenset())
+        full_line = BlockingSet.from_elements(ctx, 1, frozenset(ctx.subspace_points(line)),
+                                              frozenset())
         assert unblocked_count(full_line, 1) == 16 == metsch_lower_bound(3, 2, 1, 1, 3)
 
         ctx33 = GeometryContext(Field(3), 3)
@@ -161,8 +161,8 @@ def test_criterion_5_metsch_bounds_vs_brute_force():
             d = 1 + (i % 2)
             size = rng.randrange(0, theta(d, 3) + 1)
             combo = rng.sample(range(len(pts33)), size)
-            bset = BlockingSet(ctx33, 1,
-                               frozenset(pts33[j] for j in combo), frozenset())
+            bset = BlockingSet.from_elements(ctx33, 1,
+                                             frozenset(pts33[j] for j in combo), frozenset())
             for s in range(0, 3 - d + 1):
                 assert unblocked_count(bset, s) >= \
                     metsch_lower_bound(3, 3, d, s, size)
@@ -195,8 +195,8 @@ def test_criterion_7_q2_even_sets_and_pg42_minimum():
         ctx = GeometryContext(Field(2), 4)
         assert minimum_size_bound(4, 2, 2) == OPEN
         plane = ctx.subspaces(2)[0]
-        trivial = BlockingSet(ctx, 2, frozenset(ctx.subspace_points(plane)),
-                              frozenset())
+        trivial = BlockingSet.from_elements(ctx, 2, frozenset(ctx.subspace_points(plane)),
+                                            frozenset())
         assert trivial.size == 7 and is_blocking(trivial)[0]
         report = min_blocking_search(ctx, 2, 7, workers=1)
         assert report.minimum_size == 7          # size <= 6 settled: none exists
@@ -219,7 +219,7 @@ def test_criterion_8_lemma_suite_on_equality_cases():
         report = min_blocking_search(ctx, k, 6)
         assert report.minimum_size == 6
         for ids in report.minimum_sets:
-            bset = BlockingSet.from_indices(ctx, k, ids)
+            bset = BlockingSet(ctx, k, ids)
             point_idx = {p.index for p in bset.points}
             for pt in ctx.points():
                 if pt.index in point_idx:

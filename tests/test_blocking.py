@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -11,14 +11,14 @@ from pgblock.blocking import (COUNT_BOUND, FULL_TRACE, VACUOUS, BlockingSet,
                               pinned_hyperplanes, skew_space_profile, tangent_closure,
                               unblocked_count)
 from pgblock.constructions import (bose_burton, canonical_pencil_partition,
-                                   pencil_partition)
+                                   pencil_partition, theorem_family)
 from pgblock.counting import gaussian, theta
 from pgblock.gf import Field, InputError, field_for_order
-from pgblock.pgkernel import EMPTY_SUBSPACE, GeometryContext, Subspace
+from pgblock.pgkernel import EMPTY_SUBSPACE, GeometryContext, Point, Subspace
 
 
 def _point_set(ctx, k, points):
-    return BlockingSet(ctx, k, frozenset(points), frozenset())
+    return BlockingSet.from_elements(ctx, k, frozenset(points), frozenset())
 
 
 def test_is_blocking_plane(pg32):
@@ -49,7 +49,7 @@ def test_unblocked_count_mixed_semantics(pg32):
     # a k-space is blocked by a point on it or a hyperplane over it
     line = pg32.subspaces(1)[0]
     hyp = pg32.hyperplanes_through(line)[0]
-    bset = BlockingSet(pg32, 1, frozenset(), frozenset([hyp]))
+    bset = BlockingSet.from_elements(pg32, 1, frozenset(), frozenset([hyp]))
     inside = sum(1 for l in pg32.subspaces(1) if pg32.contains(hyp, l))
     assert unblocked_count(bset, 1) == 35 - inside
 
@@ -76,7 +76,7 @@ def test_dual_set_involution_and_soundness(pg32):
     pts = pg32.points()
     hyps = pg32.hyperplanes_through(EMPTY_SUBSPACE)
     for _ in range(25):
-        bset = BlockingSet(
+        bset = BlockingSet.from_elements(
             pg32, rng.choice([0, 1, 2]),
             frozenset(rng.sample(pts, rng.randrange(0, 6))),
             frozenset(rng.sample(hyps, rng.randrange(0, 6))))
@@ -103,7 +103,7 @@ def test_blocking_monotone(pg32):
     for _ in range(10):
         superset = base | set(rng.sample(others, rng.randrange(0, 4)))
         extra_h = frozenset(rng.sample(hyps, rng.randrange(0, 3)))
-        assert is_blocking(BlockingSet(pg32, 1, frozenset(superset), extra_h))[0]
+        assert is_blocking(BlockingSet.from_elements(pg32, 1, frozenset(superset), extra_h))[0]
 
 
 def test_tangent_closure_single_point(pg32):
@@ -160,7 +160,7 @@ def test_skew_space_profile_construction(pg32):
 def test_skew_space_profile_pencil_of_hyperplanes(pg32):
     axis = pg32.point(0)
     hyps = pg32.hyperplanes_through(Subspace(0, (axis.coords,)))
-    bset = BlockingSet(pg32, 1, frozenset(), frozenset(hyps))
+    bset = BlockingSet.from_elements(pg32, 1, frozenset(), frozenset(hyps))
     profile = skew_space_profile(bset, Subspace(0, (axis.coords,)))
     assert profile.count == theta(2, 2) == 7 >= 3
 
@@ -171,7 +171,7 @@ def test_skew_space_profile_errors(pg32, pg42):
     with pytest.raises(InputError, match="the flat meets the point part"):
         skew_space_profile(bset, Subspace(0, (inside.coords,)))
     plane42 = pg42.subspaces(2)[0]
-    wrong = BlockingSet(pg42, 2, frozenset(pg42.subspace_points(plane42)), frozenset())
+    wrong = BlockingSet.from_elements(pg42, 2, frozenset(pg42.subspace_points(plane42)), frozenset())
     with pytest.raises(InputError, match=r"need n = 2k \+ 1, got n=4, k=2"):
         skew_space_profile(wrong, Subspace(1, plane42.basis[:2]))
 
@@ -193,7 +193,7 @@ def test_pinned_hyperplanes_construction(pg32):
 def test_pinned_hyperplanes_vacuous(pg32):
     plane = pg32.subspaces(2)[0]
     pts = pg32.subspace_points(plane)[:2]
-    bset = BlockingSet(pg32, 1, frozenset(pts), frozenset())
+    bset = BlockingSet.from_elements(pg32, 1, frozenset(pts), frozenset())
     hull = plane
     pin = next(p for p in pg32.subspace_points(hull) if p not in pts)
     rep = pinned_hyperplanes(bset, hull, pin)
@@ -211,7 +211,7 @@ def test_pinned_hyperplanes_errors(pg32):
         pinned_hyperplanes(bset, hull, inside)
     outside_hull_pt = next(p for p in pg32.points() if not pg32.contains(hull, p))
     other_hull = pg32.span(hull)  # same hull; points must lie inside
-    moved = BlockingSet(pg32, 1, frozenset([outside_hull_pt]), bset.hyperplanes)
+    moved = BlockingSet.from_elements(pg32, 1, frozenset([outside_hull_pt]), bset.hyperplanes)
     with pytest.raises(InputError, match="the point part is not contained in the hull"):
         pinned_hyperplanes(moved, other_hull, next(
             p for p in pg32.subspace_points(hull) if p != outside_hull_pt))
@@ -223,7 +223,7 @@ def test_size_bound_refutation_and_equality_properties(pg32, pg32_minima):
     point on both a tangent and a secant."""
     assert pg32_minima.minimum_size == 6
     for ids in pg32_minima.minimum_sets:
-        bset = BlockingSet.from_indices(pg32, 1, ids)
+        bset = BlockingSet(pg32, 1, ids)
         for pt in bset.points:
             for hp in bset.hyperplanes:
                 assert not pg32.contains(hp, pt)
@@ -233,9 +233,121 @@ def test_size_bound_refutation_and_equality_properties(pg32, pg32_minima):
 
 def test_element_indices_round_trip(pg32):
     bset = pencil_partition(pg32, canonical_pencil_partition(pg32, 1))
-    ids = bset.element_indices()
-    assert BlockingSet.from_indices(pg32, 1, ids) == bset
+    ids = bset.ids
+    assert BlockingSet(pg32, 1, ids) == bset
     assert list(ids) == sorted(ids)
+
+
+def _enumerated_points(ctx):
+    """Every point in lexicographic order of its normalized coordinates,
+    enumerated directly: the order point(u) must invert."""
+    coords = [(0,) * lead + (1,) + tail for lead in range(ctx.n, -1, -1)
+              for tail in product(range(ctx.q), repeat=ctx.n - lead)]
+    return [Point(c, u) for u, c in enumerate(coords)]
+
+
+def _elements_from_ordinals(ctx, ids, points):
+    """(points, hyperplanes) of universe ordinals, read off an enumeration:
+    the element objects a BlockingSet's views must equal."""
+    num = len(points)
+    return (frozenset(points[u] for u in ids if u < num),
+            frozenset(ctx.hyperplane(points[u - num].coords) for u in ids if u >= num))
+
+
+def _first_redundant(ctx, k, pts, hyps):
+    """The first element, by ordinal, whose removal leaves every k-space
+    blocked, with each ordinal computed from the element object."""
+    inc = incidence(ctx, k)
+    pairs = sorted([(p.index, p) for p in pts]
+                   + [(ctx.num_points + ctx.hyperplane_dual_point(h).index, h) for h in hyps],
+                   key=lambda pair: pair[0])
+    for i, (_, element) in enumerate(pairs):
+        rest = 0
+        for j, (u, _) in enumerate(pairs):
+            if j != i:
+                rest |= inc.covers[u]
+        if rest == inc.full_mask:
+            return element
+    return None
+
+
+def test_point_ordinals_invert_the_enumeration():
+    geometries = [(q, 1) for q in (2, 3, 4, 5)] + [(4, 2), (3, 3), (2, 5), (8, 3)]
+    for q, n in geometries:
+        ctx = GeometryContext(field_for_order(q), n)
+        expected = _enumerated_points(ctx)
+        assert len(expected) == ctx.num_points
+        assert [ctx.point(u) for u in range(ctx.num_points)] == expected
+        assert list(ctx.points()) == expected
+
+
+def test_out_of_range_ordinals_are_invalid_input(pg22, pg32):
+    theta_n = pg32.num_points
+    for u in (-1, theta_n, 2 * theta_n):
+        with pytest.raises(InputError, match="point ordinal"):
+            pg32.point(u)
+    for u in (-1, 2 * theta_n):
+        with pytest.raises(InputError, match="element ordinal"):
+            BlockingSet(pg32, 1, [0, u])
+    hyperplane_zero = BlockingSet(pg32, 1, [theta_n])
+    assert hyperplane_zero.hyperplanes == {pg32.hyperplane(pg32.point(0).coords)}
+    with pytest.raises(InputError):
+        BlockingSet.from_elements(pg32, 1, [pg22.point(0)], [])
+    with pytest.raises(InputError):
+        BlockingSet.from_elements(pg32, 1, [], [pg32.subspaces(1)[0]])
+
+
+def test_views_agree_with_conversion_from_enumerated_points():
+    """points, hyperplanes, to_dict, dual_set and the is_minimal witness of
+    a set stored as ordinals equal what the element objects give, on every
+    theorem-family member and on random subsets."""
+    cases = []
+    geometries = {}
+    for q, n, k in ((4, 2, 0), (4, 2, 1), (2, 3, 1), (3, 3, 1)):
+        ctx = geometries.setdefault((q, n), GeometryContext(field_for_order(q), n))
+        cases.extend((ctx, k, ids) for ids in theorem_family(ctx, k)[0])
+    rng = random.Random(13)
+    for _ in range(200):
+        (q, n), ctx = rng.choice(sorted(geometries.items(), key=lambda item: item[0]))
+        ids = rng.sample(range(2 * ctx.num_points), rng.randrange(0, 26))
+        cases.append((ctx, rng.randrange(n), ids))
+    enumerated = {ctx: _enumerated_points(ctx) for ctx in geometries.values()}
+    for ctx, k, ids in cases:
+        bset = BlockingSet(ctx, k, ids)
+        pts, hyps = _elements_from_ordinals(ctx, ids, enumerated[ctx])
+        assert (bset.points, bset.hyperplanes) == (pts, hyps)
+        duals = sorted((ctx.hyperplane_dual_point(h) for h in hyps), key=lambda p: p.index)
+        assert bset.to_dict() == {
+            "q": ctx.q, "n": ctx.n, "k": k, "field": ctx.field.to_dict(),
+            "points": [list(p.coords) for p in sorted(pts, key=lambda p: p.index)],
+            "hyperplanes": [list(p.coords) for p in duals]}
+        dual = dual_set(bset)
+        assert dual.k == ctx.n - 1 - k
+        assert dual.points == frozenset(duals)
+        assert dual.hyperplanes == frozenset(ctx.hyperplane(p.coords) for p in pts)
+        if is_blocking(bset)[0]:
+            witness = _first_redundant(ctx, k, pts, hyps)
+            assert is_minimal(bset) == (witness is None, witness)
+        else:
+            with pytest.raises(InputError, match="only defined for blocking sets"):
+                is_minimal(bset)
+
+
+def test_large_set_never_enumerates_points(monkeypatch):
+    """Building, serializing and dualizing a set of PG(5,16), which has
+    1,118,481 points, touches only the points it needs."""
+    def refuse(self):
+        raise AssertionError("every point of the geometry was enumerated")
+
+    monkeypatch.setattr(GeometryContext, "points", refuse)
+    ctx = GeometryContext(field_for_order(16), 5)
+    bset = pencil_partition(ctx, canonical_pencil_partition(ctx, 2))
+    doc = bset.to_dict()
+    assert len(doc["points"]) == 16 ** 2 and len(doc["hyperplanes"]) == 16 ** 3
+    assert BlockingSet.from_dict(doc) == bset
+    dual = dual_set(bset)
+    assert (len(dual.points), len(dual.hyperplanes)) == (16 ** 3, 16 ** 2)
+    assert dual_set(dual) == bset
 
 
 def test_json_round_trip(pg33):
@@ -261,8 +373,8 @@ def test_lemma_checks_independent_of_insertion_order(pg33):
     # one set, its frozensets filled in opposite orders
     pts = list(pg33.subspace_points(pg33.subspaces(2)[0]))
     hyps = list(pg33.hyperplanes_through(EMPTY_SUBSPACE)[:6])
-    forward = BlockingSet(pg33, 1, frozenset(pts), frozenset(hyps))
-    backward = BlockingSet(pg33, 1, frozenset(reversed(pts)), frozenset(reversed(hyps)))
+    forward = BlockingSet.from_elements(pg33, 1, frozenset(pts), frozenset(hyps))
+    backward = BlockingSet.from_elements(pg33, 1, frozenset(reversed(pts)), frozenset(reversed(hyps)))
     checks = lemma_checks(forward)
     assert checks == lemma_checks(backward)
     incident = sorted((p.index, pg33.hyperplane_dual_point(hp).index)
@@ -348,7 +460,7 @@ def test_skew_space_profile_matches_kspace_scan(field, k, samples):
         hyps = rng.sample(ctx.hyperplanes_through(flat), q + 1 - t)
         hyps += rng.sample([hp for hp in ctx.hyperplanes_through(EMPTY_SUBSPACE)
                             if not ctx.contains(hp, flat)], 2)
-        bset = BlockingSet(ctx, k, frozenset(pts), frozenset(hyps))
+        bset = BlockingSet.from_elements(ctx, k, frozenset(pts), frozenset(hyps))
         point_idx = {p.index for p in pts}
         skew = [f for f in ctx.subspaces(k - 1)
                 if not any(p.index in point_idx for p in ctx.subspace_points(f))]
@@ -374,7 +486,7 @@ def test_pinned_hyperplanes_matches_kspace_scan(field, k, samples):
         bset = pencil_partition(ctx, params)
         extra = frozenset(rng.sample(ctx.hyperplanes_through(EMPTY_SUBSPACE), 3))
         jobs.append((bset, params.hull))
-        jobs.append((BlockingSet(ctx, k, bset.points, bset.hyperplanes | extra),
+        jobs.append((BlockingSet.from_elements(ctx, k, bset.points, bset.hyperplanes | extra),
                      params.hull))
     for _ in range(samples):
         anchor = rng.choice(ctx.subspaces(k - 1))
@@ -383,7 +495,7 @@ def test_pinned_hyperplanes_matches_kspace_scan(field, k, samples):
         hull = rng.choice(ctx.subspaces(k + 1))
         pts = rng.sample(ctx.subspace_points(hull), 2)
         hyps = rng.sample(ctx.hyperplanes_through(EMPTY_SUBSPACE), 4)
-        jobs.append((BlockingSet(ctx, k, frozenset(pts), frozenset(hyps)), hull))
+        jobs.append((BlockingSet.from_elements(ctx, k, frozenset(pts), frozenset(hyps)), hull))
     cases = set()
     for bset, hull in jobs:
         for pin in ctx.subspace_points(hull):

@@ -155,9 +155,9 @@ def test_recognition_rejects_perturbed_instance(pg32):
     bset = pencil_partition(pg32, canonical_pencil_partition(pg32, 1))
     outside = next(p for p in pg32.points() if p not in bset.points)
     from pgblock.blocking import BlockingSet
-    swapped = BlockingSet(pg32, 1,
-                          frozenset(list(bset.points)[:1] + [outside]),
-                          bset.hyperplanes)
+    swapped = BlockingSet.from_elements(pg32, 1,
+                                        frozenset(list(bset.points)[:1] + [outside]),
+                                        bset.hyperplanes)
     assert recognize_pencil_partition(swapped) is None
 
 
@@ -322,7 +322,7 @@ def test_theorem_family_pg32_middle_is_recognized(pg32):
     sets, tuples = theorem_family(pg32, 1)
     assert (sets, tuples) == distinct_pencil_partition_sets(pg32, 1)
     for ids in sets:
-        bset = BlockingSet.from_indices(pg32, 1, ids)
+        bset = BlockingSet(pg32, 1, ids)
         params = recognize_pencil_partition(bset)
         assert params is not None and pencil_partition(pg32, params) == bset
 
@@ -340,10 +340,10 @@ def test_k0_pencil_partitions_on_the_line(q):
         params = canonical_pencil_partition(ctx, 0, t)
         assert params.axis.dim == -1 and len(params.point_spaces) == t
         bset = pencil_partition(ctx, params)
-        assert is_blocking(bset)[0] and bset.element_indices() in sets
+        assert is_blocking(bset)[0] and bset.ids in sets
     unrecognized = []
     for ids in sets:
-        bset = BlockingSet.from_indices(ctx, 0, ids)
+        bset = BlockingSet(ctx, 0, ids)
         params = recognize_pencil_partition(bset)
         if params is None:
             unrecognized.append(bset)

@@ -66,7 +66,7 @@ def test_metsch_versus_enumeration_pg32(pg32):
     pts = pg32.points()
     for size in range(4):
         for combo in combinations(range(len(pts)), size):
-            bset = BlockingSet(pg32, 1, frozenset(pts[i] for i in combo), frozenset())
+            bset = BlockingSet.from_elements(pg32, 1, frozenset(pts[i] for i in combo), frozenset())
             for s in (0, 1, 2):
                 actual = unblocked_count(bset, s)
                 assert actual >= metsch_lower_bound(3, 2, 1, s, size)
@@ -74,13 +74,13 @@ def test_metsch_versus_enumeration_pg32(pg32):
 
 def test_metsch_equality_at_full_line(pg32):
     line = pg32.subspaces(1)[0]
-    bset = BlockingSet(pg32, 1, frozenset(pg32.subspace_points(line)), frozenset())
+    bset = BlockingSet.from_elements(pg32, 1, frozenset(pg32.subspace_points(line)), frozenset())
     assert unblocked_count(bset, 1) == 16 == metsch_lower_bound(3, 2, 1, 1, 3)
 
 
 def test_metsch_dual_example(pg32):
     bound = metsch_dual_lower_bound(3, 2, 2, 1, 0)
-    empty = BlockingSet(pg32, 1, frozenset(), frozenset())
+    empty = BlockingSet.from_elements(pg32, 1, frozenset(), frozenset())
     assert unblocked_count(empty, 1) == 35 >= bound
 
 
@@ -102,7 +102,7 @@ def test_metsch_dual_against_dualized_set(pg32):
     for _ in range(20):
         size = rng.randrange(0, 4)
         chosen = rng.sample(range(len(hyps)), size)
-        bset = BlockingSet(pg32, 1, frozenset(), frozenset(hyps[i] for i in chosen))
+        bset = BlockingSet.from_elements(pg32, 1, frozenset(), frozenset(hyps[i] for i in chosen))
         d = 1
         for s in (1, 2):
             bound = metsch_dual_lower_bound(3, 2, d, s, size)

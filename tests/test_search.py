@@ -60,7 +60,7 @@ def test_pg23_k1_minima_are_line_point_sets(pg23):
 
 def test_minima_are_sound(pg32, pg32_minima):
     for ids in pg32_minima.minimum_sets:
-        bset = BlockingSet.from_indices(pg32, 1, ids)
+        bset = BlockingSet(pg32, 1, ids)
         assert is_blocking(bset)[0]
         assert is_minimal(bset)[0]
 
@@ -162,7 +162,7 @@ def test_refute_below_finds_counterexample(pg32):
     report = refute_below(pg32, 1, 7)  # size-6 sets exist
     assert not report.refuted
     assert report.counterexample is not None
-    bset = BlockingSet.from_indices(pg32, 1, report.counterexample)
+    bset = BlockingSet(pg32, 1, report.counterexample)
     assert is_blocking(bset)[0]
 
 
@@ -208,7 +208,7 @@ def test_classify_middle_case_lists_unrecognized_minima(pg32, monkeypatch):
     missing = sets[7]
     recognize = constructions.recognize_pencil_partition
     monkeypatch.setattr(constructions, "recognize_pencil_partition",
-                        lambda bset: None if bset.element_indices() == missing
+                        lambda bset: None if bset.ids == missing
                         else recognize(bset))
     verdict = classify_minimum(pg32, 1)
     assert verdict.observed_minimum == 6 and verdict.minima_count == 210
@@ -241,5 +241,5 @@ def test_report_serialization(pg22):
     doc = report.to_dict()
     assert doc["minimum_size"] == 3
     assert "wall_time" in doc and "wall_time" not in report.canonical_dict()
-    rebuilt = [BlockingSet.from_indices(pg22, 1, ids) for ids in report.minimum_sets]
+    rebuilt = [BlockingSet(pg22, 1, ids) for ids in report.minimum_sets]
     assert all(is_blocking(b)[0] for b in rebuilt)
