@@ -23,16 +23,25 @@ the hyperplanes through the hull), points to one part, hyperplanes to the
 other.  So enumerating every split of a pencil builds it once.  The
 enumeration reads each hull's members, axes and pencils off the bitmasks of
 `blocking.incidence(ctx, k)`, with no subspace arithmetic inside the hull.
+`pencil_partition` builds one set from the members it is given, as sets of
+ordinals, and checks them without building the pencil.
+
 Recognition recovers the parameters of one given set by generate-and-compare:
-recover candidate parameters, run the generator, and demand exact set
-equality.
+recover candidate parameters, regenerate the set, and demand exact set
+equality.  It reads the same bitmasks of `incidence(ctx, k)`, building them
+if absent: the k-spaces inside a hull, the traces of the set's hyperplanes
+on it, the axis they share and the members through the axis are ANDs of
+`covers` and `candidate_masks`.  Subspace arithmetic is left to finding the
+hull (one `span` of the points, or the (k+1)-spaces over the one k-space
+holding them) and to the axis of a recognized set (one `meet`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_
+from operator import and_, or_
 
 from .blocking import BlockingSet, candidates, incidence, ordinals
 from .counting import minimum_size_bound, theta
@@ -52,27 +61,43 @@ class PencilPartitionParams:
     hyperplane_spaces: frozenset[Subspace]
 
 
+def _check_pencil(ctx: GeometryContext, axis: Subspace, hull: Subspace):
+    """Raise unless axis has codimension 2 in hull and lies in it."""
+    if hull.dim - axis.dim != 2 or not ctx.contains(hull, axis):
+        raise InputError(f"axis dim {axis.dim} / hull dim {hull.dim} do not form a pencil")
+
+
 def pencil(ctx: GeometryContext, axis: Subspace, hull: Subspace) -> tuple[Subspace, ...]:
     """The q+1 spaces between axis (codim 2 in hull) and hull, canonically
     ordered by their smallest off-axis point."""
-    if hull.dim - axis.dim != 2 or not ctx.contains(hull, axis):
-        raise InputError(f"axis dim {axis.dim} / hull dim {hull.dim} do not form a pencil")
+    _check_pencil(ctx, axis, hull)
     return tuple(ctx.extensions(axis, hull))
 
 
-def _contributions(ctx: GeometryContext, member_masks) -> list[tuple[int, int]]:
-    """(points, hyperplanes) each pencil member contributes in either part,
-    as universe bitmasks: its candidates off the AND of all the members'
-    candidates, which is the axis points plus the hyperplanes through the
-    hull, split at theta_n."""
-    common = reduce(and_, member_masks)
-    point_part = (1 << ctx.num_points) - 1
-    return [(mask & ~common & point_part, mask & ~common & ~point_part)
-            for mask in member_masks]
+def _contributions(member_candidates, points) -> list:
+    """(points, hyperplanes) each pencil member contributes in either part:
+    its candidates off the ones all the members share (the axis points plus
+    the hyperplanes through the hull), split by `points`, which holds every
+    point ordinal among them.  The candidates come as universe bitmasks or
+    as sets of ordinals, and the parts in the same form: both read & as
+    intersection and ^ as symmetric difference."""
+    common = reduce(and_, member_candidates)
+    parts = []
+    for own in member_candidates:
+        own ^= common
+        on_points = own & points
+        parts.append((on_points, own ^ on_points))
+    return parts
 
 
 def pencil_partition(ctx: GeometryContext, params: PencilPartitionParams) -> BlockingSet:
-    """Build the blocking set from validated pencil-partition parameters."""
+    """Build the blocking set from validated pencil-partition parameters.
+
+    The parts partition the pencil exactly when their q+1 distinct members
+    are k-spaces through the axis inside the hull, so validation builds no
+    pencil.  The set is built from the members' candidates as sets of
+    ordinals, at a cost linear in its size.
+    """
     hull, axis = params.hull, params.axis
     k = hull.dim - 1
     if ctx.n != 2 * k + 1 or axis.dim != k - 1:
@@ -83,19 +108,18 @@ def pencil_partition(ctx: GeometryContext, params: PencilPartitionParams) -> Blo
         raise InputError("both parts of the pencil partition must be nonempty")
     if params.point_spaces & params.hyperplane_spaces:
         raise InputError("the two parts of the partition overlap")
-    members = pencil(ctx, axis, hull)
-    if params.point_spaces | params.hyperplane_spaces != set(members):
+    _check_pencil(ctx, axis, hull)
+    members = [*params.point_spaces, *params.hyperplane_spaces]
+    if len(members) != ctx.q + 1 or not all(
+            member.dim == k and ctx.contains(member, axis) and ctx.contains(hull, member)
+            for member in members):
         raise InputError("the two parts do not partition the full pencil")
-    return _pencil_partition_set(ctx, k, members, params.point_spaces)
-
-
-def _pencil_partition_set(ctx: GeometryContext, k: int, members, point_spaces) -> BlockingSet:
-    """The set that the members in point_spaces give points, the rest hyperplanes."""
-    masks = [sum(1 << u for u in candidates(ctx, member)) for member in members]
-    ids = 0
-    for member, (points, hyperplanes) in zip(members, _contributions(ctx, masks)):
-        ids |= points if member in point_spaces else hyperplanes
-    return BlockingSet(ctx, k, ordinals(ids))
+    owns = [frozenset(candidates(ctx, member)) for member in members]
+    points = frozenset(u for own in owns for u in own if u < ctx.num_points)
+    ids = []
+    for i, (on_points, on_hyperplanes) in enumerate(_contributions(owns, points)):
+        ids.extend(on_points if i < len(params.point_spaces) else on_hyperplanes)
+    return BlockingSet(ctx, k, ids)
 
 
 def canonical_pencil_partition(ctx: GeometryContext, k: int, t: int = 1) -> PencilPartitionParams:
@@ -131,8 +155,8 @@ def distinct_pencil_partition_sets(ctx: GeometryContext, k: int):
         member_points = [mask & point_part for mask in members]
         axes = {a & b for i, a in enumerate(member_points) for b in member_points[:i]}
         for axis in axes:
-            parts = _contributions(ctx, [mask for mask, pts in zip(members, member_points)
-                                         if pts & axis == axis])
+            parts = _contributions([mask for mask, pts in zip(members, member_points)
+                                    if pts & axis == axis], point_part)
             for split in range(1, 2 ** (ctx.q + 1) - 1):
                 ids = 0
                 for i, (points, hyperplanes) in enumerate(parts):
@@ -163,50 +187,75 @@ def theorem_family(ctx: GeometryContext, k: int):
 def recognize_pencil_partition(bset: BlockingSet) -> PencilPartitionParams | None:
     """Parameters whose generated set equals bset exactly, or None.
 
-    Recovery: the hull is the span of the points (tried through every
-    (k+1)-space over it in the one-part case t = 1), the hyperplane part's
-    traces on the hull give one side of the pencil, and the axis is the meet
-    of the traces.  A single trace forces t = q, and then the set is the
-    hull minus the trace plus the hyperplanes through the trace off the
-    hull, whatever the axis inside the trace, so the span of its first k
-    basis rows is taken.  Every candidate is confirmed by regeneration.
+    Recovery reads the bitmasks of `incidence(ctx, k)`, building them if
+    absent.  The hull is the span of the points; when the points lie in one
+    k-space (their `covers` share a bit), every (k+1)-space over it is tried
+    in turn, as in the one-part case t = 1.  The k-spaces inside a hull are
+    the ones every hyperplane through it contains, and a hull is skipped
+    when the set holds such a hyperplane.  Every other hyperplane of the set
+    cuts the hull in one k-space, its trace.  The axis is the meet of the
+    traces, read as the points they share.  A single trace forces t = q, and
+    then the set is the hull minus the trace plus the hyperplanes through
+    the trace off the hull, whatever the axis inside the trace, so the span
+    of its first k basis rows is taken.  The members are the k-spaces inside
+    the hull through the axis, and the set is regenerated from their
+    candidate masks and compared with bset.
     """
     ctx, k = bset.ctx, bset.k
-    q = ctx.q
+    q, num_points = ctx.q, ctx.num_points
     if ctx.n != 2 * k + 1:
         return None
-    if not bset.points or not bset.hyperplanes:
+    split = bisect_left(bset.ids, num_points)
+    points, hyperplanes = bset.ids[:split], bset.ids[split:]
+    if not points or not hyperplanes:
         return None
     qk = q ** k
-    t, rem = divmod(len(bset.points), qk)
-    if rem or not 1 <= t <= q or len(bset.hyperplanes) != (q + 1 - t) * qk:
+    t, rem = divmod(len(points), qk)
+    if rem or not 1 <= t <= q or len(hyperplanes) != (q + 1 - t) * qk:
         return None
-    span0 = ctx.span(*bset.points)
-    if span0.dim == k + 1:
-        hulls = [span0]
-    elif span0.dim == k:
-        hulls = ctx.extensions(span0, ctx.whole_space())
+    inc = incidence(ctx, k)
+    covers, masks = inc.covers, inc.candidate_masks
+    shared = reduce(and_, (covers[p] for p in points))
+    if shared:
+        # the points span the one k-space that holds them all
+        hulls = ctx.extensions(inc.spaces[shared.bit_length() - 1], ctx.whole_space())
     else:
-        return None
+        hulls = [ctx.span(*map(ctx.point, points))]
+        if hulls[0].dim != k + 1:
+            return None
+    point_part = (1 << num_points) - 1
     for hull in hulls:
-        if any(ctx.contains(hp, hull) for hp in bset.hyperplanes):
+        inside = reduce(and_, (covers[num_points + d.index]
+                               for d in ctx.subspace_points(ctx.dual(hull))),
+                        inc.full_mask)
+        cuts = [covers[h] & inside for h in hyperplanes]
+        if inside in cuts:  # a hyperplane through the hull
             continue
-        traces = frozenset(ctx.meet(hp, hull) for hp in bset.hyperplanes)
-        axis, *others = traces
-        if not others:
-            axis = Subspace(k - 1, axis.basis[:k])
-        for trace in others:
-            axis = ctx.meet(axis, trace)
-        if axis.dim != k - 1:
+        traces = reduce(or_, cuts)
+        trace_ids = ordinals(traces)
+        if len(trace_ids) == 1:
+            axis = Subspace(k - 1, inc.spaces[trace_ids[0]].basis[:k])
+            axis_points = sum(1 << p.index for p in ctx.subspace_points(axis))
+        else:
+            axis = None  # one meet, once the set is confirmed
+            axis_points = reduce(and_, (masks[j] for j in trace_ids)) & point_part
+            if axis_points.bit_count() != theta(k - 1, q):
+                continue
+        members = [j for j in ordinals(inside) if masks[j] & axis_points == axis_points]
+        point_members = [j for j in members if not traces >> j & 1]
+        if len(point_members) != t:
             continue
-        # every trace contains the axis and lies in the hull, so the traces
-        # and point_part partition the pencil
-        members = pencil(ctx, axis, hull)
-        point_part = frozenset(members) - traces
-        if len(point_part) != t:
+        ids = 0
+        for j, (on_points, on_hyperplanes) in zip(
+                members, _contributions([masks[j] for j in members], point_part)):
+            ids |= on_hyperplanes if traces >> j & 1 else on_points
+        if ordinals(ids) != bset.ids:
             continue
-        if _pencil_partition_set(ctx, k, members, point_part) == bset:
-            return PencilPartitionParams(hull, axis, point_part, traces)
+        if axis is None:
+            axis = ctx.meet(inc.spaces[trace_ids[0]], inc.spaces[trace_ids[1]])
+        return PencilPartitionParams(hull, axis,
+                                     frozenset(inc.spaces[j] for j in point_members),
+                                     frozenset(inc.spaces[j] for j in trace_ids))
     return None
 
 

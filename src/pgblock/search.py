@@ -41,8 +41,10 @@ incumbent, and the merge is order-independent.  Wall time is reported but
 excluded from the canonical form of a report.
 
 Classification compares the minima, as ordinal tuples, with the family the
-theorem names (`constructions.theorem_family`), but recognizes each minimum
-in the middle case n = 2k+1, k >= 1, as the benchmark's per-layer test pins.
+theorem names (`constructions.theorem_family`).  In the middle case
+n = 2k+1, k >= 1, it recognizes each minimum instead, one call per minimum
+as the benchmark's per-layer test pins; recognition reads the incidence
+bitmasks that the search built, so classification builds no other one.
 """
 
 from __future__ import annotations

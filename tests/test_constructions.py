@@ -13,7 +13,7 @@ from pgblock.constructions import (PencilPartitionParams, bose_burton,
 from pgblock.counting import minimum_size_bound, theta
 from pgblock.gf import Field, InputError, field_for_order
 from pgblock.pgkernel import EMPTY_SUBSPACE, GeometryContext, Subspace
-from pgblock.search import min_blocking_search
+from pgblock.search import classify_minimum, min_blocking_search
 
 
 def random_pencil_params(ctx, k, rng):
@@ -78,6 +78,11 @@ def test_bad_pencil_rejected(pg32):
         pencil_partition(pg32, PencilPartitionParams(
             params.hull, params.axis, frozenset(members[:1]),
             frozenset(foreign) - frozenset(members)))  # not the full pencil of the axis
+    for hyperplane_part in (members[1:2], members[1:2] + [params.hull]):
+        # a member missing, or the hull (through the axis, inside the hull) as one
+        with pytest.raises(InputError, match="the two parts do not partition the full pencil"):
+            pencil_partition(pg32, PencilPartitionParams(
+                params.hull, params.axis, frozenset(members[:1]), frozenset(hyperplane_part)))
 
 
 @pytest.mark.parametrize("k,q", [(1, 2), (1, 3), (1, 4), (2, 2)])
@@ -199,25 +204,29 @@ def test_distinct_sets_pinned(q, n, k, sets, tuples, digest):
     assert (len(found), count, _digest(found)) == (sets, tuples, digest)
 
 
+def _subspace_parts(ctx, axis, hull, members):
+    """(points, hyperplanes) of each member as universe ordinals: its points
+    off the axis and the points of its dual off the hull's dual."""
+    def ordinals(space, offset=0):
+        return frozenset(offset + p.index for p in ctx.subspace_points(space))
+
+    hull_hyperplanes = ordinals(ctx.dual(hull), ctx.num_points)
+    return [(ordinals(member) - ordinals(axis),
+             ordinals(ctx.dual(member), ctx.num_points) - hull_hyperplanes)
+            for member in members]
+
+
 def _subspace_pencil_sets(ctx, k):
     """Reference builder on Subspace objects: the axes of each hull by
     containment, each pencil by `extensions`, and each member's part from its
     points off the axis and the points of its dual off the hull's dual."""
-    num_points = ctx.num_points
-
-    def ordinals(space, offset=0):
-        return frozenset(offset + p.index for p in ctx.subspace_points(space))
-
     seen = set()
     count = 0
     for hull in ctx.subspaces(k + 1):
         axes = ([a for a in ctx.subspaces(k - 1) if ctx.contains(hull, a)]
                 if k else [EMPTY_SUBSPACE])
         for axis in axes:
-            hull_hyperplanes = ordinals(ctx.dual(hull), num_points)
-            parts = [(ordinals(member) - ordinals(axis),
-                      ordinals(ctx.dual(member), num_points) - hull_hyperplanes)
-                     for member in ctx.extensions(axis, hull)]
+            parts = _subspace_parts(ctx, axis, hull, ctx.extensions(axis, hull))
             for split in range(1, 2 ** (ctx.q + 1) - 1):
                 ids = set()
                 for i, (points, hyperplanes) in enumerate(parts):
@@ -225,6 +234,157 @@ def _subspace_pencil_sets(ctx, k):
                 seen.add(tuple(sorted(ids)))
                 count += 1
     return tuple(sorted(seen)), count
+
+
+def _subspace_recognize(bset):
+    """Reference recognizer on Subspace objects: the hull by `span` (every
+    (k+1)-space over the points when they span a k-space), the traces and
+    the axis by `meet`, the pencil by `extensions`, and the regenerated set
+    from `_subspace_parts`."""
+    ctx, k = bset.ctx, bset.k
+    q = ctx.q
+    if ctx.n != 2 * k + 1:
+        return None
+    if not bset.points or not bset.hyperplanes:
+        return None
+    qk = q ** k
+    t, rem = divmod(len(bset.points), qk)
+    if rem or not 1 <= t <= q or len(bset.hyperplanes) != (q + 1 - t) * qk:
+        return None
+    span0 = ctx.span(*bset.points)
+    if span0.dim == k + 1:
+        hulls = [span0]
+    elif span0.dim == k:
+        hulls = ctx.extensions(span0, ctx.whole_space())
+    else:
+        return None
+    for hull in hulls:
+        if any(ctx.contains(hp, hull) for hp in bset.hyperplanes):
+            continue
+        traces = frozenset(ctx.meet(hp, hull) for hp in bset.hyperplanes)
+        axis, *others = traces
+        if not others:
+            axis = Subspace(k - 1, axis.basis[:k])
+        for trace in others:
+            axis = ctx.meet(axis, trace)
+        if axis.dim != k - 1:
+            continue
+        members = tuple(ctx.extensions(axis, hull))
+        point_part = frozenset(members) - traces
+        if len(point_part) != t:
+            continue
+        ids = set()
+        for member, (points, hyperplanes) in zip(
+                members, _subspace_parts(ctx, axis, hull, members)):
+            ids |= points if member in point_part else hyperplanes
+        if tuple(sorted(ids)) == bset.ids:
+            return PencilPartitionParams(hull, axis, point_part, traces)
+    return None
+
+
+def _perturbed(bset, rng):
+    """bset with one element swapped for one outside it, of the same kind
+    (point or hyperplane) half the time."""
+    ctx = bset.ctx
+    ids = list(bset.ids)
+    gone = ids.pop(rng.randrange(len(ids)))
+    outside = [u for u in range(2 * ctx.num_points) if u not in bset.ids]
+    same_kind = [u for u in outside if (u < ctx.num_points) == (gone < ctx.num_points)]
+    new = rng.choice(same_kind if same_kind and rng.random() < 0.5 else outside)
+    return BlockingSet(ctx, bset.k, ids + [new])
+
+
+def _oracle_jobs(ctx, k, sets, rng):
+    """The given sets, their duals and one seeded perturbation of each."""
+    for ids in sets:
+        bset = BlockingSet(ctx, k, ids)
+        yield bset
+        yield dual_set(bset)
+        yield _perturbed(bset, rng)
+
+
+@pytest.mark.parametrize("q,n,k,sample", [(2, 1, 0, None), (3, 1, 0, None), (4, 1, 0, None),
+                                          (5, 1, 0, None), (2, 3, 1, None), (3, 3, 1, 400)],
+                         ids=lambda v: str(v))
+def test_recognition_matches_subspace_recognizer(q, n, k, sample):
+    # the family (a seeded sample of it), its duals and perturbations
+    ctx = GeometryContext(field_for_order(q), n)
+    rng = random.Random(1000 * q + n)
+    sets = theorem_family(ctx, k)[0]
+    if sample is not None:
+        sets = rng.sample(sets, sample)
+    recognized = 0
+    for bset in _oracle_jobs(ctx, k, sets, rng):
+        expected = _subspace_recognize(bset)
+        assert recognize_pencil_partition(bset) == expected, bset.ids
+        recognized += expected is not None
+    # every family set and its dual, but the two pure sets of PG(1,q)
+    assert recognized >= 2 * len(sets) - (4 if n == 1 else 0)
+
+
+def _rejected_by_both(bset):
+    return recognize_pencil_partition(bset) is None and _subspace_recognize(bset) is None
+
+
+def test_recognition_rejects_hyperplane_through_hull(pg33):
+    # t = 2: the points span the hull, the one hull to try; in PG(3,q) the
+    # hull is itself the one hyperplane through it
+    params = canonical_pencil_partition(pg33, 1, t=2)
+    bset = pencil_partition(pg33, params)
+    through = pg33.num_points + pg33.hyperplane_dual_point(params.hull).index
+    swapped = BlockingSet(pg33, 1, bset.ids[:-1] + (through,))
+    assert len(swapped.points) == 6 and len(swapped.hyperplanes) == 6
+    assert _rejected_by_both(swapped)
+
+
+def test_recognition_rejects_points_spanning_more_than_hull(pg33):
+    params = canonical_pencil_partition(pg33, 1, t=2)
+    bset = pencil_partition(pg33, params)
+    off_hull = next(p for p in pg33.points() if not pg33.contains(params.hull, p))
+    swapped = BlockingSet(pg33, 1, (off_hull.index,) + bset.ids[1:])
+    assert pg33.span(*swapped.points).dim == 3
+    assert len(swapped.points) == 6 and len(swapped.hyperplanes) == 6
+    assert _rejected_by_both(swapped)
+
+
+def test_recognition_rejects_traces_without_common_axis():
+    # PG(3,4), t = 2: the hyperplanes cut the hull in three lines through
+    # no common point
+    ctx = GeometryContext(Field(2, 2), 3)
+    params = canonical_pencil_partition(ctx, 1, t=2)
+    points = pencil_partition(ctx, params).points
+    lines = [line for line in ctx.subspaces(1) if ctx.contains(params.hull, line)]
+    first, second = lines[:2]
+    corner = ctx.meet(first, second)
+    third = next(line for line in lines if not ctx.contains(line, corner))
+    hyperplanes = [hp for line in (first, second, third)
+                   for hp in ctx.hyperplanes_through(line) if hp != params.hull]
+    bset = BlockingSet.from_elements(ctx, 1, points, hyperplanes)
+    assert len(bset.points) == 8 and len(bset.hyperplanes) == 12
+    assert _rejected_by_both(bset)
+
+
+def test_recognition_rejects_split_count_other_than_t(pg33):
+    # six points (t = 2) but hyperplanes through three pencil members
+    params = canonical_pencil_partition(pg33, 1, t=2)
+    members = pencil(pg33, params.axis, params.hull)
+    (axis_point,) = pg33.subspace_points(params.axis)
+    points = [p for member in (members[0], members[3])
+              for p in pg33.subspace_points(member) if p != axis_point]
+    hyperplanes = [hp for member in members[:3]
+                   for hp in [h for h in pg33.hyperplanes_through(member)
+                              if h != params.hull][:2]]
+    bset = BlockingSet.from_elements(pg33, 1, points, hyperplanes)
+    assert len(bset.points) == 6 and len(bset.hyperplanes) == 6
+    assert _rejected_by_both(bset)
+
+
+def test_classification_builds_only_the_k_incidence():
+    # recognizing the PG(3,2) minima reads the incidence the search built
+    ctx = GeometryContext(Field(2), 3)
+    verdict = classify_minimum(ctx, 1)
+    assert verdict.all_minima_match_theorem and verdict.minima_count == 210
+    assert list(ctx.incidence_systems) == [1]
 
 
 @pytest.mark.parametrize("q,n,k", [(2, 1, 0), (3, 1, 0), (4, 1, 0), (5, 1, 0),
@@ -346,6 +506,7 @@ def test_k0_pencil_partitions_on_the_line(q):
         bset = BlockingSet(ctx, 0, ids)
         params = recognize_pencil_partition(bset)
         if params is None:
+            assert _rejected_by_both(bset)
             unrecognized.append(bset)
         else:
             assert pencil_partition(ctx, params) == bset
