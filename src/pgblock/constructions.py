@@ -32,8 +32,8 @@ equality.  It reads the same bitmasks of `incidence(ctx, k)`, building them
 if absent: the k-spaces inside a hull, the traces of the set's hyperplanes
 on it, the axis they share and the members through the axis are ANDs of
 `covers` and `candidate_masks`.  Subspace arithmetic is left to finding the
-hull (one `span` of the points, or the (k+1)-spaces over the one k-space
-holding them) and to the axis of a recognized set (one `meet`).
+hull (one `span` of k+2 of the points, or the (k+1)-spaces over the one
+k-space holding them) and to the axis of a recognized set (one `meet`).
 """
 
 from __future__ import annotations
@@ -124,7 +124,14 @@ def pencil_partition(ctx: GeometryContext, params: PencilPartitionParams) -> Blo
 
 def canonical_pencil_partition(ctx: GeometryContext, k: int, t: int = 1) -> PencilPartitionParams:
     """Standard-basis parameters: reproducible byte-for-byte outputs for the
-    CLI when no explicit coordinates are supplied."""
+    CLI when no explicit coordinates are supplied.
+
+    The hull is spanned by e_0..e_{k+1} and the axis by e_0..e_{k-1}.  The
+    members are the axis plus one direction d of the line on e_k, e_{k+1},
+    in `pencil` order: d = e_{k+1} (the member of the hull's smallest
+    point), then d = e_k + c e_{k+1} for the field codes c = 0..q-1.  In
+    reduced echelon form each member's basis is the axis rows followed by d.
+    """
     if ctx.n != 2 * k + 1:
         raise InputError(f"need n = 2k + 1, got n={ctx.n}, k={k}")
     if not 1 <= t <= ctx.q:
@@ -132,7 +139,9 @@ def canonical_pencil_partition(ctx: GeometryContext, k: int, t: int = 1) -> Penc
     rows = ctx.whole_space().basis
     hull = Subspace(k + 1, rows[:k + 2])
     axis = Subspace(k - 1, rows[:k])
-    members = pencil(ctx, axis, hull)
+    zeros = (0,) * (ctx.n - k - 1)
+    directions = [(0, 1)] + [(1, c) for c in range(ctx.q)]
+    members = [Subspace(k, rows[:k] + ((0,) * k + d + zeros,)) for d in directions]
     return PencilPartitionParams(hull, axis,
                                  frozenset(members[:t]), frozenset(members[t:]))
 
@@ -188,9 +197,11 @@ def recognize_pencil_partition(bset: BlockingSet) -> PencilPartitionParams | Non
     """Parameters whose generated set equals bset exactly, or None.
 
     Recovery reads the bitmasks of `incidence(ctx, k)`, building them if
-    absent.  The hull is the span of the points; when the points lie in one
-    k-space (their `covers` share a bit), every (k+1)-space over it is tried
-    in turn, as in the one-part case t = 1.  The k-spaces inside a hull are
+    absent.  The hull is the span of k+2 independent points of the set,
+    picked greedily; a set with points off that hull is not the one it
+    regenerates.  When the points lie in one k-space (their `covers` share
+    a bit), every (k+1)-space over it is tried in turn, as in the one-part
+    case t = 1.  The k-spaces inside a hull are
     the ones every hyperplane through it contains, and a hull is skipped
     when the set holds such a hyperplane.  Every other hyperplane of the set
     cuts the hull in one k-space, its trace.  The axis is the meet of the
@@ -215,14 +226,24 @@ def recognize_pencil_partition(bset: BlockingSet) -> PencilPartitionParams | Non
         return None
     inc = incidence(ctx, k)
     covers, masks = inc.covers, inc.candidate_masks
-    shared = reduce(and_, (covers[p] for p in points))
+    # pick each point off the span of those picked before it.  Up to
+    # dimension k that span is the meet of the k-spaces holding it (shared),
+    # so a point is in it when it is on all of them.  The loop ends at k+2
+    # independent points (shared is 0) or with shared the AND of the covers
+    # of every point.
+    shared = inc.full_mask
+    independent = []
+    for p in points:
+        if shared & ~covers[p]:
+            independent.append(p)
+            shared &= covers[p]
+            if not shared:
+                break
     if shared:
         # the points span the one k-space that holds them all
         hulls = ctx.extensions(inc.spaces[shared.bit_length() - 1], ctx.whole_space())
     else:
-        hulls = [ctx.span(*map(ctx.point, points))]
-        if hulls[0].dim != k + 1:
-            return None
+        hulls = [ctx.span(*map(ctx.point, independent))]
     point_part = (1 << num_points) - 1
     for hull in hulls:
         inside = reduce(and_, (covers[num_points + d.index]

@@ -345,8 +345,3 @@ class GeometryContext:
             raise InputError(f"dim {space.dim} is not a hyperplane in {self!r}")
         dual = self.dual(space)
         return self.point(dual.basis[0])
-
-    def hyperplanes_through(self, space: Subspace) -> tuple[Subspace, ...]:
-        """Hyperplanes containing the subspace (duals of the dual's points)."""
-        return tuple(self.hyperplane(p.coords)
-                     for p in self.subspace_points(self.dual(space)))

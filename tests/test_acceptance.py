@@ -12,7 +12,7 @@ from itertools import combinations
 
 import pytest
 
-from pgblock.blocking import (BlockingSet, dual_set, is_blocking, is_minimal,
+from pgblock.blocking import (BlockingSet, candidates, dual_set, is_blocking, is_minimal,
                               pinned_hyperplanes, skew_space_profile,
                               tangent_closure, unblocked_count)
 from pgblock.constructions import (PencilPartitionParams,
@@ -97,9 +97,8 @@ def test_criterion_3_non_middle_cases():
         num_points = ctx.num_points
         pencils = set()
         for pt in ctx.points():
-            through = ctx.hyperplanes_through(Subspace(0, (pt.coords,)))
             pencils.add(tuple(sorted(
-                num_points + ctx.hyperplane_dual_point(hp).index for hp in through)))
+                u for u in candidates(ctx, ctx.span(pt)) if u >= num_points)))
         assert set(verdict.report.minimum_sets) == pencils
     with criterion(3, "PG(2,3) k=1 classification", 30):
         verdict = classify_minimum(ctx, 1)

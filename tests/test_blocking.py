@@ -17,6 +17,11 @@ from pgblock.gf import Field, InputError, field_for_order
 from pgblock.pgkernel import EMPTY_SUBSPACE, GeometryContext, Point, Subspace
 
 
+def _hyperplanes_through(ctx, space):
+    """The hyperplanes containing space: the duals of the points of its dual."""
+    return tuple(ctx.hyperplane(p.coords) for p in ctx.subspace_points(ctx.dual(space)))
+
+
 def _point_set(ctx, k, points):
     return BlockingSet.from_elements(ctx, k, frozenset(points), frozenset())
 
@@ -48,7 +53,7 @@ def test_unblocked_count_examples(pg32):
 def test_unblocked_count_mixed_semantics(pg32):
     # a k-space is blocked by a point on it or a hyperplane over it
     line = pg32.subspaces(1)[0]
-    hyp = pg32.hyperplanes_through(line)[0]
+    hyp = _hyperplanes_through(pg32, line)[0]
     bset = BlockingSet.from_elements(pg32, 1, frozenset(), frozenset([hyp]))
     inside = sum(1 for l in pg32.subspaces(1) if pg32.contains(hyp, l))
     assert unblocked_count(bset, 1) == 35 - inside
@@ -74,7 +79,7 @@ def test_is_minimal_construction(pg32):
 def test_dual_set_involution_and_soundness(pg32):
     rng = random.Random(3)
     pts = pg32.points()
-    hyps = pg32.hyperplanes_through(EMPTY_SUBSPACE)
+    hyps = _hyperplanes_through(pg32, EMPTY_SUBSPACE)
     for _ in range(25):
         bset = BlockingSet.from_elements(
             pg32, rng.choice([0, 1, 2]),
@@ -99,7 +104,7 @@ def test_blocking_monotone(pg32):
     plane = pg32.subspaces(2)[0]
     base = set(pg32.subspace_points(plane))
     others = [p for p in pg32.points() if p not in base]
-    hyps = pg32.hyperplanes_through(EMPTY_SUBSPACE)
+    hyps = _hyperplanes_through(pg32, EMPTY_SUBSPACE)
     for _ in range(10):
         superset = base | set(rng.sample(others, rng.randrange(0, 4)))
         extra_h = frozenset(rng.sample(hyps, rng.randrange(0, 3)))
@@ -159,7 +164,7 @@ def test_skew_space_profile_construction(pg32):
 
 def test_skew_space_profile_pencil_of_hyperplanes(pg32):
     axis = pg32.point(0)
-    hyps = pg32.hyperplanes_through(Subspace(0, (axis.coords,)))
+    hyps = _hyperplanes_through(pg32, Subspace(0, (axis.coords,)))
     bset = BlockingSet.from_elements(pg32, 1, frozenset(), frozenset(hyps))
     profile = skew_space_profile(bset, Subspace(0, (axis.coords,)))
     assert profile.count == theta(2, 2) == 7 >= 3
@@ -372,7 +377,7 @@ def test_json_normalization_warning(pg32):
 def test_lemma_checks_independent_of_insertion_order(pg33):
     # one set, its frozensets filled in opposite orders
     pts = list(pg33.subspace_points(pg33.subspaces(2)[0]))
-    hyps = list(pg33.hyperplanes_through(EMPTY_SUBSPACE)[:6])
+    hyps = list(_hyperplanes_through(pg33, EMPTY_SUBSPACE)[:6])
     forward = BlockingSet.from_elements(pg33, 1, frozenset(pts), frozenset(hyps))
     backward = BlockingSet.from_elements(pg33, 1, frozenset(reversed(pts)), frozenset(reversed(hyps)))
     checks = lemma_checks(forward)
@@ -423,7 +428,7 @@ def brute_pinned_hyperplanes(bset, hull, pin):
         return PinnedHyperplanesReport(members, VACUOUS, None, None, None)
     for kspace in ctx.subspaces(k):
         if ctx.contains(hull, kspace) and ctx.contains(kspace, pin):
-            fibre = [hp for hp in ctx.hyperplanes_through(kspace)
+            fibre = [hp for hp in _hyperplanes_through(ctx, kspace)
                      if not ctx.contains(hp, hull)]
             if fibre and all(hp in members for hp in fibre):
                 return PinnedHyperplanesReport(members, FULL_TRACE, kspace, q ** k,
@@ -457,8 +462,8 @@ def test_skew_space_profile_matches_kspace_scan(field, k, samples):
         else:
             pts = rng.sample(off_flat[0], 2) + [
                 rng.choice(cands) for cands in off_flat[1:t * q ** k - 1]]
-        hyps = rng.sample(ctx.hyperplanes_through(flat), q + 1 - t)
-        hyps += rng.sample([hp for hp in ctx.hyperplanes_through(EMPTY_SUBSPACE)
+        hyps = rng.sample(_hyperplanes_through(ctx, flat), q + 1 - t)
+        hyps += rng.sample([hp for hp in _hyperplanes_through(ctx, EMPTY_SUBSPACE)
                             if not ctx.contains(hp, flat)], 2)
         bset = BlockingSet.from_elements(ctx, k, frozenset(pts), frozenset(hyps))
         point_idx = {p.index for p in pts}
@@ -484,7 +489,7 @@ def test_pinned_hyperplanes_matches_kspace_scan(field, k, samples):
     for t in range(1, q + 1):
         params = canonical_pencil_partition(ctx, k, t)
         bset = pencil_partition(ctx, params)
-        extra = frozenset(rng.sample(ctx.hyperplanes_through(EMPTY_SUBSPACE), 3))
+        extra = frozenset(rng.sample(_hyperplanes_through(ctx, EMPTY_SUBSPACE), 3))
         jobs.append((bset, params.hull))
         jobs.append((BlockingSet.from_elements(ctx, k, bset.points, bset.hyperplanes | extra),
                      params.hull))
@@ -494,7 +499,7 @@ def test_pinned_hyperplanes_matches_kspace_scan(field, k, samples):
                      rng.choice(ctx.subspaces(k + 1))))
         hull = rng.choice(ctx.subspaces(k + 1))
         pts = rng.sample(ctx.subspace_points(hull), 2)
-        hyps = rng.sample(ctx.hyperplanes_through(EMPTY_SUBSPACE), 4)
+        hyps = rng.sample(_hyperplanes_through(ctx, EMPTY_SUBSPACE), 4)
         jobs.append((BlockingSet.from_elements(ctx, k, frozenset(pts), frozenset(hyps)), hull))
     cases = set()
     for bset, hull in jobs:

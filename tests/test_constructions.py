@@ -16,6 +16,11 @@ from pgblock.pgkernel import EMPTY_SUBSPACE, GeometryContext, Subspace
 from pgblock.search import classify_minimum, min_blocking_search
 
 
+def _hyperplanes_through(ctx, space):
+    """The hyperplanes containing space: the duals of the points of its dual."""
+    return tuple(ctx.hyperplane(p.coords) for p in ctx.subspace_points(ctx.dual(space)))
+
+
 def random_pencil_params(ctx, k, rng):
     hull = rng.choice(ctx.subspaces(k + 1))
     if k == 1:
@@ -347,6 +352,20 @@ def test_recognition_rejects_points_spanning_more_than_hull(pg33):
     assert _rejected_by_both(swapped)
 
 
+def test_recognition_spans_k_plus_2_points(pg33, monkeypatch):
+    # the hull is the span of k+2 independent points of the set, not of all
+    # t q^k of them (the one other span is the meet that gives the axis)
+    spans = []
+    span = pg33.span
+    monkeypatch.setattr(pg33, "span", lambda *parts: spans.append(len(parts)) or span(*parts))
+    for t in (2, 3):
+        params = canonical_pencil_partition(pg33, 1, t)
+        bset = pencil_partition(pg33, params)
+        spans.clear()
+        assert recognize_pencil_partition(bset) == params
+        assert max(spans) == 3
+
+
 def test_recognition_rejects_traces_without_common_axis():
     # PG(3,4), t = 2: the hyperplanes cut the hull in three lines through
     # no common point
@@ -358,7 +377,7 @@ def test_recognition_rejects_traces_without_common_axis():
     corner = ctx.meet(first, second)
     third = next(line for line in lines if not ctx.contains(line, corner))
     hyperplanes = [hp for line in (first, second, third)
-                   for hp in ctx.hyperplanes_through(line) if hp != params.hull]
+                   for hp in _hyperplanes_through(ctx, line) if hp != params.hull]
     bset = BlockingSet.from_elements(ctx, 1, points, hyperplanes)
     assert len(bset.points) == 8 and len(bset.hyperplanes) == 12
     assert _rejected_by_both(bset)
@@ -372,7 +391,7 @@ def test_recognition_rejects_split_count_other_than_t(pg33):
     points = [p for member in (members[0], members[3])
               for p in pg33.subspace_points(member) if p != axis_point]
     hyperplanes = [hp for member in members[:3]
-                   for hp in [h for h in pg33.hyperplanes_through(member)
+                   for hp in [h for h in _hyperplanes_through(pg33, member)
                               if h != params.hull][:2]]
     bset = BlockingSet.from_elements(pg33, 1, points, hyperplanes)
     assert len(bset.points) == 6 and len(bset.hyperplanes) == 6
@@ -513,3 +532,16 @@ def test_k0_pencil_partitions_on_the_line(q):
     # only the two pure Bose-Burton sets: all points, all hyperplanes
     assert sorted((len(b.points), len(b.hyperplanes)) for b in unrecognized) == \
         [(0, q + 1), (q + 1, 0)]
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (3, 1), (4, 1), (5, 1), (2, 3), (3, 3), (2, 5)])
+def test_canonical_members_are_the_pencil(q, n):
+    # the members written down over the standard basis are the ones `pencil`
+    # builds, in the same order: every split point t gives the same parts
+    ctx = GeometryContext(field_for_order(q), n)
+    k = (n - 1) // 2
+    for t in range(1, q + 1):
+        params = canonical_pencil_partition(ctx, k, t)
+        members = pencil(ctx, params.axis, params.hull)
+        assert params.point_spaces == frozenset(members[:t])
+        assert params.hyperplane_spaces == frozenset(members[t:])

@@ -10,7 +10,6 @@ from pgblock.counting import (OPEN, HypothesisViolated,
                               heger_nagy_upper_bound, metsch_dual_lower_bound,
                               metsch_lower_bound, minimum_size_bound, theta)
 from pgblock.gf import InputError
-from pgblock.pgkernel import EMPTY_SUBSPACE
 
 PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9]
 
@@ -98,7 +97,7 @@ def test_metsch_dual_is_dual_of_metsch():
 
 def test_metsch_dual_against_dualized_set(pg32):
     rng = random.Random(11)
-    hyps = pg32.hyperplanes_through(EMPTY_SUBSPACE)
+    hyps = [pg32.hyperplane(p.coords) for p in pg32.points()]
     for _ in range(20):
         size = rng.randrange(0, 4)
         chosen = rng.sample(range(len(hyps)), size)

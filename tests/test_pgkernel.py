@@ -199,17 +199,10 @@ def test_kspaces_per_point(request, fixture, k):
 
 
 def test_hyperplanes_ordered_by_dual_point(pg32):
-    hyps = pg32.hyperplanes_through(EMPTY_SUBSPACE)
+    hyps = [pg32.hyperplane(p.coords) for p in pg32.points()]
     assert len(hyps) == 15
     for i, hp in enumerate(hyps):
         assert pg32.hyperplane_dual_point(hp).index == i
-
-
-def test_hyperplanes_through(pg32):
-    line = pg32.subspaces(1)[0]
-    through = pg32.hyperplanes_through(line)
-    assert len(through) == 3
-    assert all(pg32.contains(hp, line) for hp in through)
 
 
 def test_enumeration_budget():

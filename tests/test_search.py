@@ -1,15 +1,206 @@
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
-from pgblock import constructions
-from pgblock.blocking import BlockingSet, incidence, is_blocking, is_minimal
-from pgblock.counting import OPEN, gaussian
+from pgblock import constructions, search
+from pgblock.blocking import BlockingSet, candidates, incidence, is_blocking, is_minimal, ordinals
+from pgblock.counting import OPEN, gaussian, minimum_size_bound, theta
 from pgblock.gf import Field, InputError
-from pgblock.pgkernel import GeometryContext, Subspace
+from pgblock.pgkernel import GeometryContext
 from pgblock.search import (TimeBudgetExceeded, classify_minimum,
                             min_blocking_search, refute_below)
+
+
+def _list_shard_search(inc, blocked, caps, cap, chosen0, unc0, covered0, forbidden0,
+                       deadline, first_only=False):
+    """The list-based shard kernel that the bitmask node replaced, kept as its
+    oracle: each node inherits its uncovered spaces as an ascending list and
+    scans it once for the most-constrained space, the greedy packing and the
+    union of the allowed candidates."""
+    covers = inc.covers
+    cand_masks = inc.candidate_masks
+    full = inc.full_mask
+    num_points = inc.ctx.num_points
+    point_mask = (1 << num_points) - 1
+    per_point, per_hyperplane = search._ceilings(inc.ctx, inc.s)
+    static_max = max(per_point, per_hyperplane)
+    max_pts, max_hyps = caps
+    composition = max_pts is not None or max_hyps is not None
+
+    best = cap
+    sets = []
+    nodes = 0
+    pruned = 0
+    check_every = 1024
+    if deadline is not None and search.time.monotonic() > deadline:
+        raise TimeBudgetExceeded("search budget exhausted", nodes, pruned)
+
+    def explore(chosen, unc, covered, forbidden, pts_used, hyps_used):
+        nonlocal best, sets, nodes, pruned
+        nodes += 1
+        if deadline is not None and nodes % check_every == 0 \
+                and search.time.monotonic() > deadline:
+            raise TimeBudgetExceeded("search budget exhausted", nodes, pruned)
+        if not unc:
+            size = len(chosen)
+            if size < best:
+                best = size
+                sets = [tuple(chosen)]
+            elif size == best:
+                sets.append(tuple(chosen))
+            return
+        if first_only and sets:
+            return
+        need = best - len(chosen)
+        if need <= 0:
+            pruned += 1
+            return
+        ucnt = len(unc)
+        room = need
+        if composition:
+            pts_room = need if max_pts is None else min(need, max_pts - pts_used)
+            hyps_room = need if max_hyps is None else min(need, max_hyps - hyps_used)
+            room = min(need, pts_room + hyps_room)
+            if pts_room * per_point + hyps_room * per_hyperplane < ucnt:
+                pruned += 1
+                return
+        elif ucnt > need * static_max:
+            pruned += 1
+            return
+        allowed = ~forbidden
+        branch = 0
+        best_cnt = len(covers) + 1
+        packing = 0
+        taken = 0
+        union = 0
+        for j in unc:
+            cm = cand_masks[j] & allowed
+            cnt = cm.bit_count()
+            if cnt < best_cnt:
+                best_cnt = cnt
+                branch = cm
+                if cnt <= 1:
+                    break
+            union |= cm
+            if not cm & taken:
+                packing += 1
+                if packing > room:
+                    pruned += 1
+                    return
+                taken |= cm
+        if best_cnt == 0:
+            pruned += 1
+            return
+        if best_cnt > 1:
+            uncovered = full & ~covered
+            threshold = -(-ucnt // room)
+            m = union
+            while m:
+                low = m & -m
+                m ^= low
+                if (covers[low.bit_length() - 1] & uncovered).bit_count() >= threshold:
+                    break
+            else:
+                pruned += 1
+                return
+        if max_pts is not None and pts_used >= max_pts:
+            branch &= ~point_mask
+        if max_hyps is not None and hyps_used >= max_hyps:
+            branch &= point_mask
+        tried = 0
+        while branch:
+            bit = branch & -branch
+            branch ^= bit
+            e = bit.bit_length() - 1
+            is_point = e < num_points
+            chosen.append(e)
+            blocked_e = blocked[e]
+            explore(chosen, [j for j in unc if j not in blocked_e], covered | covers[e],
+                    forbidden | tried, pts_used + is_point, hyps_used + (not is_point))
+            chosen.pop()
+            if first_only and sets:
+                return
+            tried |= bit
+    pts0 = sum(1 for e in chosen0 if e < num_points)
+    explore(list(chosen0), unc0, covered0, forbidden0, pts0, len(chosen0) - pts0)
+    return best, sets, nodes, pruned
+
+
+def _list_shards(inc, caps, cap, first_only=False, deadline=None):
+    """Per-shard results of the oracle kernel, with the root branches built
+    as the list-based search built them."""
+    root = inc.candidate_masks[0]
+    point_mask = (1 << inc.ctx.num_points) - 1
+    if caps[0] == 0:
+        root &= ~point_mask
+    if caps[1] == 0:
+        root &= point_mask
+    blocked = tuple(frozenset(ordinals(c)) for c in inc.covers)
+    unc = ordinals(inc.full_mask)
+    results = []
+    tried = 0
+    for e in ordinals(root):
+        results.append(_list_shard_search(
+            inc, blocked, caps, cap, (e,), [j for j in unc if j not in blocked[e]],
+            inc.covers[e], tried, deadline, first_only))
+        tried |= 1 << e
+    return results
+
+
+def _bitmask_shards(inc, caps, cap, first_only=False, deadline=None):
+    conflicts = search._conflicts(inc)
+    return [search._shard_search(inc, conflicts, caps, cap, *task, deadline, first_only)
+            for task in search._root_tasks(inc, caps)]
+
+
+def _classify_cap(ctx, k):
+    expected = minimum_size_bound(ctx.n, k, ctx.q)
+    return expected if isinstance(expected, int) else \
+        min(theta(k + 1, ctx.q), theta(ctx.n - k, ctx.q))
+
+
+@pytest.mark.parametrize("q,n,k", [
+    *[(q, 2, k) for q in (2, 3, 4, 5) for k in (0, 1)],
+    (2, 3, 0), (2, 3, 1), (2, 4, 1), (2, 4, 2),
+])
+def test_bitmask_node_matches_list_oracle(q, n, k):
+    # the same tree: equal (best, sets, nodes, pruned) in every root shard
+    ctx = GeometryContext(Field(2, 2) if q == 4 else Field(q), n)
+    inc = incidence(ctx, k)
+    caps = (None, None)
+    cap = _classify_cap(ctx, k)
+    oracle = _list_shards(inc, caps, cap)
+    assert len(oracle) > 1
+    assert _bitmask_shards(inc, caps, cap) == oracle
+
+
+def test_bitmask_node_matches_list_oracle_per_composition(pg32):
+    inc = incidence(pg32, 1)
+    searched = 0
+    for total in range(6):
+        for points in range(total + 1):
+            caps = (points, total - points)
+            oracle = _list_shards(inc, caps, total, first_only=True)
+            assert _bitmask_shards(inc, caps, total, first_only=True) == oracle, caps
+            searched += bool(oracle)
+    assert searched == 20  # every composition but (0, 0), which has no root branch
+
+
+def test_budget_expires_mid_shard(pg33, monkeypatch):
+    # the clock passes the deadline after the shard starts: each kernel
+    # raises at its first check, 1024 nodes in, with the same counters
+    raised = []
+    for shards in (_bitmask_shards, _list_shards):
+        ticks = iter([0.0])
+        monkeypatch.setattr(search, "time", SimpleNamespace(
+            monotonic=lambda: next(ticks, 10.0)))
+        with pytest.raises(TimeBudgetExceeded) as info:
+            shards(incidence(pg33, 1), (None, None), 12, deadline=1.0)
+        raised.append((info.value.nodes_expanded, info.value.pruned))
+    assert raised[0] == raised[1]
+    assert raised[0][0] == 1024 and 0 < raised[0][1] < 1024
 
 
 def test_pg22_minima_are_the_lines(pg22):
@@ -41,9 +232,8 @@ def test_pg23_k0_minima_are_pencils(pg23):
     num_points = pg23.num_points
     expected = set()
     for pt in pg23.points():
-        through = pg23.hyperplanes_through(Subspace(0, (pt.coords,)))
         expected.add(tuple(sorted(
-            num_points + pg23.hyperplane_dual_point(hp).index for hp in through)))
+            u for u in candidates(pg23, pg23.span(pt)) if u >= num_points)))
     assert set(report.minimum_sets) == expected
     assert len(report.minimum_sets) == 13
 
