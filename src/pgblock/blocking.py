@@ -12,6 +12,13 @@ the theorem family share; its Point and hyperplane Subspace objects are
 views built on first use, through `element`.  Verification ORs bitsets
 over canonical k-space ordinals, precomputed once per (context, k) and
 shared with the search module.
+
+The incidence and the equality-case diagnostics are mask operations on
+the point-hyperplane table of `GeometryContext.hyperplane_table`: the
+hyperplanes through a space are the AND of its basis rows' entries, its
+points the AND of those hyperplanes' entries.  `candidates` answers the
+same question for one space by subspace arithmetic, at any scale, for
+the constructions.
 """
 
 from __future__ import annotations
@@ -19,7 +26,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_
 
 from .counting import theta
 from .gf import (Field, InputError, field_for_order, json_list, json_object,
@@ -64,26 +72,31 @@ def ordinals(mask: int) -> tuple[int, ...]:
 
 
 def incidence(ctx: GeometryContext, s: int) -> IncidenceSystem:
+    """The incidence system of the s-spaces, built once per context: each
+    space's candidate mask is its point mask with the mask of the
+    hyperplanes through it above, both read off `ctx.hyperplane_table`,
+    and `covers` is the transpose of those masks."""
     cached = ctx.incidence_systems.get(s)
     if cached is not None:
         return cached
-    spaces = ctx.subspaces(s)
-    covers = [0] * (2 * ctx.num_points)
+    half = ctx.num_points
+    covers = [0] * (2 * half)
     cand_masks = []
-    for j, space in enumerate(spaces):
-        bit = 1 << j
-        mask = 0
-        for u in candidates(ctx, space):
-            covers[u] |= bit
-            mask |= 1 << u
+    for j, (_, points, hyperplanes) in enumerate(ctx.iter_subspace_masks(s)):
+        mask = points | hyperplanes << half
         cand_masks.append(mask)
+        bit = 1 << j
+        while mask:
+            low = mask & -mask
+            covers[low.bit_length() - 1] |= bit
+            mask ^= low
     system = IncidenceSystem(
         ctx=ctx,
         s=s,
-        spaces=spaces,
+        spaces=ctx.subspaces(s),
         covers=tuple(covers),
         candidate_masks=tuple(cand_masks),
-        full_mask=(1 << len(spaces)) - 1,
+        full_mask=(1 << len(cand_masks)) - 1,
     )
     ctx.incidence_systems[s] = system
     return system
@@ -262,39 +275,43 @@ def tangent_closure(ctx: GeometryContext, point_set) -> TangentClosureReport:
     pts = {ctx.point(p) for p in point_set}
     if not pts:
         raise InputError("tangent closure needs a nonempty point set")
-    idx = {p.index for p in pts}
-    num_points = ctx.num_points
-    on_tangent = [False] * num_points
-    on_secant = [False] * num_points
-    for line in ctx.subspaces(1):
-        line_pts = ctx.subspace_points(line)
-        hits = sum(1 for p in line_pts if p.index in idx)
-        if hits == 0:
-            continue
-        flags = on_tangent if hits == 1 else on_secant
-        for p in line_pts:
-            if p.index not in idx:
-                flags[p.index] = True
-    violator = None
-    for u in range(num_points):
-        if u not in idx and on_tangent[u] and on_secant[u]:
-            violator = ctx.point(u)
-            break
-    closure = set(pts)
-    for u in range(num_points):
-        if u not in idx and not on_tangent[u]:
-            closure.add(ctx.point(u))
+    inside = sum(1 << p.index for p in pts)
+    on_tangent = on_secant = 0
+    for _, line, _ in ctx.iter_subspace_masks(1):
+        hits = (line & inside).bit_count()
+        if hits == 1:
+            on_tangent |= line
+        elif hits:
+            on_secant |= line
+    on_tangent &= ~inside
+    both = on_tangent & on_secant
+    violator = ctx.point((both & -both).bit_length() - 1) if both else None
+    closure_mask = ((1 << ctx.num_points) - 1) & ~on_tangent
+    closure = frozenset(map(ctx.point, ordinals(closure_mask)))
     size = len(pts)
     expected_dim = 0
     while theta(expected_dim, ctx.q) < size:
         expected_dim += 1
     if violator is not None:
-        return TangentClosureReport(frozenset(closure), False, violator,
+        return TangentClosureReport(closure, False, violator,
                                     None, None, expected_dim)
     hull = ctx.span(*closure)
-    is_subspace = len(ctx.subspace_points(hull)) == len(closure)
-    return TangentClosureReport(frozenset(closure), True, None,
+    is_subspace = ctx.subspace_masks(hull)[0] == closure_mask
+    return TangentClosureReport(closure, True, None,
                                 is_subspace, hull.dim, expected_dim)
+
+
+def _element_masks(bset: BlockingSet) -> tuple[int, int]:
+    """The set's points and hyperplanes as bitmasks of point ordinals and
+    of dual ordinals, the two halves of its universe ordinals."""
+    half = bset.ctx.num_points
+    points = hyperplanes = 0
+    for u in bset.ids:
+        if u < half:
+            points |= 1 << u
+        else:
+            hyperplanes |= 1 << (u - half)
+    return points, hyperplanes
 
 
 @dataclass(frozen=True)
@@ -315,19 +332,24 @@ def skew_space_profile(bset: BlockingSet, flat: Subspace) -> SkewSpaceProfile:
         raise InputError(f"need n = 2k + 1, got n={ctx.n}, k={k}")
     if flat.dim != k - 1:
         raise InputError(f"flat must have dimension k-1 = {k - 1}")
-    point_idx = {p.index for p in bset.points}
-    if any(p.index in point_idx for p in ctx.subspace_points(flat)):
+    flat_points, flat_hyperplanes = ctx.subspace_masks(flat)
+    points, hyperplanes = _element_masks(bset)
+    if flat_points & points:
         raise InputError("the flat meets the point part")
-    count = sum(1 for hp in bset.hyperplanes if ctx.contains(hp, flat))
+    count = (flat_hyperplanes & hyperplanes).bit_count()
+    num_points = points.bit_count()
     qk = ctx.q ** k
-    bound = Fraction(ctx.q + 1) - Fraction(len(point_idx), qk)
-    equality = Fraction(count) == bound
+    scaled_bound = (ctx.q + 1) * qk - num_points  # q^k times the bound
+    bound = Fraction(scaled_bound, qk)
+    equality = count * qk == scaled_bound
     single = multiple = None
     if equality:
         # the k-spaces through the flat that meet the points are its spans
-        # with them, one per point exactly when no two points share one
-        single = len({ctx.span(flat, p) for p in bset.points}) == len(point_idx)
-        multiple = len(point_idx) % qk == 0
+        # with them, each known by the hyperplanes through it: one per point
+        # exactly when no two points give the same hyperplanes
+        table = ctx.hyperplane_table()
+        single = len({flat_hyperplanes & table[p] for p in ordinals(points)}) == num_points
+        multiple = num_points % qk == 0
     return SkewSpaceProfile(count, bound, equality, single, multiple)
 
 
@@ -364,26 +386,31 @@ def _pinned_hyperplanes(bset: BlockingSet, hull: Subspace, pin: Point) -> Pinned
         raise InputError(f"need n = 2k + 1, got n={ctx.n}, k={k}")
     if hull.dim != k + 1:
         raise InputError(f"hull must have dimension k+1 = {k + 1}")
-    hull_idx = {p.index for p in ctx.subspace_points(hull)}
-    point_idx = {p.index for p in bset.points}
-    if not point_idx <= hull_idx:
+    hull_points, hull_hyperplanes = ctx.subspace_masks(hull)
+    points, hyperplanes = _element_masks(bset)
+    if points & ~hull_points:
         raise InputError("the point part is not contained in the hull")
-    if pin.index not in hull_idx:
+    pin_point, pin_hyperplanes = ctx.subspace_masks(pin)
+    if not pin_point & hull_points:
         raise InputError(f"{pin!r} is not on the hull")
-    if pin.index in point_idx:
+    if pin_point & points:
         raise InputError(f"{pin!r} belongs to the point part")
-    members = frozenset(hp for hp in bset.hyperplanes
-                        if ctx.contains(hp, pin) and not ctx.contains(hp, hull))
+    member_mask = hyperplanes & pin_hyperplanes & ~hull_hyperplanes
+    members = frozenset(element(ctx, ctx.num_points + d) for d in ordinals(member_mask))
     q = ctx.q
     # Case 1: a k-space of the hull through the pin whose full hyperplane
     # fibre {H : H meet hull = that k-space} sits inside the collection.  A
     # fibre has q^k hyperplanes, so it is full iff q^k members cut the hull
-    # in it; the witness is the first such trace in canonical order.
-    traces = Counter(ctx.meet(hp, hull) for hp in members)
+    # in it; the witness is the first such trace in canonical order, found
+    # as the one k-space through all of its points.
+    table = ctx.hyperplane_table()
+    traces = Counter(hull_points & table[d] for d in ordinals(member_mask))
     full = [trace for trace, count in traces.items() if count == q ** k]
     if full:
-        witness = min(full, key=incidence(ctx, k).spaces.index)
-        return PinnedHyperplanesReport(members, FULL_TRACE, witness,
+        inc = incidence(ctx, k)
+        lowest = min(reduce(and_, map(inc.covers.__getitem__, ordinals(trace)))
+                     for trace in full)
+        return PinnedHyperplanesReport(members, FULL_TRACE, inc.spaces[lowest.bit_length() - 1],
                                        q ** k, len(members) >= q ** k)
     bound = q ** (k - 1) * (q + 1)
     return PinnedHyperplanesReport(members, COUNT_BOUND, None,
@@ -401,7 +428,7 @@ def lemma_checks(bset: BlockingSet) -> dict:
     blocking_ok = is_blocking(bset)[0]
     size_bound = q ** k * (q + 1)
     at_equality = blocking_ok and bset.size == size_bound
-    point_idx = {p.index for p in bset.points}
+    points, hyperplanes = _element_masks(bset)
 
     checks["size_bound"] = {
         "applicable": blocking_ok and ctx.n == 2 * k + 1,
@@ -413,8 +440,8 @@ def lemma_checks(bset: BlockingSet) -> dict:
     if ctx.n == 2 * k + 1 and k >= 1:
         failures = []
         count = 0
-        for flat in ctx.subspaces(k - 1):
-            if any(p.index in point_idx for p in ctx.subspace_points(flat)):
+        for flat, flat_points, _ in ctx.iter_subspace_masks(k - 1):
+            if flat_points & points:
                 continue
             count += 1
             profile = skew_space_profile(bset, flat)
@@ -430,22 +457,23 @@ def lemma_checks(bset: BlockingSet) -> dict:
             "flats_checked": count,
             "counterexamples": failures[:3],
         }
-    incident = sorted(((p, ctx.hyperplane_dual_point(hp))
-                       for p in bset.points for hp in bset.hyperplanes
-                       if ctx.contains(hp, p)),
-                      key=lambda pair: (pair[0].index, pair[1].index))
+    table = ctx.hyperplane_table()
+    incident = sorted((p, d) for d in ordinals(hyperplanes)
+                      for p in ordinals(table[d] & points))
     checks["no_incident_pair"] = {
         "applicable": at_equality,
         "pass": (not at_equality) or not incident,
-        "counterexamples": [{"point": list(p.coords), "hyperplane": list(d.coords)}
+        "counterexamples": [{"point": list(ctx.point(p).coords),
+                             "hyperplane": list(ctx.point(d).coords)}
                             for p, d in incident[:3]],
     }
+    num_points = points.bit_count()
     checks["point_part_multiple"] = {
         "applicable": at_equality,
-        "pass": (not at_equality) or len(bset.points) % q ** k == 0,
-        "points": len(bset.points),
+        "pass": (not at_equality) or num_points % q ** k == 0,
+        "points": num_points,
     }
-    if bset.points:
+    if points:
         closure = tangent_closure(ctx, bset.points)
         separation_ok = closure.hypothesis_ok or not at_equality
         checks["tangent_secant_separation"] = {
@@ -465,18 +493,13 @@ def lemma_checks(bset: BlockingSet) -> dict:
             hull = ctx.span(*bset.points)
             while hull.dim < k + 1:
                 hull = next(ctx.extensions(hull, ctx.whole_space()))
-            failures = []
-            pins = 0
-            for pt in ctx.subspace_points(hull):
-                if pt.index in point_idx:
-                    continue
-                pins += 1
-                if not _pinned_hyperplanes(bset, hull, pt).bound_ok:
-                    failures.append(list(pt.coords))
+            pins = [ctx.point(u) for u in ordinals(ctx.subspace_masks(hull)[0] & ~points)]
+            failures = [list(pt.coords) for pt in pins
+                        if not _pinned_hyperplanes(bset, hull, pt).bound_ok]
             checks["pinned_hyperplane_dichotomy"] = {
                 "applicable": True,
                 "pass": not failures,
-                "pins_checked": pins,
+                "pins_checked": len(pins),
                 "counterexamples": failures[:3],
             }
     return checks

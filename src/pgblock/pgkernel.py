@@ -6,7 +6,10 @@ tuple comparisons.  Points carry a canonical ordinal compatible with the
 lexicographic order of their normalized coordinates, and hyperplanes are
 ordinal-indexed by the point ordinal of their dual coordinate vector.
 All incidence machinery downstream runs on those ordinals as bitset
-positions.
+positions, starting from one table per context: for each ordinal x, the
+bitmask of the points orthogonal to x (`hyperplane_table`), from which
+`subspace_masks` reads the points of a subspace and the hyperplanes
+through it.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .counting import gaussian, theta
 from .gf import Field, InputError, plain_int
 
 ENUMERATION_BUDGET = 10 ** 8
+TABLE_BUDGET_BITS = 8 * 10 ** 8  # 100 MB of point-hyperplane table
 
 
 class BudgetExceeded(RuntimeError):
@@ -108,7 +112,9 @@ class GeometryContext:
     values determined by (field, n), so contexts are safe to share between
     worker processes and threads.  The public one, `incidence_systems`,
     holds the s-space incidence systems that `blocking.incidence` builds,
-    keyed by s; the private ones are never mutated from outside.
+    keyed by s; the private ones (enumerated subspaces, their points, the
+    dual memo, the point-hyperplane table of `hyperplane_table` and the
+    masks read off it per subspace) are never mutated from outside.
     """
 
     def __init__(self, field: Field, n: int):
@@ -117,9 +123,17 @@ class GeometryContext:
         self.field = field
         self.n = n
         self.num_points = theta(n, field.q)
+        # the points with their leading 1 at coordinate i start at ordinal
+        # theta_{n-i-1}, after the points with more leading zeros
+        self._lead_offsets = [theta(n - i - 1, field.q) for i in range(n + 1)]
         self._subspaces: dict[int, tuple[Subspace, ...]] = {}
         self._subspace_points: dict[Subspace, tuple[Point, ...]] = {}
         self._duals: dict[Subspace, Subspace] = {}
+        self._table: tuple[int, ...] | None = None
+        # theta_{n-1-d} hyperplanes pass through a d-space of theta_d points
+        self._span_sizes = {theta(n - 1 - d, field.q): theta(d, field.q)
+                            for d in range(-1, n + 1)}
+        self._space_masks: dict[Subspace, tuple[int, int]] = {}
         self.incidence_systems: dict[int, object] = {}
 
     # -- identity ---------------------------------------------------------
@@ -157,16 +171,22 @@ class GeometryContext:
 
     def point_index(self, coords) -> int:
         """Ordinal of normalized coords under lexicographic tuple order."""
-        lead = next(i for i, c in enumerate(coords) if c)
+        for lead, c in enumerate(coords):
+            if c:
+                break
+        else:
+            raise InputError("the zero vector is not a projective point")
+        q = self.field.q
         offset = 0
         for c in coords[lead + 1:]:
-            offset = offset * self.q + c
-        return theta(self.n - lead - 1, self.q) + offset
+            offset = offset * q + c
+        return self._lead_offsets[lead] + offset
 
     def point(self, arg) -> Point:
-        """Point from an ordinal or from (possibly unnormalized) coordinates."""
+        """Point from an ordinal, from (possibly unnormalized) coordinates,
+        or from a Point, whose coordinates must belong to this geometry."""
         if isinstance(arg, Point):
-            return arg
+            arg = arg.coords
         if isinstance(arg, int):
             # invert point_index: one point has n leading zeros, q points
             # have n-1, q^2 have n-2, and so on
@@ -345,3 +365,109 @@ class GeometryContext:
             raise InputError(f"dim {space.dim} is not a hyperplane in {self!r}")
         dual = self.dual(space)
         return self.point(dual.basis[0])
+
+    # -- the point-hyperplane table --------------------------------------------
+
+    def hyperplane_table(self) -> tuple[int, ...]:
+        """Entry x is the bitmask of the point ordinals y with x . y = 0.
+
+        Read with x as the dual point of a hyperplane, the entry is the
+        hyperplane's points; read with x as a point, it is the dual ordinals
+        of the hyperplanes through x.  Built on first use, after a check of
+        its theta_n^2 bits against TABLE_BUDGET_BITS; callers that enumerate
+        subspaces as well enumerate them first, so that their budget is the
+        one that answers.
+        """
+        if self._table is None:
+            self._table = self._build_table()
+        return self._table
+
+    def _build_table(self) -> tuple[int, ...]:
+        if self.num_points ** 2 > TABLE_BUDGET_BITS:
+            raise BudgetExceeded(
+                f"the {self.num_points}^2-bit point-hyperplane table exceeds the "
+                f"budget of {TABLE_BUDGET_BITS} bits")
+        q, n, fld = self.q, self.n, self.field
+        codes = range(q)
+        times = [[fld.mul(a, v) for v in codes] for a in codes]
+        minus = [[fld.sub(c, w) for w in codes] for c in codes]
+        negate = minus[0]
+
+        def solutions(lower, a1, c, step):
+            # the tails (v, t') with a1 v + a'.t' = c, where lower[c'] holds
+            # the tails t' with a'.t' = c'; v is the leading base-q digit
+            mask = 0
+            for v in codes:
+                mask |= lower[minus[c][times[a1][v]]] << (v * step)
+            return mask
+
+        # tails[m][a][c]: the tails t in GF(q)^m with a . t = c, as a bitmask
+        # in base-q order (t_1 most significant), a read as a base-q code.
+        # The points with their leading 1 at coordinate n - m are exactly
+        # e_{n-m} + t, at ordinals theta_{m-1} + code(t), so each block of a
+        # table entry is one tails mask.  Level n is needed for one c per
+        # entry only, so it is not tabulated.
+        tails = [[[int(c == 0) for c in codes]]]
+        for m in range(1, n):
+            lower, step = tails[-1], q ** (m - 1)
+            tails.append([[solutions(rest, a1, c, step) for c in codes]
+                          for a1 in codes for rest in lower])
+        offsets = self._lead_offsets[::-1]  # offsets[m] = theta_{m-1}
+        top, top_step = tails[n - 1], q ** (n - 1)
+        table = []
+        for lead in range(n, -1, -1):
+            for tail in product(codes, repeat=n - lead):
+                coords = (0,) * lead + (1,) + tail
+                # block m of the entry: the points e_{n-m} + t with
+                # x_{n-m} + (x_{n-m+1}, ..., x_n) . t = 0, where code is the
+                # base-q code of that coefficient tail
+                mask = code = 0
+                weight = 1
+                for m in range(n):
+                    c = coords[n - m]
+                    mask |= tails[m][code][negate[c]] << offsets[m]
+                    code += c * weight
+                    weight *= q
+                a1 = coords[1]
+                mask |= solutions(top[code - a1 * top_step], a1,
+                                  negate[coords[0]], top_step) << offsets[n]
+                table.append(mask)
+        return tuple(table)
+
+    def subspace_masks(self, part) -> tuple[int, int]:
+        """(its points, the hyperplanes through it) of a Point or Subspace,
+        as bitmasks of point ordinals and of dual ordinals.  Every basis row
+        must be a point of this geometry; a subspace's masks are memoized."""
+        masks = self._space_masks.get(part) if isinstance(part, Subspace) else None
+        if masks is None:
+            masks = self._masks([self.point(row).index for row in self._rows_of(part)])
+            if isinstance(part, Subspace):
+                self._space_masks[part] = masks
+        return masks
+
+    def iter_subspace_masks(self, m: int):
+        """(space, points, hyperplanes) of each m-space in canonical order,
+        the masks as in `subspace_masks`; the enumeration budget is checked
+        before the table is built."""
+        memo, index = self._space_masks, self.point_index
+        for space in self.subspaces(m):
+            masks = memo.get(space)
+            if masks is None:
+                masks = memo[space] = self._masks([index(row) for row in space.basis])
+            yield space, *masks
+
+    def _masks(self, rows) -> tuple[int, int]:
+        # the hyperplanes through the span of the rows are those through
+        # every row; its points lie on all of them, and once the AND has as
+        # many points as the span it is the span
+        table = self.hyperplane_table()
+        hyps = full = (1 << self.num_points) - 1
+        for u in rows:
+            hyps &= table[u]
+        size = self._span_sizes[hyps.bit_count()]
+        points, left = full, hyps
+        while points.bit_count() != size:
+            low = left & -left
+            points &= table[low.bit_length() - 1]
+            left ^= low
+        return points, hyps

@@ -1,4 +1,6 @@
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -526,3 +528,276 @@ def test_incidence_counts_are_uniform(q, n, ks):
         assert {c.bit_count() for c in inc.covers[:ctx.num_points]} == {gaussian(n, k, q)}
         assert {c.bit_count() for c in inc.covers[ctx.num_points:]} == \
             {gaussian(n, k + 1, q)}
+
+
+# -- the Subspace-based builders the bitmask ones replaced, kept as oracles ----
+
+
+def oracle_incidence(ctx, s):
+    """(spaces, covers, candidate_masks) from `candidates`, one space at a
+    time: each space's points and the points of its dual."""
+    spaces = ctx.subspaces(s)
+    covers = [0] * (2 * ctx.num_points)
+    cand_masks = []
+    for j, space in enumerate(spaces):
+        mask = 0
+        for u in blocking.candidates(ctx, space):
+            covers[u] |= 1 << j
+            mask |= 1 << u
+        cand_masks.append(mask)
+    return spaces, tuple(covers), tuple(cand_masks)
+
+
+INCIDENCE_ORACLE_CASES = (
+    [(q, 1, k) for q in (2, 3, 4, 5) for k in (0,)]
+    + [(q, 2, k) for q in (2, 3, 4, 5) for k in (0, 1)]
+    + [(q, 3, k) for q in (2, 3, 4) for k in (0, 1, 2)]
+    + [(2, 4, k) for k in range(4)] + [(2, 5, k) for k in range(5)])
+
+
+def test_incidence_matches_candidates_oracle():
+    for q, n, k in INCIDENCE_ORACLE_CASES:
+        inc = incidence(GeometryContext(field_for_order(q), n), k)
+        expected = oracle_incidence(GeometryContext(field_for_order(q), n), k)
+        assert (inc.spaces, inc.covers, inc.candidate_masks) == expected, (q, n, k)
+
+
+def oracle_tangent_closure(ctx, point_set):
+    pts = {ctx.point(p) for p in point_set}
+    idx = {p.index for p in pts}
+    on_tangent = [False] * ctx.num_points
+    on_secant = [False] * ctx.num_points
+    for line in ctx.subspaces(1):
+        line_pts = ctx.subspace_points(line)
+        hits = sum(1 for p in line_pts if p.index in idx)
+        if hits == 0:
+            continue
+        flags = on_tangent if hits == 1 else on_secant
+        for p in line_pts:
+            if p.index not in idx:
+                flags[p.index] = True
+    violator = next((ctx.point(u) for u in range(ctx.num_points)
+                     if u not in idx and on_tangent[u] and on_secant[u]), None)
+    closure = frozenset(pts | {ctx.point(u) for u in range(ctx.num_points)
+                               if u not in idx and not on_tangent[u]})
+    expected_dim = 0
+    while theta(expected_dim, ctx.q) < len(pts):
+        expected_dim += 1
+    if violator is not None:
+        return blocking.TangentClosureReport(closure, False, violator, None, None, expected_dim)
+    hull = ctx.span(*closure)
+    return blocking.TangentClosureReport(
+        closure, True, None, len(ctx.subspace_points(hull)) == len(closure), hull.dim,
+        expected_dim)
+
+
+def oracle_skew_space_profile(bset, flat):
+    ctx, k = bset.ctx, bset.k
+    point_idx = {p.index for p in bset.points}
+    count = sum(1 for hp in bset.hyperplanes if ctx.contains(hp, flat))
+    qk = ctx.q ** k
+    bound = Fraction(ctx.q + 1) - Fraction(len(point_idx), qk)
+    equality = Fraction(count) == bound
+    single = multiple = None
+    if equality:
+        single = len({ctx.span(flat, p) for p in bset.points}) == len(point_idx)
+        multiple = len(point_idx) % qk == 0
+    return SkewSpaceProfile(count, bound, equality, single, multiple)
+
+
+def oracle_pinned_hyperplanes(bset, hull, pin):
+    """The dichotomy for a blocking set, by contains and meet."""
+    ctx, k, q = bset.ctx, bset.k, bset.ctx.q
+    members = frozenset(hp for hp in bset.hyperplanes
+                        if ctx.contains(hp, pin) and not ctx.contains(hp, hull))
+    traces = Counter(ctx.meet(hp, hull) for hp in members)
+    full = [trace for trace, count in traces.items() if count == q ** k]
+    if full:
+        witness = min(full, key=ctx.subspaces(k).index)
+        return PinnedHyperplanesReport(members, FULL_TRACE, witness, q ** k,
+                                       len(members) >= q ** k)
+    bound = q ** (k - 1) * (q + 1)
+    return PinnedHyperplanesReport(members, COUNT_BOUND, None, bound, len(members) >= bound)
+
+
+def oracle_lemma_checks(bset):
+    """lemma_checks by subspace arithmetic: contains, span, meet and
+    subspace_points, with the oracles above."""
+    ctx, k = bset.ctx, bset.k
+    q = ctx.q
+    checks = {}
+    blocking_ok = is_blocking(bset)[0]
+    size_bound = q ** k * (q + 1)
+    at_equality = blocking_ok and bset.size == size_bound
+    point_idx = {p.index for p in bset.points}
+    checks["size_bound"] = {
+        "applicable": blocking_ok and ctx.n == 2 * k + 1,
+        "pass": (not blocking_ok) or ctx.n != 2 * k + 1 or bset.size >= size_bound,
+        "bound": size_bound,
+        "size": bset.size,
+    }
+    if ctx.n == 2 * k + 1 and k >= 1:
+        failures = []
+        count = 0
+        for flat in ctx.subspaces(k - 1):
+            if any(p.index in point_idx for p in ctx.subspace_points(flat)):
+                continue
+            count += 1
+            profile = oracle_skew_space_profile(bset, flat)
+            bound_ok = (not blocking_ok) or profile.count >= profile.bound
+            conclusions_ok = ((not blocking_ok) or (not profile.equality)
+                              or (profile.single_point_per_kspace
+                                  and profile.point_count_multiple))
+            if not (bound_ok and conclusions_ok):
+                failures.append(flat.to_dict())
+        checks["skew_cospace_bound"] = {
+            "applicable": blocking_ok,
+            "pass": not failures,
+            "flats_checked": count,
+            "counterexamples": failures[:3],
+        }
+    incident = sorted(((p, ctx.hyperplane_dual_point(hp))
+                       for p in bset.points for hp in bset.hyperplanes
+                       if ctx.contains(hp, p)),
+                      key=lambda pair: (pair[0].index, pair[1].index))
+    checks["no_incident_pair"] = {
+        "applicable": at_equality,
+        "pass": (not at_equality) or not incident,
+        "counterexamples": [{"point": list(p.coords), "hyperplane": list(d.coords)}
+                            for p, d in incident[:3]],
+    }
+    checks["point_part_multiple"] = {
+        "applicable": at_equality,
+        "pass": (not at_equality) or len(bset.points) % q ** k == 0,
+        "points": len(bset.points),
+    }
+    if bset.points:
+        closure = oracle_tangent_closure(ctx, bset.points)
+        checks["tangent_secant_separation"] = {
+            "applicable": at_equality,
+            "pass": closure.hypothesis_ok or not at_equality,
+            "violator": list(closure.violator.coords) if closure.violator else None,
+        }
+        checks["tangent_closure_dimension"] = {
+            "applicable": closure.hypothesis_ok,
+            "pass": (not closure.hypothesis_ok)
+                    or (closure.is_subspace and closure.dim == closure.expected_dim),
+            "dim": closure.dim,
+            "expected_dim": closure.expected_dim,
+        }
+        if at_equality and closure.hypothesis_ok and closure.is_subspace \
+                and closure.dim <= k + 1 and ctx.n == 2 * k + 1:
+            hull = ctx.span(*bset.points)
+            while hull.dim < k + 1:
+                hull = next(ctx.extensions(hull, ctx.whole_space()))
+            failures = []
+            pins = 0
+            for pt in ctx.subspace_points(hull):
+                if pt.index in point_idx:
+                    continue
+                pins += 1
+                if not oracle_pinned_hyperplanes(bset, hull, pt).bound_ok:
+                    failures.append(list(pt.coords))
+            checks["pinned_hyperplane_dichotomy"] = {
+                "applicable": True,
+                "pass": not failures,
+                "pins_checked": pins,
+                "counterexamples": failures[:3],
+            }
+    return checks
+
+
+def _non_equality_sets(ctx, k, rng, count):
+    """Sets off the equality case: a family member with an extra element or
+    with one removed, the Bose-Burton sets, and random subsets."""
+    family = theorem_family(ctx, k)[0]
+    half = ctx.num_points
+    sets = []
+    for _ in range(count):
+        ids = list(rng.choice(family))
+        sets.append(ids + [rng.choice([u for u in range(2 * half) if u not in ids])])
+        sets.append(ids[:rng.randrange(len(ids))] + ids[rng.randrange(len(ids)) + 1:])
+        sets.append(rng.sample(range(2 * half), rng.randrange(1, len(ids) + 3)))
+    for kind, dim in (("points", ctx.n - k), ("hyperplanes", ctx.n - k - 2)):
+        sets.append(bose_burton(ctx, k, kind, rng.choice(ctx.subspaces(dim))).ids)
+    return [BlockingSet(ctx, k, ids) for ids in sets]
+
+
+def test_lemma_checks_payloads_match_subspace_oracle():
+    """Byte-identical payloads on every family member of PG(3,2) k=1 and
+    its dual, a seeded 300 of PG(3,3) k=1, the PG(5,2) k=2 benchmark-style
+    set, and sets off the equality case on all three."""
+    import json
+
+    rng = random.Random(16)
+    sets = []
+    for q, n, k, sample in ((2, 3, 1, None), (3, 3, 1, 300), (2, 5, 2, 1)):
+        ctx = GeometryContext(field_for_order(q), n)
+        family = theorem_family(ctx, k)[0]
+        chosen = family if sample is None else rng.sample(family, sample)
+        for ids in chosen:
+            sets.append(BlockingSet(ctx, k, ids))
+            if sample is None:
+                sets.append(dual_set(sets[-1]))
+        sets.extend(_non_equality_sets(ctx, k, rng, 12 if n == 3 else 2))
+    for bset in sets:
+        assert json.dumps(lemma_checks(bset)) == json.dumps(oracle_lemma_checks(bset)), bset
+
+
+def test_diagnostics_match_subspace_oracles():
+    """Every skew profile, tangent closure and pinned report that the
+    diagnostics read, on equality and non-equality sets of PG(3,2) and
+    PG(3,3) k=1 and PG(5,2) k=2: members and witnesses included."""
+    rng = random.Random(17)
+    cases = set()
+    for q, n, k in ((2, 3, 1), (3, 3, 1), (2, 5, 2)):
+        ctx = GeometryContext(field_for_order(q), n)
+        family = theorem_family(ctx, k)[0]
+        sets = [BlockingSet(ctx, k, ids) for ids in rng.sample(family, 3)]
+        sets += _non_equality_sets(ctx, k, rng, 1)
+        for bset in sets:
+            point_idx = {p.index for p in bset.points}
+            flats = [f for f in ctx.subspaces(k - 1)
+                     if not any(p.index in point_idx for p in ctx.subspace_points(f))]
+            for flat in rng.sample(flats, min(len(flats), 40)):
+                assert skew_space_profile(bset, flat) == oracle_skew_space_profile(bset, flat)
+            if bset.points:
+                assert tangent_closure(ctx, bset.points) == \
+                    oracle_tangent_closure(ctx, bset.points)
+            if not is_blocking(bset)[0]:
+                continue
+            hull = rng.choice(ctx.subspaces(k + 1))
+            if bset.points:
+                hull = ctx.span(*bset.points)
+                while hull.dim < k + 1:
+                    hull = next(ctx.extensions(hull, ctx.whole_space()))
+                if hull.dim > k + 1:
+                    continue
+            for pin in ctx.subspace_points(hull):
+                if pin.index not in point_idx:
+                    report = blocking._pinned_hyperplanes(bset, hull, pin)
+                    assert report == oracle_pinned_hyperplanes(bset, hull, pin)
+                    cases.add(report.case)
+    assert cases == {FULL_TRACE, COUNT_BOUND}
+
+
+def test_diagnostics_reject_elements_of_another_geometry(pg32, pg33, pg42):
+    """A flat, hull, pin or point whose coordinates do not belong to the
+    set's geometry is invalid input, never read as some other ordinal."""
+    params = canonical_pencil_partition(pg32, 1)
+    bset = pencil_partition(pg32, params)
+    pin = next(p for p in pg32.subspace_points(params.hull) if p not in bset.points)
+    too_long = pg42.subspaces(0)[5]
+    out_of_range = next(f for f in pg33.subspaces(0) if 2 in f.basis[0])
+    for flat in (too_long, out_of_range):
+        with pytest.raises(InputError):
+            skew_space_profile(bset, flat)
+    for hull in (pg42.subspaces(2)[7], next(h for h in pg33.subspaces(2)
+                                            if any(2 in row for row in h.basis))):
+        with pytest.raises(InputError):
+            pinned_hyperplanes(bset, hull, pin)
+    for wrong_pin in (pg42.point(3), pg33.point((0, 1, 2, 1))):
+        with pytest.raises(InputError):
+            pinned_hyperplanes(bset, params.hull, wrong_pin)
+        with pytest.raises(InputError):
+            tangent_closure(pg32, [pg32.point(4), wrong_pin])

@@ -10,7 +10,7 @@ from pgblock import blocking, constructions
 from pgblock.blocking import lemma_checks
 from pgblock.cli import main
 from pgblock.constructions import canonical_pencil_partition, pencil_partition
-from pgblock.gf import Field, InputError
+from pgblock.gf import Field, InputError, field_for_order
 from pgblock.pgkernel import BudgetExceeded, GeometryContext
 from pgblock.search import TimeBudgetExceeded
 
@@ -325,6 +325,22 @@ def test_duplicates_reported_on_stderr(capsys, tmp_path):
     assert len(res["points"]) == len(res["hyperplanes"]) == 1
     assert "duplicate point [0, 0, 1, 1] kept once" in captured.err
     assert "duplicate hyperplane [1, 0, 0, 0] kept once" in captured.err
+
+
+def test_large_set_checks_exit_on_the_enumeration_budget(tmp_path, monkeypatch):
+    """verify, minimal and lemma-check on the PG(5,16) k=2 set exit 3 on the
+    2-space count before any point-hyperplane table is built."""
+    ctx = GeometryContext(field_for_order(16), 5)
+    path = tmp_path / "pg516.json"
+    path.write_text(json.dumps(pencil_partition(ctx, canonical_pencil_partition(ctx, 2)).to_dict()))
+
+    def refuse(self):
+        raise AssertionError("the point-hyperplane table was built")
+
+    monkeypatch.setattr(GeometryContext, "points", refuse)
+    monkeypatch.setattr(GeometryContext, "hyperplane_table", refuse)
+    for command in ("verify", "minimal", "lemma-check"):
+        assert main([command, str(path)]) == 3
 
 
 def test_budget_exit_code(capsys):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from pgblock.counting import gaussian, theta
-from pgblock.gf import Field, InputError
+from pgblock.gf import Field, InputError, field_for_order
 from pgblock.pgkernel import (EMPTY_SUBSPACE, BudgetExceeded,
                               GeometryContext, Subspace, kernel_basis)
 
@@ -209,6 +209,47 @@ def test_enumeration_budget():
     ctx = GeometryContext(Field(3), 12)
     with pytest.raises(BudgetExceeded):
         next(ctx.iter_subspaces(5))
+
+
+def test_hyperplane_table_is_the_dot_product():
+    """Entry x has bit y exactly when x . y = 0 over the field, so the table
+    is symmetric; extension fields included."""
+    for q, n in ((2, 1), (5, 1), (3, 2), (4, 2), (8, 2), (9, 2), (2, 3), (4, 3), (2, 5)):
+        ctx = GeometryContext(field_for_order(q), n)
+        table = ctx.hyperplane_table()
+        pts = [ctx.point(u).coords for u in range(ctx.num_points)]
+        for x, row in zip(pts, table):
+            expected = 0
+            for y, coords in enumerate(pts):
+                dot = 0
+                for a, b in zip(x, coords):
+                    dot = ctx.field.add(dot, ctx.field.mul(a, b))
+                expected |= (dot == 0) << y
+            assert row == expected, (q, n, x)
+
+
+@pytest.mark.parametrize("field,n", [(Field(2), 3), (Field(3), 3), (Field(2, 2), 2)],
+                         ids=["pg32", "pg33", "pg24"])
+def test_subspace_masks_match_subspace_points(field, n):
+    ctx = GeometryContext(field, n)
+    spaces = [EMPTY_SUBSPACE, ctx.whole_space()]
+    spaces += [space for m in range(n) for space in ctx.subspaces(m)]
+    for space in spaces:
+        points, hyperplanes = ctx.subspace_masks(space)
+        assert points == sum(1 << p.index for p in ctx.subspace_points(space))
+        assert hyperplanes == sum(1 << p.index for p in ctx.subspace_points(ctx.dual(space)))
+    for m in range(n):
+        assert [(s, *ctx.subspace_masks(s)) for s in ctx.subspaces(m)] == \
+            list(ctx.iter_subspace_masks(m))
+    pt = ctx.point(5)
+    assert ctx.subspace_masks(pt) == ctx.subspace_masks(Subspace(0, (pt.coords,)))
+
+
+def test_table_budget():
+    # the table of PG(5,16) would hold 1,118,481^2 bits
+    ctx = GeometryContext(field_for_order(16), 5)
+    with pytest.raises(BudgetExceeded, match="point-hyperplane table"):
+        ctx.hyperplane_table()
 
 
 def test_subspace_out_of_range(pg32):
