@@ -22,7 +22,9 @@ A pencil member contributes the same elements in every split: its
 the hyperplanes through the hull), points to one part, hyperplanes to the
 other.  So enumerating every split of a pencil builds it once.  The
 enumeration reads each hull's members, axes and pencils off the bitmasks of
-`blocking.incidence(ctx, k)`, with no subspace arithmetic inside the hull.
+`blocking.incidence(ctx, k)`, with no subspace arithmetic: the members are
+the k-spaces that every hyperplane through the hull contains, and those
+hyperplanes come from the point-hyperplane table (`subspace_masks`).
 `pencil_partition` builds one set from the members it is given, as sets of
 ordinals, and checks them without building the pencil.
 
@@ -146,6 +148,16 @@ def canonical_pencil_partition(ctx: GeometryContext, k: int, t: int = 1) -> Penc
                                  frozenset(members[:t]), frozenset(members[t:]))
 
 
+def _inside(inc, hull_hyperplanes: int) -> int:
+    """The k-spaces inside a hull, as a mask over inc.spaces: the ones that
+    every hyperplane through it contains.  hull_hyperplanes holds the dual
+    ordinals of those hyperplanes, as `GeometryContext.subspace_masks`
+    gives them."""
+    covers, num_points = inc.covers, inc.ctx.num_points
+    return reduce(and_, (covers[num_points + d] for d in ordinals(hull_hyperplanes)),
+                  inc.full_mask)
+
+
 def distinct_pencil_partition_sets(ctx: GeometryContext, k: int):
     """(sorted tuple of distinct element-index tuples, number of parameter
     tuples (hull, axis, nonempty split))."""
@@ -156,10 +168,8 @@ def distinct_pencil_partition_sets(ctx: GeometryContext, k: int):
     point_part = (1 << num_points) - 1
     seen = set()
     count = 0
-    for hull in ctx.subspaces(k + 1):
-        inside = reduce(and_, (inc.covers[num_points + h.index]
-                               for h in ctx.subspace_points(ctx.dual(hull))),
-                        inc.full_mask)
+    for _, _, hull_hyperplanes in ctx.iter_subspace_masks(k + 1):
+        inside = _inside(inc, hull_hyperplanes)
         members = [inc.candidate_masks[j] for j in ordinals(inside)]
         member_points = [mask & point_part for mask in members]
         axes = {a & b for i, a in enumerate(member_points) for b in member_points[:i]}
@@ -246,9 +256,7 @@ def recognize_pencil_partition(bset: BlockingSet) -> PencilPartitionParams | Non
         hulls = [ctx.span(*map(ctx.point, independent))]
     point_part = (1 << num_points) - 1
     for hull in hulls:
-        inside = reduce(and_, (covers[num_points + d.index]
-                               for d in ctx.subspace_points(ctx.dual(hull))),
-                        inc.full_mask)
+        inside = _inside(inc, ctx.subspace_masks(hull)[1])
         cuts = [covers[h] & inside for h in hyperplanes]
         if inside in cuts:  # a hyperplane through the hull
             continue

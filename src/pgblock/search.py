@@ -8,7 +8,10 @@ every minimum cover up to a size cap:
 * branch-and-bound branches on a currently unblocked k-space with the
   fewest remaining candidates, pruning with coverage lower bounds, and
   keeps leaves duplicate-free by forbidding, inside each branch, the
-  candidates tried earlier at the same node.
+  candidates tried earlier at the same node;
+* the refutation searches each composition in one slice: the elements
+  that a collineation can move any blocking set of it onto are forced at
+  the root (see `refute_below`).
 
 A shard reads the incidence system itself: `covers` (element to spaces),
 `candidate_masks` (space to elements) and `full_mask`, and takes its
@@ -18,9 +21,10 @@ inputs are the composition caps, the per-point and per-hyperplane ceilings
 blocks), and one table built per search: for each space, the spaces that
 share a candidate with it.  Every k-space has the same number
 C = theta_k + theta_{n-k-1} of candidates (its points and the hyperplanes
-through it), so the root, which branches on space 0, has no
-more-constrained space to prefer, and "fewest allowed candidates" is "most
-forbidden candidates".
+through it), so the root, which holds the forced elements and branches on
+the lowest space they leave uncovered (space 0 when nothing is forced),
+has no more-constrained space to prefer, and "fewest allowed candidates"
+is "most forbidden candidates".
 
 A node is a handful of bitmask operations:
 
@@ -45,10 +49,11 @@ The bounds apply in a fixed order: the static size bound (or, per
 composition, the point/hyperplane cover ceiling), then the packing bound,
 then, when every uncovered space has two or more allowed candidates, the
 adaptive coverage bound: room elements cover the uncovered spaces only if
-one allowed element blocks ceil(uncovered / room) of them.  Plain and
-composition-constrained searches share this one path.  On PG(3,3) k=1 it
-expands 721,577 nodes and prunes 560,536 of them, and the refutation
-below 12 expands 28,445.
+one allowed element blocks ceil(uncovered / room) of them.  Plain,
+composition-constrained and sliced searches share this one path.  On
+PG(3,3) k=1 it expands 721,577 nodes and prunes 560,536 of them, and the
+refutation below 12, which searches (6, 5) with points 0 and 1 forced and
+settles (5, 6) by the polarity, expands 939.
 
 Reports are deterministic for a given (geometry, k, cap, mode): worker
 sharding splits the root branches, each shard runs with its own local
@@ -142,19 +147,29 @@ def _covered_by(covers, mask: int) -> int:
     return reduce(or_, map(covers.__getitem__, ordinals(mask)))
 
 
-def _root_tasks(inc: IncidenceSystem, caps) -> list[tuple[tuple[int, ...], int]]:
-    """(chosen0, forbidden0) of each root branch: the root branches on space
-    0 and forbids, in each branch, the candidates tried before it."""
-    root = inc.candidate_masks[0]
-    point_mask = (1 << inc.ctx.num_points) - 1
-    if caps[0] == 0:
+def _root_tasks(inc: IncidenceSystem, caps, forced=()) -> list[tuple[tuple[int, ...], int]]:
+    """(chosen0, forbidden0) of each root branch.  The root holds the forced
+    elements and branches on the lowest space they leave uncovered (space 0
+    when nothing is forced), forbidding in each branch the candidates tried
+    before it; a part whose cap the forced elements fill offers none.  If the
+    forced elements block everything, the root is the one task."""
+    unc = inc.full_mask
+    for e in forced:
+        unc &= ~inc.covers[e]
+    if not unc:
+        return [(tuple(forced), 0)]
+    root = inc.candidate_masks[(unc & -unc).bit_length() - 1]
+    num_points = inc.ctx.num_points
+    point_mask = (1 << num_points) - 1
+    forced_points = sum(1 for e in forced if e < num_points)
+    if caps[0] == forced_points:
         root &= ~point_mask
-    if caps[1] == 0:
+    if caps[1] == len(forced) - forced_points:
         root &= point_mask
     tasks = []
     tried = 0
     for e in ordinals(root):
-        tasks.append(((e,), tried))
+        tasks.append(((*forced, e), tried))
         tried |= 1 << e
     return tasks
 
@@ -338,13 +353,14 @@ def _run_task(task):
 
 
 def _branch_and_bound(inc: IncidenceSystem, caps, cap: int, workers: int,
-                      deadline: float | None, first_only: bool = False):
+                      deadline: float | None, first_only: bool = False, forced=()):
     """Shard the root branches and merge; the merge is associative, so the
-    result does not depend on worker count or scheduling.  The root
-    branches on space 0 (see the module docstring)."""
+    result does not depend on worker count or scheduling.  Every solution
+    holds the forced elements, and the root branches as `_root_tasks` says
+    (on space 0 when nothing is forced, see the module docstring)."""
     nodes = 1  # the root
     pruned = 0
-    tasks = _root_tasks(inc, caps) if cap >= 1 else []
+    tasks = _root_tasks(inc, caps, forced) if cap >= 1 else []
     if not tasks:
         return None, (), nodes, pruned
     conflicts = _conflicts(inc)
@@ -438,7 +454,7 @@ def min_blocking_search(ctx: GeometryContext, k: int, size_cap: int,
 class CompositionOutcome:
     points: int
     hyperplanes: int
-    method: str           # "counting-bound" or "search"
+    method: str           # "counting-bound", "polarity" or "search"
     nodes: int = 0
 
 
@@ -486,14 +502,40 @@ def _skew_space_floor(n: int, q: int, k: int, count: int, dual: bool) -> int:
     return best
 
 
+def _slice(ctx: GeometryContext, points: int, hyperplanes: int) -> tuple[int, ...]:
+    """The elements forced in the one slice of a composition that holds an
+    image of every blocking set of it (see `refute_below`)."""
+    if points >= 2:
+        return (0, 1)
+    if points == 1:
+        return (0,)
+    if hyperplanes:
+        return (ctx.num_points,)  # hyperplane 0, ordinal theta_n
+    return ()
+
+
 def refute_below(ctx: GeometryContext, k: int, target: int,
                  workers: int = 1, budget_seconds: float | None = None) -> RefutationReport:
     """Prove no blocking set of size < target exists (or exhibit one).
 
     Every exact composition (points, hyperplanes) with total < target is
-    either killed by the skew-space counting bounds (the part left
-    unblocked by one side exceeds what the other side can possibly cover)
-    or settled by a composition-constrained branch-and-bound run.
+    killed by the skew-space counting bounds (the part left unblocked by one
+    side exceeds what the other side can possibly cover), or settled by
+    symmetry and one composition-constrained branch-and-bound run.
+
+    The search covers one slice of the composition.  A collineation of
+    PGL(n+1, q) maps blocking sets onto blocking sets of the same
+    composition, and PGL is 2-transitive on points and transitive on
+    hyperplanes.  So a set with at least two points has an image holding
+    points 0 and 1, a set with exactly one point an image whose point is 0
+    (the point cap keeps it the only one), and a set with no point but some
+    hyperplane an image holding hyperplane 0; the search forces those
+    elements (`_slice`), and finds a set exactly when the whole composition
+    has one.  In the middle case n = 2k+1 the polarity maps the k-spaces
+    onto themselves and a set of composition (b0, b1) onto one of (b1, b0),
+    so a composition with b0 < b1 is settled by its twin, which comes later
+    at the same total, and is reported with method "polarity" and 0 nodes.  On PG(3,3) k=1
+    below 12 that leaves (6, 5) to search, in 939 nodes.
     """
     _check_input(ctx, k, workers)
     n, q = ctx.n, ctx.q
@@ -510,8 +552,11 @@ def refute_below(ctx: GeometryContext, k: int, target: int,
                     or _skew_space_floor(n, q, k, b1, dual=True) > b0 * per_point):
                 outcomes.append(CompositionOutcome(b0, b1, "counting-bound"))
                 continue
-            _, sets, nodes, _ = _branch_and_bound(inc, (b0, b1), total, workers,
-                                                  deadline, first_only=True)
+            if n == 2 * k + 1 and b0 < b1:
+                outcomes.append(CompositionOutcome(b0, b1, "polarity"))
+                continue
+            _, sets, nodes, _ = _branch_and_bound(inc, (b0, b1), total, workers, deadline,
+                                                  first_only=True, forced=_slice(ctx, b0, b1))
             total_nodes += nodes
             outcomes.append(CompositionOutcome(b0, b1, "search", nodes))
             if sets:

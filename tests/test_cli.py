@@ -415,6 +415,21 @@ def test_classify_projective_line_fallback(capsys, q):
     assert data["fallback"]["all_blocking"] and data["fallback"]["refutation"]["refuted"]
 
 
+def test_classify_pg52_middle_case_fallback(capsys):
+    # the fallback decides PG(5,2) k=2: the family blocks, and the sliced
+    # refutation below 12 searches (5,5), (6,5), (7,4) and (8,3)
+    code, data = run_cli(capsys, "classify", "--q", "2", "--n", "5", "--k", "2",
+                         "--budget-seconds", "0")
+    assert code == 0
+    assert data["method"] == "fallback"
+    assert data["observed_minimum"] == 12
+    assert data["minima_count"] == data["fallback"]["distinct_sets"] == 19530
+    refutation = data["fallback"]["refutation"]
+    assert refutation["refuted"] and refutation["nodes_expanded"] == 117388
+    assert [(c["points"], c["hyperplanes"]) for c in refutation["compositions"]
+            if c["method"] == "search"] == [(5, 5), (6, 5), (7, 4), (8, 3)]
+
+
 def test_classify_open_case_nothing_found(capsys):
     code, data = run_cli(capsys, "classify", "--q", "2", "--n", "2", "--k", "0",
                          "--cap", "1")

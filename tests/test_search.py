@@ -339,13 +339,15 @@ def test_exhaustive_mode_runs_on_one_worker(pg22):
 
 
 def test_refute_below_pg33_worker_independent(pg33):
-    # two compositions survive the counting bounds; their node counts are
-    # pinned, and the report is the same at any worker count
+    # two compositions survive the counting bounds; the polarity settles
+    # (5, 6) by its twin, the node count of (6, 5) is pinned, and the report
+    # is the same at any worker count
     docs = [refute_below(pg33, 1, 12, workers=w).to_dict() for w in (1, 2)]
     assert docs[0] == docs[1]
-    assert docs[0]["refuted"] and docs[0]["nodes_expanded"] == 28445
-    assert [(c["points"], c["hyperplanes"], c["nodes"]) for c in docs[0]["compositions"]
-            if c["method"] == "search"] == [(5, 6, 14089), (6, 5, 14356)]
+    assert docs[0]["refuted"] and docs[0]["nodes_expanded"] == 939
+    assert [(c["points"], c["hyperplanes"], c["method"], c["nodes"])
+            for c in docs[0]["compositions"] if c["method"] != "counting-bound"] \
+        == [(5, 6, "polarity", 0), (6, 5, "search", 939)]
 
 
 def test_refute_below_finds_counterexample(pg32):
@@ -354,6 +356,95 @@ def test_refute_below_finds_counterexample(pg32):
     assert report.counterexample is not None
     bset = BlockingSet(pg32, 1, report.counterexample)
     assert is_blocking(bset)[0]
+
+
+def _composition(ctx, ids):
+    points = sum(1 for u in ids if u < ctx.num_points)
+    return points, len(ids) - points
+
+
+@pytest.mark.parametrize("q,n,k", [
+    (2, 1, 0), (3, 1, 0), (2, 2, 0), (2, 2, 1), (3, 2, 0), (3, 2, 1),
+    (2, 3, 0), (2, 3, 1), (2, 3, 2), (2, 4, 1), (2, 4, 2),
+])
+def test_slice_search_matches_plain_search(q, n, k):
+    # the oracle of the symmetry argument: for every composition of at most
+    # 8 elements, the search of its slice finds a set exactly when the plain
+    # search of the whole composition does, and in the middle case so does
+    # the plain search of its twin
+    ctx = GeometryContext(Field(q), n)
+    inc = incidence(ctx, k)
+    found = {}
+    for total in range(9):
+        for points in range(total + 1):
+            caps = (points, total - points)
+            forced = search._slice(ctx, *caps)
+            _, plain, _, _ = search._branch_and_bound(inc, caps, total, 1, None, first_only=True)
+            _, sliced, _, _ = search._branch_and_bound(inc, caps, total, 1, None,
+                                                       first_only=True, forced=forced)
+            assert bool(sliced) == bool(plain), caps
+            for ids in sliced:
+                assert set(forced) <= set(ids)
+                assert is_blocking(BlockingSet(ctx, k, ids))[0]
+                got = _composition(ctx, ids)
+                assert got[0] <= caps[0] and got[1] <= caps[1], (caps, ids)
+            found[caps] = bool(plain)
+    if n == 2 * k + 1:
+        assert all(found[b1, b0] == hit for (b0, b1), hit in found.items())
+    report = refute_below(ctx, k, 9)
+    assert report.refuted == (not any(found.values()))
+    if report.counterexample is not None:
+        last = report.compositions[-1]
+        assert last.method == "search"
+        assert _composition(ctx, report.counterexample) == (last.points, last.hyperplanes)
+        assert is_blocking(BlockingSet(ctx, k, report.counterexample))[0]
+        smallest = min(sum(caps) for caps, hit in found.items() if hit)
+        assert len(report.counterexample) == smallest
+
+
+def test_root_tasks_with_forced_elements(pg22, pg32):
+    inc = incidence(pg32, 1)
+    num_points = pg32.num_points
+    point_mask = (1 << num_points) - 1
+    # plain search forces nothing: the root branches on space 0 as before
+    for caps, allowed in (((None, None), ~0), ((0, 3), ~point_mask), ((3, 0), point_mask)):
+        tried = 0
+        expected = []
+        for e in ordinals(inc.candidate_masks[0] & allowed):
+            expected.append(((e,), tried))
+            tried |= 1 << e
+        assert search._root_tasks(inc, caps) == expected
+    # (0, 0) forces nothing and has no root branch
+    assert search._slice(pg32, 0, 0) == ()
+    assert search._root_tasks(inc, (0, 0)) == []
+    assert search._branch_and_bound(inc, (0, 0), 0, 1, None) == (None, (), 1, 0)
+    # the root branches on the lowest space the forced elements leave
+    # uncovered, after them
+    unc = inc.full_mask & ~inc.covers[0] & ~inc.covers[1]
+    low = (unc & -unc).bit_length() - 1
+    tasks = search._root_tasks(inc, (3, 2), (0, 1))
+    assert [chosen[:2] for chosen, _ in tasks] == [(0, 1)] * len(tasks)
+    assert [chosen[2] for chosen, _ in tasks] == list(ordinals(inc.candidate_masks[low]))
+    # forced points count against the point cap, forced hyperplanes
+    # against the hyperplane cap
+    assert all(e >= num_points for (*_, e), _ in search._root_tasks(inc, (1, 3), (0,)))
+    assert all(e >= num_points for (*_, e), _ in search._root_tasks(inc, (2, 2), (0, 1)))
+    assert any(e < num_points for (*_, e), _ in search._root_tasks(inc, (2, 3), (0,)))
+    assert all(e < num_points for (*_, e), _ in search._root_tasks(inc, (3, 1), (num_points,)))
+    # forced elements that block everything: one leaf task, and the search
+    # returns them
+    line = tuple(p.index for p in pg22.subspace_points(pg22.subspaces(1)[3]))
+    inc22 = incidence(pg22, 1)
+    assert search._root_tasks(inc22, (3, 0), line) == [(line, 0)]
+    assert search._branch_and_bound(inc22, (3, 0), 3, 1, None, forced=line) \
+        == (3, (line,), 2, 0)
+
+
+@pytest.mark.parametrize("target", [6, 7])
+def test_refute_below_pg32_worker_independent(pg32, target):
+    docs = [refute_below(pg32, 1, target, workers=w).to_dict() for w in (1, 2)]
+    assert docs[0] == docs[1]
+    assert docs[0]["refuted"] == (target == 6)
 
 
 def test_classify_pg23(pg23):
