@@ -35,7 +35,8 @@ if absent: the k-spaces inside a hull, the traces of the set's hyperplanes
 on it, the axis they share and the members through the axis are ANDs of
 `covers` and `candidate_masks`.  Subspace arithmetic is left to finding the
 hull (one `span` of k+2 of the points, or the (k+1)-spaces over the one
-k-space holding them) and to the axis of a recognized set (one `meet`).
+k-space holding them) and to the axis of a recognized set (one `span` of
+the points the traces share).
 """
 
 from __future__ import annotations
@@ -215,12 +216,13 @@ def recognize_pencil_partition(bset: BlockingSet) -> PencilPartitionParams | Non
     the ones every hyperplane through it contains, and a hull is skipped
     when the set holds such a hyperplane.  Every other hyperplane of the set
     cuts the hull in one k-space, its trace.  The axis is the meet of the
-    traces, read as the points they share.  A single trace forces t = q, and
-    then the set is the hull minus the trace plus the hyperplanes through
-    the trace off the hull, whatever the axis inside the trace, so the span
-    of its first k basis rows is taken.  The members are the k-spaces inside
-    the hull through the axis, and the set is regenerated from their
-    candidate masks and compared with bset.
+    traces, read as the points they share and spanned by them.  A single
+    trace forces t = q, and then the set is the hull minus the trace plus
+    the hyperplanes through the trace off the hull, whatever the axis inside
+    the trace, so the span of its first k basis rows is taken, and its
+    points are read off the point-hyperplane table.  The members are the
+    k-spaces inside the hull through the axis, and the set is regenerated
+    from their candidate masks and compared with bset.
     """
     ctx, k = bset.ctx, bset.k
     q, num_points = ctx.q, ctx.num_points
@@ -264,9 +266,9 @@ def recognize_pencil_partition(bset: BlockingSet) -> PencilPartitionParams | Non
         trace_ids = ordinals(traces)
         if len(trace_ids) == 1:
             axis = Subspace(k - 1, inc.spaces[trace_ids[0]].basis[:k])
-            axis_points = sum(1 << p.index for p in ctx.subspace_points(axis))
+            axis_points = ctx.subspace_masks(axis)[0]
         else:
-            axis = None  # one meet, once the set is confirmed
+            axis = None  # the span of axis_points, once the set is confirmed
             axis_points = reduce(and_, (masks[j] for j in trace_ids)) & point_part
             if axis_points.bit_count() != theta(k - 1, q):
                 continue
@@ -281,7 +283,7 @@ def recognize_pencil_partition(bset: BlockingSet) -> PencilPartitionParams | Non
         if ordinals(ids) != bset.ids:
             continue
         if axis is None:
-            axis = ctx.meet(inc.spaces[trace_ids[0]], inc.spaces[trace_ids[1]])
+            axis = ctx.span(*map(ctx.point, ordinals(axis_points)))
         return PencilPartitionParams(hull, axis,
                                      frozenset(inc.spaces[j] for j in point_members),
                                      frozenset(inc.spaces[j] for j in trace_ids))

@@ -71,8 +71,9 @@ def metsch_dual_lower_bound(n: int, q: int, d: int, s: int, b_size: int) -> int:
         raise HypothesisViolated(f"need d >= 0 and d-1 <= s < n, got n={n}, d={d}, s={s}")
     if not 0 <= b_size <= theta(d, q):
         raise HypothesisViolated(f"need 0 <= |B| <= theta_{d} = {theta(d, q)}, got {b_size}")
-    return (q ** ((n - s) * (d + 1)) * gaussian(n - d, n - s, q)
-            + (theta(d, q) - b_size) * q ** ((n - s - 1) * d) * gaussian(n - d, n - s - 1, q))
+    # an s-space lies in no member exactly when its dual (n-s-1)-space is
+    # skew to the dual points of the members
+    return metsch_lower_bound(n, q, d, n - s - 1, b_size)
 
 
 def _exp_bracket(x: Fraction, terms: int = 30) -> tuple[Fraction, Fraction]:

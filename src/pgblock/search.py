@@ -16,10 +16,10 @@ every minimum cover up to a size cap:
 A shard reads the incidence system itself: `covers` (element to spaces),
 `candidate_masks` (space to elements) and `full_mask`, and takes its
 candidates lowest bit first, in increasing ordinal order.  Its only other
-inputs are the composition caps, the per-point and per-hyperplane ceilings
-(the Gaussian counts [n,k]_q and [n,k+1]_q of the k-spaces one element
-blocks), and one table built per search: for each space, the spaces that
-share a candidate with it.  Every k-space has the same number
+inputs are the composition caps and the packing memo of its search.  The
+per-point and per-hyperplane ceilings, the most k-spaces one element
+blocks, are read off `covers` (the bit counts of point 0 and of hyperplane
+0).  Every k-space has the same number
 C = theta_k + theta_{n-k-1} of candidates (its points and the hyperplanes
 through it), so the root, which holds the forced elements and branches on
 the lowest space they leave uncovered (space 0 when nothing is forced),
@@ -41,9 +41,10 @@ A node is a handful of bitmask operations:
   candidates runs in ascending order over the spaces below that first
   space with at most one allowed candidate (all of them if there is none).
   Each packed space removes the spaces it shares an allowed candidate
-  with (the per-search table when none of its candidates is forbidden,
-  else the OR of the covers of its allowed ones, memoized per shard), so
-  the packing takes at most room+1 steps.
+  with, the OR of the covers of its allowed ones, looked up in one memo
+  keyed by the allowed-candidate mask.  The memo is prefilled with every
+  space's full candidate mask (`_conflicts`), built once per search and
+  shared by its shards, so the packing takes at most room+1 steps.
 
 The bounds apply in a fixed order: the static size bound (or, per
 composition, the point/hyperplane cover ceiling), then the packing bound,
@@ -70,7 +71,7 @@ bitmasks that the search built, so classification builds no other one.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import reduce
 from itertools import combinations
 from operator import or_
@@ -78,12 +79,13 @@ from operator import or_
 from . import constructions
 from .blocking import (BlockingSet, IncidenceSystem, check_k, incidence, is_blocking,
                        ordinals)
-from .counting import OPEN, gaussian, minimum_size_bound, theta
+from .counting import (OPEN, HypothesisViolated, metsch_dual_lower_bound, metsch_lower_bound,
+                       minimum_size_bound, theta)
 from .gf import InputError
 from .pgkernel import BudgetExceeded, GeometryContext
 
 _WORKER_STATE = {}
-_CLASH_MEMO = 1 << 14  # entries a shard's packing memo holds before it starts over
+_CLASH_MEMO = 1 << 14  # entries the packing memo holds beyond its prefill before it starts over
 
 
 class TimeBudgetExceeded(BudgetExceeded):
@@ -111,35 +113,19 @@ class SearchReport:
 
     def canonical_dict(self) -> dict:
         """Deterministic payload: identical across reruns and worker counts."""
-        return {
-            "n": self.n,
-            "q": self.q,
-            "k": self.k,
-            "size_cap": self.size_cap,
-            "mode": self.mode,
-            "minimum_size": self.minimum_size,
-            "minimum_sets": [list(s) for s in self.minimum_sets],
-            "nodes_expanded": self.nodes_expanded,
-            "pruned": self.pruned,
-        }
-
-    def to_dict(self) -> dict:
-        out = self.canonical_dict()
-        out["workers"] = self.workers
-        out["wall_time"] = round(self.wall_time, 3)
+        out = asdict(self)
+        del out["workers"], out["wall_time"]
         return out
 
-
-def _ceilings(ctx: GeometryContext, k: int) -> tuple[int, int]:
-    """(k-spaces through a point, k-spaces inside a hyperplane): the most
-    k-spaces that one point, or one hyperplane, blocks."""
-    return gaussian(ctx.n, k, ctx.q), gaussian(ctx.n, k + 1, ctx.q)
+    def to_dict(self) -> dict:
+        return {**asdict(self), "wall_time": round(self.wall_time, 3)}
 
 
-def _conflicts(inc: IncidenceSystem) -> tuple[int, ...]:
-    """conflicts[j]: the spaces that share a candidate with space j, the OR
-    of the covers of its candidates (space j among them)."""
-    return tuple(_covered_by(inc.covers, mask) for mask in inc.candidate_masks)
+def _conflicts(inc: IncidenceSystem) -> dict[int, int]:
+    """The prefill of the packing memo: each space's candidate mask mapped to
+    the spaces that share a candidate with it, the OR of the covers of its
+    candidates (the space among them)."""
+    return {mask: _covered_by(inc.covers, mask) for mask in inc.candidate_masks}
 
 
 def _covered_by(covers, mask: int) -> int:
@@ -174,21 +160,22 @@ def _root_tasks(inc: IncidenceSystem, caps, forced=()) -> list[tuple[tuple[int, 
     return tasks
 
 
-def _shard_search(inc: IncidenceSystem, conflicts, caps, cap: int, chosen0, forbidden0: int,
+def _shard_search(inc: IncidenceSystem, clashes, caps, cap: int, chosen0, forbidden0: int,
                   deadline: float | None, first_only: bool = False):
     """Explore one branch-and-bound shard; returns (best, sets, nodes, pruned).
 
-    conflicts is `_conflicts(inc)`, chosen0 the elements the shard starts
-    from and forbidden0 the elements it may not take.  caps is (max points,
-    max hyperplanes), None for no limit.  best is the smallest solution size
-    found (initialized to cap), sets the complete list of solutions of that
-    size inside this shard.
+    clashes is the packing memo, prefilled by `_conflicts(inc)`, which the
+    shard extends; chosen0 the elements the shard starts from and forbidden0
+    the elements it may not take.  caps is (max points, max hyperplanes),
+    None for no limit.  best is the smallest solution size found
+    (initialized to cap), sets the complete list of solutions of that size
+    inside this shard.
     """
     covers = inc.covers
     cand_masks = inc.candidate_masks
     num_points = inc.ctx.num_points
     point_mask = (1 << num_points) - 1
-    per_point, per_hyperplane = _ceilings(inc.ctx, inc.s)
+    per_point, per_hyperplane = covers[0].bit_count(), covers[num_points].bit_count()
     static_max = max(per_point, per_hyperplane)
     max_pts, max_hyps = caps
     composition = max_pts is not None or max_hyps is not None
@@ -208,7 +195,7 @@ def _shard_search(inc: IncidenceSystem, conflicts, caps, cap: int, chosen0, forb
     nodes = 0
     pruned = 0
     check_every = 1024
-    clashes = {}
+    prefill = len(cand_masks)
     element_covers = tuple((1 << e, cover) for e, cover in enumerate(covers))
     if deadline is not None and time.monotonic() > deadline:
         raise TimeBudgetExceeded("search budget exhausted", nodes, pruned)
@@ -263,16 +250,15 @@ def _shard_search(inc: IncidenceSystem, conflicts, caps, cap: int, chosen0, forb
                 pruned += 1
                 return
             j = (packable & -packable).bit_length() - 1
-            cm = cand_masks[j]
-            if cm & forbidden:
-                cm &= ~forbidden
-                clash = clashes.get(cm)
-                if clash is None:
-                    if len(clashes) >= _CLASH_MEMO:
-                        clashes.clear()
-                    clash = clashes[cm] = _covered_by(covers, cm)
-            else:
-                clash = conflicts[j]
+            cm = cand_masks[j] & ~forbidden
+            clash = clashes.get(cm)
+            if clash is None:
+                if len(clashes) >= prefill + _CLASH_MEMO:
+                    # popitem takes the newest entry first, so the prefill,
+                    # inserted first and never replaced, stays
+                    while len(clashes) > prefill:
+                        clashes.popitem()
+                clash = clashes[cm] = _covered_by(covers, cm)
             packable &= ~clash
         if tight:
             branch = cand_masks[low.bit_length() - 1] & ~forbidden
@@ -348,8 +334,8 @@ def _init_worker(*args):
 
 
 def _run_task(task):
-    inc, conflicts, caps, cap, deadline, first_only = _WORKER_STATE["args"]
-    return _shard_search(inc, conflicts, caps, cap, *task, deadline, first_only)
+    inc, clashes, caps, cap, deadline, first_only = _WORKER_STATE["args"]
+    return _shard_search(inc, clashes, caps, cap, *task, deadline, first_only)
 
 
 def _branch_and_bound(inc: IncidenceSystem, caps, cap: int, workers: int,
@@ -363,16 +349,16 @@ def _branch_and_bound(inc: IncidenceSystem, caps, cap: int, workers: int,
     tasks = _root_tasks(inc, caps, forced) if cap >= 1 else []
     if not tasks:
         return None, (), nodes, pruned
-    conflicts = _conflicts(inc)
+    clashes = _conflicts(inc)
     if workers <= 1 or len(tasks) == 1:
-        results = [_shard_search(inc, conflicts, caps, cap, *task, deadline, first_only)
+        results = [_shard_search(inc, clashes, caps, cap, *task, deadline, first_only)
                    for task in tasks]
     else:
         import multiprocessing
 
         mp = multiprocessing.get_context("fork")
         with mp.Pool(min(workers, len(tasks)), _init_worker,
-                     (inc, conflicts, caps, cap, deadline, first_only)) as pool:
+                     (inc, clashes, caps, cap, deadline, first_only)) as pool:
             results = pool.map(_run_task, tasks)
     best = cap + 1
     merged: set[tuple[int, ...]] = set()
@@ -469,24 +455,12 @@ class RefutationReport:
     nodes_expanded: int
 
     def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "refuted": self.refuted,
-            "counterexample": list(self.counterexample) if self.counterexample else None,
-            "nodes_expanded": self.nodes_expanded,
-            "compositions": [
-                {"points": c.points, "hyperplanes": c.hyperplanes,
-                 "method": c.method, "nodes": c.nodes}
-                for c in self.compositions
-            ],
-        }
+        return asdict(self)
 
 
 def _skew_space_floor(n: int, q: int, k: int, count: int, dual: bool) -> int:
     """Best counting lower bound on the k-spaces a part of `count` elements
     leaves unblocked (points for dual=False, hyperplanes for dual=True)."""
-    from .counting import HypothesisViolated, metsch_dual_lower_bound, metsch_lower_bound
-
     best = 0
     for d in range(0, n + 1):
         if count > theta(d, q):
@@ -541,8 +515,8 @@ def refute_below(ctx: GeometryContext, k: int, target: int,
     n, q = ctx.n, ctx.q
     start = time.monotonic()
     deadline = start + budget_seconds if budget_seconds is not None else None
-    per_point, per_hyperplane = _ceilings(ctx, k)
     inc = incidence(ctx, k)
+    per_point, per_hyperplane = inc.covers[0].bit_count(), inc.covers[ctx.num_points].bit_count()
     outcomes = []
     total_nodes = 0
     for total in range(target):
@@ -580,16 +554,9 @@ class ClassificationVerdict:
     fallback: "MiddleCaseFallback | None" = None
 
     def to_dict(self) -> dict:
-        return {
-            "expected_bound": self.expected_bound,
-            "observed_minimum": self.observed_minimum,
-            "all_minima_match_theorem": self.all_minima_match_theorem,
-            "mismatches": [list(m) for m in self.mismatches],
-            "minima_count": self.minima_count,
-            "method": self.method,
-            "report": self.report.to_dict() if self.report else None,
-            "fallback": self.fallback.to_dict() if self.fallback else None,
-        }
+        # the report serializes itself (wall time rounded), and only once
+        report = self.report.to_dict() if self.report else None
+        return {**asdict(replace(self, report=None)), "report": report}
 
 
 @dataclass(frozen=True)
@@ -601,14 +568,6 @@ class MiddleCaseFallback:
     distinct_sets: int
     all_blocking: bool
     refutation: RefutationReport
-
-    def to_dict(self) -> dict:
-        return {
-            "parameter_tuples": self.parameter_tuples,
-            "distinct_sets": self.distinct_sets,
-            "all_blocking": self.all_blocking,
-            "refutation": self.refutation.to_dict(),
-        }
 
 
 def verify_middle_case(ctx: GeometryContext, k: int, workers: int = 1,
@@ -644,11 +603,10 @@ def classify_minimum(ctx: GeometryContext, k: int, size_cap: int | None = None,
         if ctx.n != 2 * k + 1:
             raise
         fallback = verify_middle_case(ctx, k, workers)
-        bound = (ctx.q + 1) * ctx.q ** k
         confirmed = fallback.all_blocking and fallback.refutation.refuted
         return ClassificationVerdict(
             expected_bound=expected,
-            observed_minimum=bound if confirmed else None,
+            observed_minimum=expected if confirmed else None,
             all_minima_match_theorem=None,
             mismatches=(),
             minima_count=fallback.distinct_sets if confirmed else 0,

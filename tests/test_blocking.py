@@ -744,6 +744,17 @@ def test_lemma_checks_payloads_match_subspace_oracle():
         assert json.dumps(lemma_checks(bset)) == json.dumps(oracle_lemma_checks(bset)), bset
 
 
+@pytest.mark.parametrize("q,size", [(2, 210), (3, 4160)])
+def test_lemma_checks_pass_on_whole_family(q, size):
+    # every check passes on every theorem_family member of PG(3,q) k=1
+    ctx = GeometryContext(field_for_order(q), 3)
+    family = theorem_family(ctx, 1)[0]
+    assert len(family) == size
+    for ids in family:
+        checks = lemma_checks(BlockingSet(ctx, 1, ids))
+        assert all(check["pass"] for check in checks.values()), (ids, checks)
+
+
 def test_diagnostics_match_subspace_oracles():
     """Every skew profile, tangent closure and pinned report that the
     diagnostics read, on equality and non-equality sets of PG(3,2) and

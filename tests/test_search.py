@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from types import SimpleNamespace
@@ -24,7 +25,10 @@ def _list_shard_search(inc, blocked, caps, cap, chosen0, unc0, covered0, forbidd
     full = inc.full_mask
     num_points = inc.ctx.num_points
     point_mask = (1 << num_points) - 1
-    per_point, per_hyperplane = search._ceilings(inc.ctx, inc.s)
+    # the ceilings from the Gaussian counts, independently of the kernel,
+    # which reads them off covers
+    per_point, per_hyperplane = (gaussian(inc.ctx.n, inc.s, inc.ctx.q),
+                                 gaussian(inc.ctx.n, inc.s + 1, inc.ctx.q))
     static_max = max(per_point, per_hyperplane)
     max_pts, max_hyps = caps
     composition = max_pts is not None or max_hyps is not None
@@ -150,8 +154,8 @@ def _list_shards(inc, caps, cap, first_only=False, deadline=None):
 
 
 def _bitmask_shards(inc, caps, cap, first_only=False, deadline=None):
-    conflicts = search._conflicts(inc)
-    return [search._shard_search(inc, conflicts, caps, cap, *task, deadline, first_only)
+    clashes = search._conflicts(inc)
+    return [search._shard_search(inc, clashes, caps, cap, *task, deadline, first_only)
             for task in search._root_tasks(inc, caps)]
 
 
@@ -201,6 +205,20 @@ def test_budget_expires_mid_shard(pg33, monkeypatch):
         raised.append((info.value.nodes_expanded, info.value.pruned))
     assert raised[0] == raised[1]
     assert raised[0][0] == 1024 and 0 < raised[0][1] < 1024
+
+
+def test_packing_memo_start_over_keeps_prefill(pg32, monkeypatch):
+    # a memo that starts over at every new entry: the same shards as the
+    # oracle, and the prefill (every space's full candidate mask) survives
+    monkeypatch.setattr(search, "_CLASH_MEMO", 1)
+    inc = incidence(pg32, 1)
+    caps = (None, None)
+    clashes = search._conflicts(inc)
+    prefill = dict(clashes)
+    shards = [search._shard_search(inc, clashes, caps, 6, *task, None)
+              for task in search._root_tasks(inc, caps)]
+    assert shards == _list_shards(inc, caps, 6)
+    assert len(clashes) == len(prefill) + 1 and prefill.items() <= clashes.items()
 
 
 def test_pg22_minima_are_the_lines(pg22):
@@ -524,3 +542,29 @@ def test_report_serialization(pg22):
     assert "wall_time" in doc and "wall_time" not in report.canonical_dict()
     rebuilt = [BlockingSet(pg22, 1, ids) for ids in report.minimum_sets]
     assert all(is_blocking(b)[0] for b in rebuilt)
+
+
+def _payload_digest(doc):
+    """A digest of the sorted-key JSON of a payload, without its wall times."""
+    doc = {key: value for key, value in doc.items() if key != "wall_time"}
+    if doc.get("report"):
+        doc["report"] = {key: value for key, value in doc["report"].items()
+                         if key != "wall_time"}
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("kind,digest", [
+    ("search", "152f8dfe0b5044bc"),
+    ("classify", "549e264e596a171a"),
+    ("fallback", "fbfdf505fc20ac8d"),
+    ("refute", "cf57acad8c3358df"),
+], ids=("search", "classify", "fallback", "refute"))
+def test_serialized_payloads_pinned(pg32, pg32_minima, kind, digest):
+    # the to_dict payloads of PG(3,2) k=1, byte for byte
+    build = {
+        "search": lambda: pg32_minima,
+        "classify": lambda: classify_minimum(pg32, 1),
+        "fallback": lambda: classify_minimum(pg32, 1, budget_seconds=0),
+        "refute": lambda: refute_below(pg32, 1, 6),
+    }[kind]
+    assert _payload_digest(build().to_dict()) == digest
