@@ -108,6 +108,13 @@ def check_k(ctx: GeometryContext, k: int):
         raise InputError(f"need 0 <= k < n, got k={k}, n={ctx.n}")
 
 
+def check_middle(ctx: GeometryContext, k: int):
+    """The one check for the middle case n = 2k + 1, shared by the
+    diagnostics, the constructions and the search."""
+    if ctx.n != 2 * k + 1:
+        raise InputError(f"need n = 2k + 1, got n={ctx.n}, k={k}")
+
+
 def element(ctx: GeometryContext, u: int) -> Point | Subspace:
     """The point or the hyperplane with universe ordinal u."""
     if u < ctx.num_points:
@@ -153,6 +160,19 @@ class BlockingSet:
     @cached_property
     def hyperplanes(self) -> frozenset[Subspace]:
         return frozenset(element(self.ctx, u) for u in self.ids if u >= self.ctx.num_points)
+
+    @cached_property
+    def element_masks(self) -> tuple[int, int]:
+        """The points and the hyperplanes as bitmasks of point ordinals and
+        of dual ordinals, the two halves of the universe ordinals."""
+        half = self.ctx.num_points
+        points = hyperplanes = 0
+        for u in self.ids:
+            if u < half:
+                points |= 1 << u
+            else:
+                hyperplanes |= 1 << (u - half)
+        return points, hyperplanes
 
     # -- JSON interchange -------------------------------------------------
 
@@ -301,19 +321,6 @@ def tangent_closure(ctx: GeometryContext, point_set) -> TangentClosureReport:
                                 is_subspace, hull.dim, expected_dim)
 
 
-def _element_masks(bset: BlockingSet) -> tuple[int, int]:
-    """The set's points and hyperplanes as bitmasks of point ordinals and
-    of dual ordinals, the two halves of its universe ordinals."""
-    half = bset.ctx.num_points
-    points = hyperplanes = 0
-    for u in bset.ids:
-        if u < half:
-            points |= 1 << u
-        else:
-            hyperplanes |= 1 << (u - half)
-    return points, hyperplanes
-
-
 @dataclass(frozen=True)
 class SkewSpaceProfile:
     count: int                        # hyperplanes of the set through the flat
@@ -328,12 +335,11 @@ def skew_space_profile(bset: BlockingSet, flat: Subspace) -> SkewSpaceProfile:
     points, compare exactly against q + 1 - |points|/q^k, and at equality
     verify the two equality consequences."""
     ctx, k = bset.ctx, bset.k
-    if ctx.n != 2 * k + 1:
-        raise InputError(f"need n = 2k + 1, got n={ctx.n}, k={k}")
+    check_middle(ctx, k)
     if flat.dim != k - 1:
         raise InputError(f"flat must have dimension k-1 = {k - 1}")
     flat_points, flat_hyperplanes = ctx.subspace_masks(flat)
-    points, hyperplanes = _element_masks(bset)
+    points, hyperplanes = bset.element_masks
     if flat_points & points:
         raise InputError("the flat meets the point part")
     count = (flat_hyperplanes & hyperplanes).bit_count()
@@ -382,12 +388,11 @@ def pinned_hyperplanes(bset: BlockingSet, hull: Subspace, pin: Point) -> PinnedH
 def _pinned_hyperplanes(bset: BlockingSet, hull: Subspace, pin: Point) -> PinnedHyperplanesReport:
     """pinned_hyperplanes for a set already known to block: never VACUOUS."""
     ctx, k = bset.ctx, bset.k
-    if ctx.n != 2 * k + 1:
-        raise InputError(f"need n = 2k + 1, got n={ctx.n}, k={k}")
+    check_middle(ctx, k)
     if hull.dim != k + 1:
         raise InputError(f"hull must have dimension k+1 = {k + 1}")
     hull_points, hull_hyperplanes = ctx.subspace_masks(hull)
-    points, hyperplanes = _element_masks(bset)
+    points, hyperplanes = bset.element_masks
     if points & ~hull_points:
         raise InputError("the point part is not contained in the hull")
     pin_point, pin_hyperplanes = ctx.subspace_masks(pin)
@@ -417,6 +422,11 @@ def _pinned_hyperplanes(bset: BlockingSet, hull: Subspace, pin: Point) -> Pinned
                                    bound, len(members) >= bound)
 
 
+def _check(applicable: bool, holds, **fields) -> dict:
+    """One entry of `lemma_checks`: a check that does not apply passes."""
+    return {"applicable": applicable, "pass": not applicable or holds, **fields}
+
+
 def lemma_checks(bset: BlockingSet) -> dict:
     """The equality-case diagnostics of the middle case n = 2k + 1, check by
     check: the size bound, the skew-cospace bound, the tangent closure and
@@ -424,82 +434,56 @@ def lemma_checks(bset: BlockingSet) -> dict:
     counterexamples, as a JSON-ready dict."""
     ctx, k = bset.ctx, bset.k
     q = ctx.q
-    checks: dict[str, dict] = {}
+    middle = ctx.n == 2 * k + 1
     blocking_ok = is_blocking(bset)[0]
     size_bound = q ** k * (q + 1)
     at_equality = blocking_ok and bset.size == size_bound
-    points, hyperplanes = _element_masks(bset)
-
-    checks["size_bound"] = {
-        "applicable": blocking_ok and ctx.n == 2 * k + 1,
-        "pass": (not blocking_ok) or ctx.n != 2 * k + 1 or bset.size >= size_bound,
-        "bound": size_bound,
-        "size": bset.size,
-    }
-
-    if ctx.n == 2 * k + 1 and k >= 1:
+    points, hyperplanes = bset.element_masks
+    checks = {"size_bound": _check(blocking_ok and middle, bset.size >= size_bound,
+                                   bound=size_bound, size=bset.size)}
+    if middle and k >= 1:
         failures = []
         count = 0
         for flat, flat_points, _ in ctx.iter_subspace_masks(k - 1):
             if flat_points & points:
                 continue
             count += 1
+            if not blocking_ok:
+                continue
             profile = skew_space_profile(bset, flat)
-            bound_ok = (not blocking_ok) or profile.count >= profile.bound
-            conclusions_ok = ((not blocking_ok) or (not profile.equality)
-                              or (profile.single_point_per_kspace
-                                  and profile.point_count_multiple))
-            if not (bound_ok and conclusions_ok):
+            if profile.count < profile.bound or (profile.equality and not (
+                    profile.single_point_per_kspace and profile.point_count_multiple)):
                 failures.append(flat.to_dict())
-        checks["skew_cospace_bound"] = {
-            "applicable": blocking_ok,
-            "pass": not failures,
-            "flats_checked": count,
-            "counterexamples": failures[:3],
-        }
+        checks["skew_cospace_bound"] = _check(blocking_ok, not failures, flats_checked=count,
+                                              counterexamples=failures[:3])
     table = ctx.hyperplane_table()
     incident = sorted((p, d) for d in ordinals(hyperplanes)
                       for p in ordinals(table[d] & points))
-    checks["no_incident_pair"] = {
-        "applicable": at_equality,
-        "pass": (not at_equality) or not incident,
-        "counterexamples": [{"point": list(ctx.point(p).coords),
-                             "hyperplane": list(ctx.point(d).coords)}
-                            for p, d in incident[:3]],
-    }
+    checks["no_incident_pair"] = _check(
+        at_equality, not incident,
+        counterexamples=[{"point": list(ctx.point(p).coords),
+                          "hyperplane": list(ctx.point(d).coords)}
+                         for p, d in incident[:3]])
     num_points = points.bit_count()
-    checks["point_part_multiple"] = {
-        "applicable": at_equality,
-        "pass": (not at_equality) or num_points % q ** k == 0,
-        "points": num_points,
-    }
+    checks["point_part_multiple"] = _check(at_equality, num_points % q ** k == 0,
+                                           points=num_points)
     if points:
         closure = tangent_closure(ctx, bset.points)
-        separation_ok = closure.hypothesis_ok or not at_equality
-        checks["tangent_secant_separation"] = {
-            "applicable": at_equality,
-            "pass": separation_ok,
-            "violator": list(closure.violator.coords) if closure.violator else None,
-        }
-        checks["tangent_closure_dimension"] = {
-            "applicable": closure.hypothesis_ok,
-            "pass": (not closure.hypothesis_ok)
-                    or (closure.is_subspace and closure.dim == closure.expected_dim),
-            "dim": closure.dim,
-            "expected_dim": closure.expected_dim,
-        }
-        if at_equality and closure.hypothesis_ok and closure.is_subspace \
-                and closure.dim <= k + 1 and ctx.n == 2 * k + 1:
+        checks["tangent_secant_separation"] = _check(
+            at_equality, closure.hypothesis_ok,
+            violator=list(closure.violator.coords) if closure.violator else None)
+        checks["tangent_closure_dimension"] = _check(
+            closure.hypothesis_ok,
+            closure.is_subspace and closure.dim == closure.expected_dim,
+            dim=closure.dim, expected_dim=closure.expected_dim)
+        if at_equality and middle and closure.hypothesis_ok and closure.is_subspace \
+                and closure.dim <= k + 1:
             hull = ctx.span(*bset.points)
             while hull.dim < k + 1:
                 hull = next(ctx.extensions(hull, ctx.whole_space()))
             pins = [ctx.point(u) for u in ordinals(ctx.subspace_masks(hull)[0] & ~points)]
             failures = [list(pt.coords) for pt in pins
                         if not _pinned_hyperplanes(bset, hull, pt).bound_ok]
-            checks["pinned_hyperplane_dichotomy"] = {
-                "applicable": True,
-                "pass": not failures,
-                "pins_checked": len(pins),
-                "counterexamples": failures[:3],
-            }
+            checks["pinned_hyperplane_dichotomy"] = _check(
+                True, not failures, pins_checked=len(pins), counterexamples=failures[:3])
     return checks

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
 
-from .blocking import BlockingSet, candidates, incidence, ordinals
+from .blocking import BlockingSet, candidates, check_middle, incidence, ordinals
 from .counting import minimum_size_bound, theta
 from .gf import InputError
 from .pgkernel import GeometryContext, Subspace
@@ -135,8 +135,7 @@ def canonical_pencil_partition(ctx: GeometryContext, k: int, t: int = 1) -> Penc
     point), then d = e_k + c e_{k+1} for the field codes c = 0..q-1.  In
     reduced echelon form each member's basis is the axis rows followed by d.
     """
-    if ctx.n != 2 * k + 1:
-        raise InputError(f"need n = 2k + 1, got n={ctx.n}, k={k}")
+    check_middle(ctx, k)
     if not 1 <= t <= ctx.q:
         raise InputError(f"need 1 <= t <= q, got t={t}")
     rows = ctx.whole_space().basis
@@ -162,8 +161,7 @@ def _inside(inc, hull_hyperplanes: int) -> int:
 def distinct_pencil_partition_sets(ctx: GeometryContext, k: int):
     """(sorted tuple of distinct element-index tuples, number of parameter
     tuples (hull, axis, nonempty split))."""
-    if ctx.n != 2 * k + 1:
-        raise InputError(f"need n = 2k + 1, got n={ctx.n}, k={k}")
+    check_middle(ctx, k)
     inc = incidence(ctx, k)
     num_points = ctx.num_points
     point_part = (1 << num_points) - 1

@@ -77,10 +77,9 @@ from itertools import combinations
 from operator import or_
 
 from . import constructions
-from .blocking import (BlockingSet, IncidenceSystem, check_k, incidence, is_blocking,
-                       ordinals)
-from .counting import (OPEN, HypothesisViolated, metsch_dual_lower_bound, metsch_lower_bound,
-                       minimum_size_bound, theta)
+from .blocking import (BlockingSet, IncidenceSystem, check_k, check_middle, incidence,
+                       is_blocking, ordinals)
+from .counting import OPEN, HypothesisViolated, metsch_lower_bound, minimum_size_bound, theta
 from .gf import InputError
 from .pgkernel import BudgetExceeded, GeometryContext
 
@@ -212,8 +211,6 @@ def _shard_search(inc: IncidenceSystem, clashes, caps, cap: int, chosen0, forbid
                 sets = [tuple(chosen)]
             elif size == best:
                 sets.append(tuple(chosen))
-            return
-        if first_only and sets:
             return
         need = best - len(chosen)
         if need <= 0:
@@ -458,21 +455,16 @@ class RefutationReport:
         return asdict(self)
 
 
-def _skew_space_floor(n: int, q: int, k: int, count: int, dual: bool) -> int:
-    """Best counting lower bound on the k-spaces a part of `count` elements
-    leaves unblocked (points for dual=False, hyperplanes for dual=True)."""
+def _skew_space_floor(n: int, q: int, s: int, count: int) -> int:
+    """Best counting lower bound on the s-spaces skew to `count` points.
+    Through the polarity it also bounds the (n-s-1)-spaces that `count`
+    hyperplanes leave unblocked."""
     best = 0
-    for d in range(0, n + 1):
-        if count > theta(d, q):
-            continue
+    for d in range(n + 1):
         try:
-            if dual:
-                value = metsch_dual_lower_bound(n, q, d, k, count)
-            else:
-                value = metsch_lower_bound(n, q, d, k, count)
+            best = max(best, metsch_lower_bound(n, q, d, s, count))
         except HypothesisViolated:
-            continue
-        best = max(best, value)
+            pass
     return best
 
 
@@ -495,7 +487,11 @@ def refute_below(ctx: GeometryContext, k: int, target: int,
     Every exact composition (points, hyperplanes) with total < target is
     killed by the skew-space counting bounds (the part left unblocked by one
     side exceeds what the other side can possibly cover), or settled by
-    symmetry and one composition-constrained branch-and-bound run.
+    symmetry and one composition-constrained branch-and-bound run.  Both
+    sides use the one point floor (`_skew_space_floor`): a k-space lies in
+    no hyperplane of the set exactly when its polar (n-k-1)-space is skew
+    to their dual points, so the floor for b1 hyperplanes is the floor for
+    b1 points on the (n-k-1)-spaces.
 
     The search covers one slice of the composition.  A collineation of
     PGL(n+1, q) maps blocking sets onto blocking sets of the same
@@ -522,8 +518,8 @@ def refute_below(ctx: GeometryContext, k: int, target: int,
     for total in range(target):
         for b0 in range(total + 1):
             b1 = total - b0
-            if (_skew_space_floor(n, q, k, b0, dual=False) > b1 * per_hyperplane
-                    or _skew_space_floor(n, q, k, b1, dual=True) > b0 * per_point):
+            if (_skew_space_floor(n, q, k, b0) > b1 * per_hyperplane
+                    or _skew_space_floor(n, q, n - k - 1, b1) > b0 * per_point):
                 outcomes.append(CompositionOutcome(b0, b1, "counting-bound"))
                 continue
             if n == 2 * k + 1 and b0 < b1:
@@ -574,12 +570,11 @@ def verify_middle_case(ctx: GeometryContext, k: int, workers: int = 1,
                        budget_seconds: float | None = None) -> MiddleCaseFallback:
     """Generate every member of the theorem family, check each blocks, and
     refute all sizes below (q+1) q^k with bound-assisted pruning."""
-    if ctx.n != 2 * k + 1:
-        raise InputError(f"need n = 2k + 1, got n={ctx.n}, k={k}")
+    check_middle(ctx, k)
     sets, tuples = constructions.theorem_family(ctx, k)
     all_blocking = all(is_blocking(BlockingSet(ctx, k, ids))[0]
                        for ids in sets)
-    bound = (ctx.q + 1) * ctx.q ** k
+    bound = minimum_size_bound(ctx.n, k, ctx.q)
     refutation = refute_below(ctx, k, bound, workers, budget_seconds)
     return MiddleCaseFallback(tuples, len(sets), all_blocking, refutation)
 
@@ -632,8 +627,7 @@ def classify_minimum(ctx: GeometryContext, k: int, size_cap: int | None = None,
     return ClassificationVerdict(
         expected_bound=expected,
         observed_minimum=report.minimum_size,
-        all_minima_match_theorem=(report.minimum_size is not None and not mismatches
-                                  and expected in (OPEN, report.minimum_size)),
+        all_minima_match_theorem=report.minimum_size is not None and not mismatches,
         mismatches=mismatches,
         minima_count=len(found),
         method="search",

@@ -430,6 +430,14 @@ def test_classify_pg52_middle_case_fallback(capsys):
             if c["method"] == "search"] == [(5, 5), (6, 5), (7, 4), (8, 3)]
 
 
+def test_classify_out_of_budget_outside_middle_case(capsys):
+    # the fallback exists only for n = 2k + 1: elsewhere the budget exit stands
+    code, data = run_cli(capsys, "classify", "--q", "3", "--n", "2", "--k", "0",
+                         "--budget-seconds", "0")
+    assert code == 3
+    assert data is None
+
+
 def test_classify_open_case_nothing_found(capsys):
     code, data = run_cli(capsys, "classify", "--q", "2", "--n", "2", "--k", "0",
                          "--cap", "1")
@@ -497,6 +505,21 @@ def test_lemma_checks_equals_cli_payload(capsys, tmp_path, q, ts):
         checks = lemma_checks(bset)
         assert res == {"checks": checks, "all_pass": True}
         assert checks["pinned_hyperplane_dichotomy"]["pins_checked"] > 0
+
+
+@pytest.mark.parametrize("kind,removable", [
+    ("points", {"type": "point", "coords": [1, 1, 1, 1]}),
+    ("hyperplanes", {"type": "hyperplane", "dual": [1, 1, 1, 1]}),
+], ids=["point", "hyperplane"])
+def test_minimal_names_a_removable_element(capsys, tmp_path, kind, removable):
+    # a minimum set plus one element: that element is the removable one
+    code, doc = run_cli(capsys, "construct", "--q", "2", "--n", "3", "--k", "1")
+    doc[kind].append([1, 1, 1, 1])
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(doc))
+    code, res = run_cli(capsys, "minimal", str(path))
+    assert code == 1
+    assert res == {"minimal": False, "removable": removable}
 
 
 def test_stdin_input(capsys, monkeypatch, tmp_path):

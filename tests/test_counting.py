@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from pgblock.blocking import BlockingSet, unblocked_count
+from pgblock.blocking import BlockingSet, candidates, unblocked_count
 from pgblock.counting import (OPEN, HypothesisViolated,
                               fraction_decimal_upper, gaussian, heger_nagy_bracket,
                               heger_nagy_upper_bound, metsch_dual_lower_bound,
@@ -95,17 +95,28 @@ def test_metsch_dual_is_dual_of_metsch():
                             metsch_lower_bound(n, q, d, n - 1 - s, b)
 
 
-def test_metsch_dual_against_dualized_set(pg32):
+def test_metsch_dual_against_dualized_set(pg32, pg33, pg42):
+    """The dual bound against hyperplane sets counted by brute force: random
+    sets of up to theta_d hyperplanes satisfy it, and the theta_d hyperplanes
+    through an (n-d-1)-space meet it with equality."""
     rng = random.Random(11)
-    hyps = [pg32.hyperplane(p.coords) for p in pg32.points()]
-    for _ in range(20):
-        size = rng.randrange(0, 4)
-        chosen = rng.sample(range(len(hyps)), size)
-        bset = BlockingSet.from_elements(pg32, 1, frozenset(), frozenset(hyps[i] for i in chosen))
-        d = 1
-        for s in (1, 2):
-            bound = metsch_dual_lower_bound(3, 2, d, s, size)
-            assert unblocked_count(bset, s) >= bound
+    equalities = 0
+    for ctx in (pg32, pg33, pg42):
+        n, q, half = ctx.n, ctx.q, ctx.num_points
+        for d in range(n):
+            for _ in range(3):
+                size = rng.randrange(0, theta(d, q) + 1)
+                bset = BlockingSet(ctx, 0, [half + u for u in rng.sample(range(half), size)])
+                for s in range(max(d - 1, 0), n):
+                    assert unblocked_count(bset, s) >= metsch_dual_lower_bound(n, q, d, s, size)
+            anchor = rng.choice(ctx.subspaces(n - d - 1))
+            through = BlockingSet(ctx, 0, [u for u in candidates(ctx, anchor) if u >= half])
+            assert through.size == theta(d, q)
+            for s in range(max(d - 1, 0), n):
+                assert unblocked_count(through, s) == \
+                    metsch_dual_lower_bound(n, q, d, s, through.size)
+                equalities += 1
+    assert equalities == 29
 
 
 @pytest.mark.parametrize("k,q", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 4)])

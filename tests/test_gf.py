@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from pgblock.gf import (BUILTIN_MODULI, Field, InputError, field_for_order,
+from pgblock.gf import (BUILTIN_MODULI, TABLE_LIMIT, Field, InputError, field_for_order,
                         prime_power_parts)
 
 TABLE_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27]
@@ -72,10 +74,8 @@ def test_elements_order():
         assert {f.mul(a, b) for a in elems for b in elems} == elems
 
 
-@pytest.mark.parametrize("q", TABLE_ORDERS)
-def test_field_axioms_exhaustive(q):
-    f = field_for_order(q)
-    elems = range(f.q)
+def assert_axioms(f, elems):
+    """The field axioms on every pair and triple drawn from elems."""
     for a in elems:
         assert f.add(a, 0) == a
         assert f.mul(a, 1) == a
@@ -91,20 +91,44 @@ def test_field_axioms_exhaustive(q):
                 assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
 
 
+def power(f, a, e):
+    out = 1
+    for _ in range(e):
+        out = f.mul(out, a)
+    return out
+
+
+def assert_frobenius(f, elems):
+    """(a + b)^p = a^p + b^p on every pair drawn from elems."""
+    for a in elems:
+        for b in elems:
+            assert power(f, f.add(a, b), f.p) == f.add(power(f, a, f.p), power(f, b, f.p))
+
+
+@pytest.mark.parametrize("q", TABLE_ORDERS)
+def test_field_axioms_exhaustive(q):
+    f = field_for_order(q)
+    assert_axioms(f, range(f.q))
+
+
 @pytest.mark.parametrize("q", TABLE_ORDERS)
 def test_frobenius(q):
     f = field_for_order(q)
-    p = f.p
+    assert_frobenius(f, range(f.q))
 
-    def power(a):
-        out = 1
-        for _ in range(p):
-            out = f.mul(out, a)
-        return out
 
-    for a in range(f.q):
-        for b in range(f.q):
-            assert power(f.add(a, b)) == f.add(power(a), power(b))
+@pytest.mark.parametrize("field", [
+    Field(29), Field(31), Field(2, 5, [1, 0, 1, 0, 0, 1]), Field(7, 2, [3, 1, 1]),
+], ids=["29", "31", "32", "49"])
+def test_raw_arithmetic_above_table_limit(field):
+    # orders above TABLE_LIMIT build no tables: every operation is computed
+    assert field.q > TABLE_LIMIT and field._mul_table is None
+    rng = random.Random(field.q)
+    elems = [0, 1, field.q - 1] + rng.sample(range(2, field.q - 1), 9)
+    assert_axioms(field, elems)
+    assert_frobenius(field, elems)
+    # the nonzero elements form a group of order q - 1
+    assert all(power(field, a, field.q - 1) == 1 for a in elems if a)
 
 
 def test_builtin_moduli_are_monic_and_used():

@@ -7,7 +7,8 @@ import pytest
 
 from pgblock import constructions, search
 from pgblock.blocking import BlockingSet, candidates, incidence, is_blocking, is_minimal, ordinals
-from pgblock.counting import OPEN, gaussian, minimum_size_bound, theta
+from pgblock.counting import (OPEN, HypothesisViolated, gaussian, metsch_dual_lower_bound,
+                              minimum_size_bound, theta)
 from pgblock.gf import Field, InputError
 from pgblock.pgkernel import GeometryContext
 from pgblock.search import (TimeBudgetExceeded, classify_minimum,
@@ -336,6 +337,25 @@ def test_refute_below_pg32(pg32):
     methods = {(c.points, c.hyperplanes): c.method for c in report.compositions}
     assert len(methods) == sum(range(1, 7))  # all exact compositions of sizes 0..5
     assert "counting-bound" in set(methods.values())
+
+
+def test_hyperplane_floor_is_the_best_dual_bound():
+    """The floor refute_below puts on the k-spaces that b hyperplanes leave
+    unblocked, the point floor of the (n-k-1)-spaces, is the largest dual
+    Metsch bound within its hypotheses."""
+    for q in (2, 3, 4, 5):
+        for n in range(1, 7):
+            edges = {theta(d, q) + e for d in range(n + 1) for e in (-1, 0, 1)}
+            for count in sorted(set(range(theta(2, q) + 1)) | edges):
+                for k in range(n):
+                    dual = []
+                    for d in range(n + 1):
+                        try:
+                            dual.append(metsch_dual_lower_bound(n, q, d, k, count))
+                        except HypothesisViolated:
+                            pass
+                    assert search._skew_space_floor(n, q, n - k - 1, count) == \
+                        max(dual, default=0), (q, n, k, count)
 
 
 @pytest.mark.parametrize("k,workers,message", [
