@@ -18,7 +18,7 @@ the point-hyperplane table of `GeometryContext.hyperplane_table`: the
 hyperplanes through a space are the AND of its basis rows' entries, its
 points the AND of those hyperplanes' entries.  `candidates` answers the
 same question for one space by subspace arithmetic, at any scale, for
-the constructions.
+the constructions.  `lemma_checks` runs the public diagnostics.
 """
 
 from __future__ import annotations
@@ -379,14 +379,6 @@ def pinned_hyperplanes(bset: BlockingSet, hull: Subspace, pin: Point) -> PinnedH
     either some k-space of the hull has its whole fibre of hyperplanes in
     the collection (size >= q^k), or the collection has size
     >= q^(k-1) (q+1).  Vacuous when the set is not blocking."""
-    report = _pinned_hyperplanes(bset, hull, pin)
-    if not is_blocking(bset)[0]:
-        return PinnedHyperplanesReport(report.hyperplanes, VACUOUS, None, None, None)
-    return report
-
-
-def _pinned_hyperplanes(bset: BlockingSet, hull: Subspace, pin: Point) -> PinnedHyperplanesReport:
-    """pinned_hyperplanes for a set already known to block: never VACUOUS."""
     ctx, k = bset.ctx, bset.k
     check_middle(ctx, k)
     if hull.dim != k + 1:
@@ -402,6 +394,9 @@ def _pinned_hyperplanes(bset: BlockingSet, hull: Subspace, pin: Point) -> Pinned
         raise InputError(f"{pin!r} belongs to the point part")
     member_mask = hyperplanes & pin_hyperplanes & ~hull_hyperplanes
     members = frozenset(element(ctx, ctx.num_points + d) for d in ordinals(member_mask))
+    inc = incidence(ctx, k)
+    if blocked_mask(bset) != inc.full_mask:
+        return PinnedHyperplanesReport(members, VACUOUS, None, None, None)
     q = ctx.q
     # Case 1: a k-space of the hull through the pin whose full hyperplane
     # fibre {H : H meet hull = that k-space} sits inside the collection.  A
@@ -412,7 +407,6 @@ def _pinned_hyperplanes(bset: BlockingSet, hull: Subspace, pin: Point) -> Pinned
     traces = Counter(hull_points & table[d] for d in ordinals(member_mask))
     full = [trace for trace, count in traces.items() if count == q ** k]
     if full:
-        inc = incidence(ctx, k)
         lowest = min(reduce(and_, map(inc.covers.__getitem__, ordinals(trace)))
                      for trace in full)
         return PinnedHyperplanesReport(members, FULL_TRACE, inc.spaces[lowest.bit_length() - 1],
@@ -483,7 +477,7 @@ def lemma_checks(bset: BlockingSet) -> dict:
                 hull = next(ctx.extensions(hull, ctx.whole_space()))
             pins = [ctx.point(u) for u in ordinals(ctx.subspace_masks(hull)[0] & ~points)]
             failures = [list(pt.coords) for pt in pins
-                        if not _pinned_hyperplanes(bset, hull, pt).bound_ok]
+                        if not pinned_hyperplanes(bset, hull, pt).bound_ok]
             checks["pinned_hyperplane_dichotomy"] = _check(
                 True, not failures, pins_checked=len(pins), counterexamples=failures[:3])
     return checks

@@ -46,6 +46,13 @@ A node is a handful of bitmask operations:
   space's full candidate mask (`_conflicts`), built once per search and
   shared by its shards, so the packing takes at most room+1 steps.
 
+Every uncovered space keeps an allowed candidate at every node: a root
+task forbids fewer than C, the ones tried before it; a node with a tight
+space branches on its one allowed candidate and forbids nothing new; any
+other node branches on a space with the fewest allowed candidates, m >= 2,
+and its i-th child forbids only the i-1 < m tried before it, while every
+uncovered space had at least m allowed ones.
+
 The bounds apply in a fixed order: the static size bound (or, per
 composition, the point/hyperplane cover ceiling), then the packing bound,
 then, when every uncovered space has two or more allowed candidates, the
@@ -259,9 +266,6 @@ def _shard_search(inc: IncidenceSystem, clashes, caps, cap: int, chosen0, forbid
             packable &= ~clash
         if tight:
             branch = cand_masks[low.bit_length() - 1] & ~forbidden
-            if not branch:
-                pruned += 1
-                return
         else:
             # the lowest space with the most forbidden candidates
             most = unc

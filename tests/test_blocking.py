@@ -786,7 +786,7 @@ def test_diagnostics_match_subspace_oracles():
                     continue
             for pin in ctx.subspace_points(hull):
                 if pin.index not in point_idx:
-                    report = blocking._pinned_hyperplanes(bset, hull, pin)
+                    report = pinned_hyperplanes(bset, hull, pin)
                     assert report == oracle_pinned_hyperplanes(bset, hull, pin)
                     cases.add(report.case)
     assert cases == {FULL_TRACE, COUNT_BOUND}

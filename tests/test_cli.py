@@ -1,18 +1,24 @@
 import importlib
 import inspect
 import json
+import os
 import pkgutil
+import subprocess
+import sys
+from dataclasses import replace
 
 import pytest
 
 import pgblock
-from pgblock import blocking, constructions
+from pgblock import blocking, constructions, search
 from pgblock.blocking import lemma_checks
 from pgblock.cli import main
 from pgblock.constructions import canonical_pencil_partition, pencil_partition
 from pgblock.gf import Field, InputError, field_for_order
 from pgblock.pgkernel import BudgetExceeded, GeometryContext
 from pgblock.search import TimeBudgetExceeded
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(capsys, *argv):
@@ -438,6 +444,24 @@ def test_classify_out_of_budget_outside_middle_case(capsys):
     assert data is None
 
 
+def test_classify_below_the_bound_exit_code(capsys):
+    code, data = run_cli(capsys, "classify", "--q", "2", "--n", "3", "--k", "1", "--cap", "5")
+    assert code == 1
+    assert data["observed_minimum"] is None and data["all_minima_match_theorem"] is False
+
+
+def test_classify_unconfirmed_fallback_exit_code(capsys, monkeypatch):
+    # a fallback whose refutation fails confirms no minimum
+    refute = search.refute_below
+    monkeypatch.setattr(search, "refute_below",
+                        lambda *args: replace(refute(*args), refuted=False))
+    code, data = run_cli(capsys, "classify", "--q", "2", "--n", "3", "--k", "1",
+                         "--budget-seconds", "0")
+    assert code == 1
+    assert data["method"] == "fallback" and data["observed_minimum"] is None
+    assert data["all_minima_match_theorem"] is None and data["minima_count"] == 0
+
+
 def test_classify_open_case_nothing_found(capsys):
     code, data = run_cli(capsys, "classify", "--q", "2", "--n", "2", "--k", "0",
                          "--cap", "1")
@@ -520,6 +544,16 @@ def test_minimal_names_a_removable_element(capsys, tmp_path, kind, removable):
     code, res = run_cli(capsys, "minimal", str(path))
     assert code == 1
     assert res == {"minimal": False, "removable": removable}
+
+
+def test_module_entry_point():
+    # python -m pgblock runs the same main as the pgblock console script
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "pgblock", "bounds", "--n", "3", "--k", "1",
+                           "--q", "2"], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["main_theorem_bound"] == "6"
 
 
 def test_stdin_input(capsys, monkeypatch, tmp_path):

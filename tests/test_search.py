@@ -48,6 +48,8 @@ def _list_shard_search(inc, blocked, caps, cap, chosen0, unc0, covered0, forbidd
         if deadline is not None and nodes % check_every == 0 \
                 and search.time.monotonic() > deadline:
             raise TimeBudgetExceeded("search budget exhausted", nodes, pruned)
+        # the invariant of the `search` module docstring
+        assert all(cand_masks[j] & ~forbidden for j in unc), "a space lost every candidate"
         if not unc:
             size = len(chosen)
             if size < best:
@@ -206,6 +208,23 @@ def test_budget_expires_mid_shard(pg33, monkeypatch):
         raised.append((info.value.nodes_expanded, info.value.pruned))
     assert raised[0] == raised[1]
     assert raised[0][0] == 1024 and 0 < raised[0][1] < 1024
+
+
+def test_budget_exit_on_the_worker_pool(pg33, monkeypatch):
+    # the forked workers inherit the patched clock: each raises at its first
+    # check, and the raising shard's counters survive unpickling
+    ticks = iter([0.0])
+    monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: next(ticks, 10.0)))
+    with pytest.raises(TimeBudgetExceeded) as info:
+        search._branch_and_bound(incidence(pg33, 1), (None, None), 12, 2, deadline=1.0)
+    assert info.value.nodes_expanded == 1024 and 0 < info.value.pruned < 1024
+
+
+def test_budget_on_exhaustive_mode(pg32):
+    # exhaustive mode reads the clock every 65536 subsets
+    with pytest.raises(TimeBudgetExceeded) as info:
+        min_blocking_search(pg32, 1, 6, mode="exhaustive", budget_seconds=0)
+    assert info.value.nodes_expanded == 65536 and info.value.pruned == 0
 
 
 def test_packing_memo_start_over_keeps_prefill(pg32, monkeypatch):
@@ -533,6 +552,13 @@ def test_classify_middle_case_lists_unrecognized_minima(pg32, monkeypatch):
     assert verdict.observed_minimum == 6 and verdict.minima_count == 210
     assert verdict.mismatches == (missing,)
     assert verdict.all_minima_match_theorem is False
+
+
+def test_classify_below_the_bound(pg32):
+    # a cap below the minimum finds nothing, which is no match
+    verdict = classify_minimum(pg32, 1, size_cap=5)
+    assert verdict.observed_minimum is None and verdict.minima_count == 0
+    assert verdict.all_minima_match_theorem is False and verdict.mismatches == ()
 
 
 def test_classify_fallback_path(pg32):
