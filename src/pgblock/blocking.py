@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from operator import and_
 
-from .counting import theta
+from .counting import check_k, theta
 from .gf import (Field, InputError, field_for_order, json_list, json_object,
                  plain_int, required)
 from .pgkernel import GeometryContext, Point, Subspace
@@ -102,12 +102,6 @@ def incidence(ctx: GeometryContext, s: int) -> IncidenceSystem:
     return system
 
 
-def check_k(ctx: GeometryContext, k: int):
-    """The one range check on k, shared by BlockingSet and the search."""
-    if not 0 <= k < ctx.n:
-        raise InputError(f"need 0 <= k < n, got k={k}, n={ctx.n}")
-
-
 def check_middle(ctx: GeometryContext, k: int):
     """The one check for the middle case n = 2k + 1, shared by the
     diagnostics, the constructions and the search."""
@@ -134,7 +128,7 @@ class BlockingSet:
     ids: tuple[int, ...]
 
     def __post_init__(self):
-        check_k(self.ctx, self.k)
+        check_k(self.ctx.n, self.k)
         ids = tuple(sorted(set(self.ids)))
         if ids and not (0 <= ids[0] and ids[-1] < 2 * self.ctx.num_points):
             raise InputError(f"element ordinals {ids[0]}..{ids[-1]} leave "

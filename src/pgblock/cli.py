@@ -28,9 +28,9 @@ import sys
 
 from . import blocking, constructions, search
 from .blocking import BlockingSet
-from .counting import (BoundReport, gaussian, heger_nagy_upper_bound,
-                       metsch_dual_lower_bound, metsch_lower_bound,
-                       minimum_size_bound, theta)
+from .counting import (fraction_decimal_upper, gaussian, heger_nagy_upper_bound,
+                       metsch_dual_lower_bound, metsch_lower_bound, minimum_size_bound,
+                       theta)
 from .gf import InputError, field_for_order, json_list, json_object, required
 from .pgkernel import BudgetExceeded, GeometryContext
 
@@ -163,20 +163,34 @@ _FORMULAS = {
                     ("n", "q", "d", "s", "b_size")),
     "heger-nagy": ("heger_nagy_upper_bound", heger_nagy_upper_bound, ("a", "b", "q")),
 }
+# the optional `bounds` flags, one per argument name other than q, which
+# every formula takes
+_BOUND_ARGS = tuple(dict.fromkeys(a for _, _, names in _FORMULAS.values()
+                                  for a in names if a != "q"))
+
+
+def _flag(arg_name: str) -> str:
+    return "--" + arg_name.replace("_", "-")
 
 
 def _cmd_bounds(args) -> int:
     name, formula, arg_names = _FORMULAS[args.formula]
-    missing = [f"--{a.replace('_', '-')}" for a in arg_names if getattr(args, a) is None]
+    missing = [_flag(a) for a in arg_names if getattr(args, a) is None]
     if missing:
         raise InputError(f"--formula {args.formula} needs {', '.join(missing)}")
+    unused = [_flag(a) for a in _BOUND_ARGS
+              if a not in arg_names and getattr(args, a) is not None]
+    if unused:
+        raise InputError(f"--formula {args.formula} does not take {', '.join(unused)}")
     params = {a: getattr(args, a) for a in arg_names}
     value = formula(*params.values())
-    comparison = None
+    payload = {"name": name, "params": {a: str(v) for a, v in params.items()},
+               name: str(value)}
     if args.formula == "heger-nagy":
         actual = gaussian(args.a, args.b, args.q)
-        comparison = (actual, actual < value)
-    _emit(BoundReport(name, params, value, comparison).to_dict())
+        payload[name] = fraction_decimal_upper(value)
+        payload["comparison"] = {"actual": str(actual), "satisfied": actual < value}
+    _emit(payload)
     return EXIT_OK
 
 
@@ -255,14 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formula", default="main-theorem",
                    choices=tuple(_FORMULAS))
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--a", type=int, default=None)
-    p.add_argument("--b", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--s", type=int, default=None)
-    p.add_argument("--b-size", type=int, default=None)
+    for arg_name in _BOUND_ARGS:
+        p.add_argument(_flag(arg_name), type=int, default=None)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("search", help="find all minimum blocking sets up to a cap")

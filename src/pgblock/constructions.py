@@ -34,8 +34,8 @@ equality.  It reads the same bitmasks of `incidence(ctx, k)`, building them
 if absent: the k-spaces inside a hull, the traces of the set's hyperplanes
 on it, the axis they share and the members through the axis are ANDs of
 `covers` and `candidate_masks`.  Subspace arithmetic is left to finding the
-hull (one `span` of k+2 of the points, or the (k+1)-spaces over the one
-k-space holding them) and to the axis of a recognized set (one `span` of
+hull (one `span` of k+2 of the points, or the first (k+1)-space over the
+one k-space holding them) and to the axis of a recognized set (one `span` of
 the points the traces share).
 """
 
@@ -195,10 +195,10 @@ def theorem_family(ctx: GeometryContext, k: int):
     """
     bound = minimum_size_bound(ctx.n, k, ctx.q)
     sets, count = distinct_pencil_partition_sets(ctx, k) if ctx.n == 2 * k + 1 else ((), 0)
-    pure = tuple(tuple(offset + p.index for p in ctx.subspace_points(space))
+    pure = tuple(ordinals(points << offset)
                  for dim, offset in ((ctx.n - k, 0), (k + 1, ctx.num_points))
                  if theta(dim, ctx.q) == bound
-                 for space in ctx.iter_subspaces(dim))
+                 for _, points, _ in ctx.iter_subspace_masks(dim))
     return tuple(sorted(sets + pure)), count + len(pure)
 
 
@@ -208,19 +208,21 @@ def recognize_pencil_partition(bset: BlockingSet) -> PencilPartitionParams | Non
     Recovery reads the bitmasks of `incidence(ctx, k)`, building them if
     absent.  The hull is the span of k+2 independent points of the set,
     picked greedily; a set with points off that hull is not the one it
-    regenerates.  When the points lie in one k-space (their `covers` share
-    a bit), every (k+1)-space over it is tried in turn, as in the one-part
-    case t = 1.  The k-spaces inside a hull are
-    the ones every hyperplane through it contains, and a hull is skipped
-    when the set holds such a hyperplane.  Every other hyperplane of the set
-    cuts the hull in one k-space, its trace.  The axis is the meet of the
-    traces, read as the points they share and spanned by them.  A single
-    trace forces t = q, and then the set is the hull minus the trace plus
-    the hyperplanes through the trace off the hull, whatever the axis inside
-    the trace, so the span of its first k basis rows is taken, and its
-    points are read off the point-hyperplane table.  The members are the
-    k-spaces inside the hull through the axis, and the set is regenerated
-    from their candidate masks and compared with bset.
+    regenerates.  When the points lie in one k-space M (their `covers`
+    share a bit), t = 1 and the set is M off the axis A plus the hyperplanes
+    through A not containing M, whatever the hull over M: the first
+    (k+1)-space over M is taken, and it regenerates the set whenever any
+    hull does.  The k-spaces inside the hull are the ones every hyperplane
+    through it contains, and a set holding such a hyperplane is rejected.
+    Every other hyperplane of the set cuts the hull in one k-space, its
+    trace.  The axis is the meet of the traces, read as the points they
+    share and spanned by them.  A single trace forces t = q, and then the
+    set is the hull minus the trace plus the hyperplanes through the trace
+    off the hull, whatever the axis inside the trace, so the span of its
+    first k basis rows is taken, and its points are read off the
+    point-hyperplane table.  The members are the k-spaces inside the hull
+    through the axis, and the set is regenerated from their candidate masks
+    and compared with bset.
     """
     ctx, k = bset.ctx, bset.k
     q, num_points = ctx.q, ctx.num_points
@@ -250,42 +252,40 @@ def recognize_pencil_partition(bset: BlockingSet) -> PencilPartitionParams | Non
             if not shared:
                 break
     if shared:
-        # the points span the one k-space that holds them all
-        hulls = ctx.extensions(inc.spaces[shared.bit_length() - 1], ctx.whole_space())
+        # the points lie in one k-space, and any hull over it will do
+        hull = next(ctx.extensions(inc.spaces[shared.bit_length() - 1], ctx.whole_space()))
     else:
-        hulls = [ctx.span(*map(ctx.point, independent))]
+        hull = ctx.span(*map(ctx.point, independent))
     point_part = (1 << num_points) - 1
-    for hull in hulls:
-        inside = _inside(inc, ctx.subspace_masks(hull)[1])
-        cuts = [covers[h] & inside for h in hyperplanes]
-        if inside in cuts:  # a hyperplane through the hull
-            continue
-        traces = reduce(or_, cuts)
-        trace_ids = ordinals(traces)
-        if len(trace_ids) == 1:
-            axis = Subspace(k - 1, inc.spaces[trace_ids[0]].basis[:k])
-            axis_points = ctx.subspace_masks(axis)[0]
-        else:
-            axis = None  # the span of axis_points, once the set is confirmed
-            axis_points = reduce(and_, (masks[j] for j in trace_ids)) & point_part
-            if axis_points.bit_count() != theta(k - 1, q):
-                continue
-        members = [j for j in ordinals(inside) if masks[j] & axis_points == axis_points]
-        point_members = [j for j in members if not traces >> j & 1]
-        if len(point_members) != t:
-            continue
-        ids = 0
-        for j, (on_points, on_hyperplanes) in zip(
-                members, _contributions([masks[j] for j in members], point_part)):
-            ids |= on_hyperplanes if traces >> j & 1 else on_points
-        if ordinals(ids) != bset.ids:
-            continue
-        if axis is None:
-            axis = ctx.span(*map(ctx.point, ordinals(axis_points)))
-        return PencilPartitionParams(hull, axis,
-                                     frozenset(inc.spaces[j] for j in point_members),
-                                     frozenset(inc.spaces[j] for j in trace_ids))
-    return None
+    inside = _inside(inc, ctx.subspace_masks(hull)[1])
+    cuts = [covers[h] & inside for h in hyperplanes]
+    if inside in cuts:  # a hyperplane through the hull
+        return None
+    traces = reduce(or_, cuts)
+    trace_ids = ordinals(traces)
+    if len(trace_ids) == 1:
+        axis = Subspace(k - 1, inc.spaces[trace_ids[0]].basis[:k])
+        axis_points = ctx.subspace_masks(axis)[0]
+    else:
+        axis = None  # the span of axis_points, once the set is confirmed
+        axis_points = reduce(and_, (masks[j] for j in trace_ids)) & point_part
+        if axis_points.bit_count() != theta(k - 1, q):
+            return None
+    members = [j for j in ordinals(inside) if masks[j] & axis_points == axis_points]
+    point_members = [j for j in members if not traces >> j & 1]
+    if len(point_members) != t:
+        return None
+    ids = 0
+    for j, (on_points, on_hyperplanes) in zip(
+            members, _contributions([masks[j] for j in members], point_part)):
+        ids |= on_hyperplanes if traces >> j & 1 else on_points
+    if ordinals(ids) != bset.ids:
+        return None
+    if axis is None:
+        axis = ctx.span(*map(ctx.point, ordinals(axis_points)))
+    return PencilPartitionParams(hull, axis,
+                                 frozenset(inc.spaces[j] for j in point_members),
+                                 frozenset(inc.spaces[j] for j in trace_ids))
 
 
 def bose_burton(ctx: GeometryContext, k: int, variant: str, anchor: Subspace) -> BlockingSet:

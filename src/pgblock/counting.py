@@ -10,7 +10,6 @@ fail spuriously.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .gf import InputError, prime_power_parts
@@ -114,6 +113,12 @@ def heger_nagy_upper_bound(a: int, b: int, q: int) -> Fraction:
     return heger_nagy_bracket(a, b, q)[1]
 
 
+def check_k(n: int, k: int):
+    """The one range check on k, for the bound, BlockingSet and the search."""
+    if not 0 <= k < n:
+        raise InputError(f"need 0 <= k < n, got k={k}, n={n}")
+
+
 def minimum_size_bound(n: int, k: int, q: int):
     """Smallest possible size of a mixed point/hyperplane blocking set with
     respect to k-spaces in PG(n, q), or OPEN for the excluded q = 2 cases.
@@ -122,8 +127,7 @@ def minimum_size_bound(n: int, k: int, q: int):
     k = (n-1)/2.
     """
     _check_q(q)
-    if not 0 <= k < n:
-        raise InputError(f"need 0 <= k < n, got k={k}, n={n}")
+    check_k(n, k)
     if q == 2 and n % 2 == 0 and (2 * k == n - 2 or 2 * k == n):
         return OPEN
     if 2 * k < n - 1:
@@ -140,28 +144,3 @@ def fraction_decimal_upper(x: Fraction, places: int = 6) -> str:
     sign = "-" if units < 0 else ""
     units = abs(units)
     return f"{sign}{units // scale}.{units % scale:0{places}d}"
-
-
-@dataclass
-class BoundReport:
-    """One evaluated bound formula, for the CLI's JSON output."""
-
-    name: str
-    params: dict = field(default_factory=dict)
-    value: object = None
-    comparison: tuple | None = None  # (actual value, satisfied flag)
-
-    def to_dict(self) -> dict:
-        if isinstance(self.value, Fraction):
-            rendered = fraction_decimal_upper(self.value)
-        else:
-            rendered = str(self.value)
-        out = {
-            "name": self.name,
-            "params": {key: str(val) for key, val in self.params.items()},
-            self.name: rendered,
-        }
-        if self.comparison is not None:
-            actual, ok = self.comparison
-            out["comparison"] = {"actual": str(actual), "satisfied": bool(ok)}
-        return out

@@ -113,24 +113,23 @@ class Field:
         if e < 1:
             raise InputError(f"exponent e = {e} must be >= 1")
         q = p ** e
+        if modulus is None:
+            if e > 1 and q not in BUILTIN_MODULI:
+                raise InputError(
+                    f"no built-in irreducible modulus for q = {q}; supply one")
+            modulus = BUILTIN_MODULI.get(q, (0, 1))
+        modulus = tuple(plain_int(c, "modulus coefficient") for c in modulus)
+        if any(not 0 <= c < p for c in modulus):
+            raise InputError(
+                f"modulus coefficients must lie in [0, {p}), got {modulus}")
+        if len(modulus) != e + 1 or modulus[-1] != 1:
+            raise InputError(
+                f"modulus must be monic of degree {e}, got {modulus}")
         if e == 1:
-            modulus = (0, 1)  # x; never used by the arithmetic
-        else:
-            if modulus is None:
-                if q not in BUILTIN_MODULI:
-                    raise InputError(
-                        f"no built-in irreducible modulus for q = {q}; supply one")
-                modulus = BUILTIN_MODULI[q]
-            modulus = tuple(plain_int(c, "modulus coefficient") for c in modulus)
-            if any(not 0 <= c < p for c in modulus):
-                raise InputError(
-                    f"modulus coefficients must lie in [0, {p}), got {modulus}")
-            if len(modulus) != e + 1 or modulus[-1] != 1:
-                raise InputError(
-                    f"modulus must be monic of degree {e}, got {modulus}")
-            if not _is_irreducible(modulus, p):
-                raise InputError(
-                    f"modulus {modulus} is reducible over GF({p})")
+            modulus = (0, 1)  # every monic linear modulus gives the arithmetic mod p
+        elif not _is_irreducible(modulus, p):
+            raise InputError(
+                f"modulus {modulus} is reducible over GF({p})")
         self.p = p
         self.e = e
         self.q = q

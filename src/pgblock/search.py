@@ -77,6 +77,7 @@ bitmasks that the search built, so classification builds no other one.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, replace
 from functools import reduce
@@ -84,9 +85,10 @@ from itertools import combinations
 from operator import or_
 
 from . import constructions
-from .blocking import (BlockingSet, IncidenceSystem, check_k, check_middle, incidence,
-                       is_blocking, ordinals)
-from .counting import OPEN, HypothesisViolated, metsch_lower_bound, minimum_size_bound, theta
+from .blocking import (BlockingSet, IncidenceSystem, check_middle, incidence, is_blocking,
+                       ordinals)
+from .counting import (OPEN, HypothesisViolated, check_k, metsch_lower_bound,
+                       minimum_size_bound, theta)
 from .gf import InputError
 from .pgkernel import BudgetExceeded, GeometryContext
 
@@ -398,11 +400,14 @@ def _exhaustive(inc: IncidenceSystem, cap: int, deadline: float | None):
     return None, (), nodes, 0
 
 
-def _check_input(ctx: GeometryContext, k: int, workers: int):
-    """Reject the k that BlockingSet rejects, and fewer than one worker."""
-    check_k(ctx, k)
+def _check_input(ctx: GeometryContext, k: int, workers: int, budget_seconds: float | None):
+    """Reject the k that BlockingSet rejects, fewer than one worker, and a
+    NaN budget, which no clock reading exceeds."""
+    check_k(ctx.n, k)
     if workers < 1:
         raise InputError(f"need workers >= 1, got workers={workers}")
+    if budget_seconds is not None and math.isnan(budget_seconds):
+        raise InputError(f"need a budget that is a number, got budget_seconds={budget_seconds}")
 
 
 def min_blocking_search(ctx: GeometryContext, k: int, size_cap: int,
@@ -415,7 +420,7 @@ def min_blocking_search(ctx: GeometryContext, k: int, size_cap: int,
     """
     if mode not in ("branch_and_bound", "exhaustive"):
         raise InputError(f"unknown mode {mode!r}")
-    _check_input(ctx, k, workers)
+    _check_input(ctx, k, workers, budget_seconds)
     if mode == "exhaustive" and workers > 1:
         raise InputError(f"exhaustive mode runs on one worker, got workers={workers}")
     start = time.monotonic()
@@ -511,7 +516,7 @@ def refute_below(ctx: GeometryContext, k: int, target: int,
     at the same total, and is reported with method "polarity" and 0 nodes.  On PG(3,3) k=1
     below 12 that leaves (6, 5) to search, in 939 nodes.
     """
-    _check_input(ctx, k, workers)
+    _check_input(ctx, k, workers, budget_seconds)
     n, q = ctx.n, ctx.q
     start = time.monotonic()
     deadline = start + budget_seconds if budget_seconds is not None else None

@@ -76,6 +76,19 @@ def test_bounds_missing_flag_named(capsys, formula, given, missing):
     assert f"--formula {formula} needs {missing}" in captured.err
 
 
+@pytest.mark.parametrize("formula,given,unused", [
+    ("theta", ["--m", "2", "--k", "5", "--a", "9"], "--k, --a"),
+    ("main-theorem", ["--n", "3", "--k", "1", "--b-size", "4"], "--b-size"),
+    ("metsch", ["--n", "3", "--d", "1", "--s", "1", "--b-size", "3", "--m", "1"], "--m"),
+    ("heger-nagy", ["--a", "4", "--b", "2", "--n", "3"], "--n"),
+], ids=["theta", "main-theorem", "metsch", "heger-nagy"])
+def test_bounds_unused_flag_named(capsys, formula, given, unused):
+    code = main(["bounds", "--formula", formula, "--q", "3", *given])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"--formula {formula} does not take {unused}" in captured.err
+
+
 def test_construct_verify_roundtrip(capsys, tmp_path):
     code, doc = run_cli(capsys, "construct", "--q", "2", "--n", "3", "--k", "1")
     assert code == 0
@@ -248,6 +261,20 @@ def test_malformed_document_rejected(capsys, tmp_path, doc, message):
     assert captured.out == "" and message in captured.err
 
 
+@pytest.mark.parametrize("modulus,code", [([5, 7, 9, 11], 2), ([0, 1], 1)],
+                         ids=["out-of-range", "x"])
+def test_prime_field_modulus_checked(capsys, tmp_path, modulus, code):
+    # two elements block nothing, so a well-formed field exits 1
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps({**SMALL_SET, "q": 3,
+                                "field": {"p": 3, "e": 1, "modulus": modulus}}))
+    assert main(["verify", str(path)]) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out == ""
+        assert "modulus coefficients must lie in [0, 3), got (5, 7, 9, 11)" in captured.err
+
+
 @pytest.mark.parametrize("content,message", [
     (b"\x89PNG\r\n\x1a\n\x00\xff", "can't decode byte 0x89"),
     (None, "No such file or directory"),
@@ -354,6 +381,16 @@ def test_budget_exit_code(capsys):
                  "--budget-seconds", "0.05"])
     assert code == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("budget,exit_code", [("nan", 2), ("-1", 3)], ids=["nan", "negative"])
+def test_budget_nan_is_invalid_and_negative_is_spent(capsys, budget, exit_code):
+    code = main(["search", "--q", "3", "--n", "3", "--k", "1", "--cap", "12",
+                 "--budget-seconds", budget])
+    captured = capsys.readouterr()
+    assert code == exit_code and captured.out == ""
+    if budget == "nan":
+        assert "need a budget that is a number, got budget_seconds=nan" in captured.err
 
 
 @pytest.mark.parametrize("flags,message", [

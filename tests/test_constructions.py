@@ -327,6 +327,24 @@ def test_recognition_matches_subspace_recognizer(q, n, k, sample):
     assert recognized >= 2 * len(sets) - (4 if n == 1 else 0)
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_one_part_set_does_not_depend_on_the_hull(q):
+    # t = 1: the set is the point member off the axis plus the hyperplanes
+    # through the axis not containing that member, whatever the hull over
+    # it, so recognition tries only the first hull
+    ctx = GeometryContext(field_for_order(q), 3)
+    whole = ctx.whole_space()
+    for member in ctx.subspaces(1):
+        for axis_point in ctx.subspace_points(member):
+            axis = Subspace(0, (axis_point.coords,))
+            hulls = list(ctx.extensions(member, whole))
+            assert len(hulls) == q + 1
+            built = {pencil_partition(ctx, PencilPartitionParams(
+                hull, axis, frozenset([member]),
+                frozenset(pencil(ctx, axis, hull)) - {member})).ids for hull in hulls}
+            assert len(built) == 1
+
+
 def _rejected_by_both(bset):
     return recognize_pencil_partition(bset) is None and _subspace_recognize(bset) is None
 

@@ -52,6 +52,23 @@ def test_modulus_coefficient_out_of_range(modulus):
         Field(2, 2, modulus)
 
 
+@pytest.mark.parametrize("modulus,message", [
+    ([5, 7, 9, 11], r"modulus coefficients must lie in \[0, 3\), got \(5, 7, 9, 11\)"),
+    ([1, 2], r"modulus must be monic of degree 1, got \(1, 2\)"),
+    ([0, 0, 1], r"modulus must be monic of degree 1, got \(0, 0, 1\)"),
+    ([1.0, 1], "modulus coefficient must be an integer"),
+], ids=["range", "not-monic", "degree", "float"])
+def test_prime_field_modulus_checked(modulus, message):
+    with pytest.raises(InputError, match=message):
+        Field(3, 1, modulus)
+
+
+def test_prime_field_accepts_every_monic_linear_modulus():
+    # x + c gives the same arithmetic mod p for every c, so one is stored
+    assert Field(3, 1, [0, 1]) == Field(3, 1, [2, 1]) == Field(3)
+    assert Field(3, 1, [2, 1]).modulus == (0, 1)
+
+
 def test_spec_arithmetic_examples():
     assert Field(3).add(2, 2) == 1
     assert Field(3).sub(0, 1) == 2

@@ -390,6 +390,16 @@ def test_search_rejects_bad_arguments(pg32, k, workers, message):
         refute_below(pg32, k, 3, workers=workers)
 
 
+def test_search_rejects_nan_budget(pg32):
+    # no clock reading exceeds a NaN deadline, so the budget would never fire
+    calls = [lambda: min_blocking_search(pg32, 1, 6, budget_seconds=math.nan),
+             lambda: refute_below(pg32, 1, 6, budget_seconds=math.nan),
+             lambda: classify_minimum(pg32, 1, budget_seconds=math.nan)]
+    for call in calls:
+        with pytest.raises(InputError, match="got budget_seconds=nan"):
+            call()
+
+
 def test_exhaustive_mode_runs_on_one_worker(pg22):
     with pytest.raises(InputError, match="exhaustive mode runs on one worker, got workers=2"):
         min_blocking_search(pg22, 1, 3, mode="exhaustive", workers=2)
