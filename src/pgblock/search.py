@@ -42,9 +42,10 @@ A node is a handful of bitmask operations:
   space with at most one allowed candidate (all of them if there is none).
   Each packed space removes the spaces it shares an allowed candidate
   with, the OR of the covers of its allowed ones, looked up in one memo
-  keyed by the allowed-candidate mask.  The memo is prefilled with every
-  space's full candidate mask (`_conflicts`), built once per search and
-  shared by its shards, so the packing takes at most room+1 steps.
+  keyed by the allowed-candidate mask.  The memo starts empty at every
+  search and is filled on a miss; the search's shards share it (forked
+  workers inherit it), and it is cleared when it reaches `_CLASH_MEMO`
+  entries.  The packing takes at most room+1 steps.
 
 Every uncovered space keeps an allowed candidate at every node: a root
 task forbids fewer than C, the ones tried before it; a node with a tight
@@ -93,7 +94,7 @@ from .gf import InputError
 from .pgkernel import BudgetExceeded, GeometryContext
 
 _WORKER_STATE = {}
-_CLASH_MEMO = 1 << 14  # entries the packing memo holds beyond its prefill before it starts over
+_CLASH_MEMO = 1 << 14  # entries the packing memo holds before it starts over
 
 
 class TimeBudgetExceeded(BudgetExceeded):
@@ -127,13 +128,6 @@ class SearchReport:
 
     def to_dict(self) -> dict:
         return {**asdict(self), "wall_time": round(self.wall_time, 3)}
-
-
-def _conflicts(inc: IncidenceSystem) -> dict[int, int]:
-    """The prefill of the packing memo: each space's candidate mask mapped to
-    the spaces that share a candidate with it, the OR of the covers of its
-    candidates (the space among them)."""
-    return {mask: _covered_by(inc.covers, mask) for mask in inc.candidate_masks}
 
 
 def _covered_by(covers, mask: int) -> int:
@@ -172,12 +166,12 @@ def _shard_search(inc: IncidenceSystem, clashes, caps, cap: int, chosen0, forbid
                   deadline: float | None, first_only: bool = False):
     """Explore one branch-and-bound shard; returns (best, sets, nodes, pruned).
 
-    clashes is the packing memo, prefilled by `_conflicts(inc)`, which the
-    shard extends; chosen0 the elements the shard starts from and forbidden0
-    the elements it may not take.  caps is (max points, max hyperplanes),
-    None for no limit.  best is the smallest solution size found
-    (initialized to cap), sets the complete list of solutions of that size
-    inside this shard.
+    clashes is the packing memo of the search, each allowed-candidate mask
+    mapped to `_covered_by` of it, which the shard extends; chosen0 the
+    elements the shard starts from and forbidden0 the elements it may not
+    take.  caps is (max points, max hyperplanes), None for no limit.  best
+    is the smallest solution size found (initialized to cap), sets the
+    complete list of solutions of that size inside this shard.
     """
     covers = inc.covers
     cand_masks = inc.candidate_masks
@@ -203,7 +197,6 @@ def _shard_search(inc: IncidenceSystem, clashes, caps, cap: int, chosen0, forbid
     nodes = 0
     pruned = 0
     check_every = 1024
-    prefill = len(cand_masks)
     element_covers = tuple((1 << e, cover) for e, cover in enumerate(covers))
     if deadline is not None and time.monotonic() > deadline:
         raise TimeBudgetExceeded("search budget exhausted", nodes, pruned)
@@ -259,11 +252,8 @@ def _shard_search(inc: IncidenceSystem, clashes, caps, cap: int, chosen0, forbid
             cm = cand_masks[j] & ~forbidden
             clash = clashes.get(cm)
             if clash is None:
-                if len(clashes) >= prefill + _CLASH_MEMO:
-                    # popitem takes the newest entry first, so the prefill,
-                    # inserted first and never replaced, stays
-                    while len(clashes) > prefill:
-                        clashes.popitem()
+                if len(clashes) >= _CLASH_MEMO:
+                    clashes.clear()
                 clash = clashes[cm] = _covered_by(covers, cm)
             packable &= ~clash
         if tight:
@@ -352,7 +342,7 @@ def _branch_and_bound(inc: IncidenceSystem, caps, cap: int, workers: int,
     tasks = _root_tasks(inc, caps, forced) if cap >= 1 else []
     if not tasks:
         return None, (), nodes, pruned
-    clashes = _conflicts(inc)
+    clashes = {}
     if workers <= 1 or len(tasks) == 1:
         results = [_shard_search(inc, clashes, caps, cap, *task, deadline, first_only)
                    for task in tasks]
@@ -400,14 +390,17 @@ def _exhaustive(inc: IncidenceSystem, cap: int, deadline: float | None):
     return None, (), nodes, 0
 
 
-def _check_input(ctx: GeometryContext, k: int, workers: int, budget_seconds: float | None):
+def _check_input(ctx: GeometryContext, k: int, workers: int,
+                 budget_seconds: float | None) -> float | None:
     """Reject the k that BlockingSet rejects, fewer than one worker, and a
-    NaN budget, which no clock reading exceeds."""
+    NaN budget, which no clock reading exceeds; return the deadline the
+    budget sets from now (None for no budget)."""
     check_k(ctx.n, k)
     if workers < 1:
         raise InputError(f"need workers >= 1, got workers={workers}")
     if budget_seconds is not None and math.isnan(budget_seconds):
         raise InputError(f"need a budget that is a number, got budget_seconds={budget_seconds}")
+    return None if budget_seconds is None else time.monotonic() + budget_seconds
 
 
 def min_blocking_search(ctx: GeometryContext, k: int, size_cap: int,
@@ -420,11 +413,10 @@ def min_blocking_search(ctx: GeometryContext, k: int, size_cap: int,
     """
     if mode not in ("branch_and_bound", "exhaustive"):
         raise InputError(f"unknown mode {mode!r}")
-    _check_input(ctx, k, workers, budget_seconds)
+    deadline = _check_input(ctx, k, workers, budget_seconds)
     if mode == "exhaustive" and workers > 1:
         raise InputError(f"exhaustive mode runs on one worker, got workers={workers}")
     start = time.monotonic()
-    deadline = start + budget_seconds if budget_seconds is not None else None
     inc = incidence(ctx, k)
     if mode == "exhaustive":
         best, sets, nodes, pruned = _exhaustive(inc, size_cap, deadline)
@@ -516,10 +508,8 @@ def refute_below(ctx: GeometryContext, k: int, target: int,
     at the same total, and is reported with method "polarity" and 0 nodes.  On PG(3,3) k=1
     below 12 that leaves (6, 5) to search, in 939 nodes.
     """
-    _check_input(ctx, k, workers, budget_seconds)
+    deadline = _check_input(ctx, k, workers, budget_seconds)
     n, q = ctx.n, ctx.q
-    start = time.monotonic()
-    deadline = start + budget_seconds if budget_seconds is not None else None
     inc = incidence(ctx, k)
     per_point, per_hyperplane = inc.covers[0].bit_count(), inc.covers[ctx.num_points].bit_count()
     outcomes = []
@@ -580,6 +570,7 @@ def verify_middle_case(ctx: GeometryContext, k: int, workers: int = 1,
     """Generate every member of the theorem family, check each blocks, and
     refute all sizes below (q+1) q^k with bound-assisted pruning."""
     check_middle(ctx, k)
+    _check_input(ctx, k, workers, budget_seconds)
     sets, tuples = constructions.theorem_family(ctx, k)
     all_blocking = all(is_blocking(BlockingSet(ctx, k, ids))[0]
                        for ids in sets)

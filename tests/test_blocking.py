@@ -1,6 +1,8 @@
 import json
+import math
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -404,6 +406,27 @@ def test_lemma_checks_checks_blocking_once(pg32, monkeypatch):
     checks = lemma_checks(bset)
     assert checks["pinned_hyperplane_dichotomy"]["pins_checked"] > 1
     assert calls == [bset]
+
+
+def test_lemma_checks_lists_skew_cospace_counterexamples(pg32, monkeypatch):
+    # a profile below its bound fails the check on every flat it was run on,
+    # and the first three of those flats are listed as (k-1)-spaces
+    bset = pencil_partition(pg32, canonical_pencil_partition(pg32, 1))
+    honest = lemma_checks(bset)["skew_cospace_bound"]
+    profile = blocking.skew_space_profile
+
+    def below_bound(bset, flat):
+        true = profile(bset, flat)
+        return replace(true, count=math.ceil(true.bound) - 1)
+
+    monkeypatch.setattr(blocking, "skew_space_profile", below_bound)
+    check = lemma_checks(bset)["skew_cospace_bound"]
+    assert honest["pass"] and not honest["counterexamples"]
+    assert not check["pass"] and check["flats_checked"] == honest["flats_checked"] > 3
+    points = bset.element_masks[0]
+    skew = [flat.to_dict() for flat, flat_points, _ in pg32.iter_subspace_masks(bset.k - 1)
+            if not flat_points & points]
+    assert check["counterexamples"] == skew[:3]
 
 
 # -- slow reference scans over every k-space of the geometry -------------------

@@ -161,6 +161,16 @@ def test_recognition_rejects_bose_burton(pg32):
     assert recognize_pencil_partition(bset) is None  # size 7, not 6
 
 
+@pytest.mark.parametrize("q,n,k", [(3, 2, 0), (2, 4, 1)])
+def test_recognition_rejects_sets_outside_the_middle_case(q, n, k):
+    # pencil partitions live in n = 2k+1 only; a Bose-Burton set elsewhere
+    # blocks, but is none of them
+    ctx = GeometryContext(Field(q), n)
+    bset = bose_burton(ctx, k, "hyperplanes", canonical_anchor(ctx, n - k - 2))
+    assert is_blocking(bset)[0] and bset.size == theta(k + 1, q)
+    assert recognize_pencil_partition(bset) is None
+
+
 def test_recognition_rejects_perturbed_instance(pg32):
     bset = pencil_partition(pg32, canonical_pencil_partition(pg32, 1))
     outside = next(p for p in pg32.points() if p not in bset.points)

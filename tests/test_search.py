@@ -12,7 +12,7 @@ from pgblock.counting import (OPEN, HypothesisViolated, gaussian, metsch_dual_lo
 from pgblock.gf import Field, InputError
 from pgblock.pgkernel import GeometryContext
 from pgblock.search import (TimeBudgetExceeded, classify_minimum,
-                            min_blocking_search, refute_below)
+                            min_blocking_search, refute_below, verify_middle_case)
 
 
 def _list_shard_search(inc, blocked, caps, cap, chosen0, unc0, covered0, forbidden0,
@@ -157,7 +157,7 @@ def _list_shards(inc, caps, cap, first_only=False, deadline=None):
 
 
 def _bitmask_shards(inc, caps, cap, first_only=False, deadline=None):
-    clashes = search._conflicts(inc)
+    clashes = {}
     return [search._shard_search(inc, clashes, caps, cap, *task, deadline, first_only)
             for task in search._root_tasks(inc, caps)]
 
@@ -227,18 +227,24 @@ def test_budget_on_exhaustive_mode(pg32):
     assert info.value.nodes_expanded == 65536 and info.value.pruned == 0
 
 
-def test_packing_memo_start_over_keeps_prefill(pg32, monkeypatch):
+def test_packing_memo_start_over(pg32, monkeypatch):
     # a memo that starts over at every new entry: the same shards as the
-    # oracle, and the prefill (every space's full candidate mask) survives
+    # oracle, and the memo never holds more than that one entry
+    class Memo(dict):
+        sizes = []
+
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            self.sizes.append(len(self))
+
     monkeypatch.setattr(search, "_CLASH_MEMO", 1)
     inc = incidence(pg32, 1)
     caps = (None, None)
-    clashes = search._conflicts(inc)
-    prefill = dict(clashes)
+    clashes = Memo()
     shards = [search._shard_search(inc, clashes, caps, 6, *task, None)
               for task in search._root_tasks(inc, caps)]
     assert shards == _list_shards(inc, caps, 6)
-    assert len(clashes) == len(prefill) + 1 and prefill.items() <= clashes.items()
+    assert len(clashes.sizes) > 1 and set(clashes.sizes) == {1}
 
 
 def test_pg22_minima_are_the_lines(pg22):
@@ -398,6 +404,20 @@ def test_search_rejects_nan_budget(pg32):
     for call in calls:
         with pytest.raises(InputError, match="got budget_seconds=nan"):
             call()
+
+
+@pytest.mark.parametrize("workers,budget,message", [
+    (0, None, "need workers >= 1, got workers=0"),
+    (1, math.nan, "got budget_seconds=nan"),
+], ids=["workers=0", "nan-budget"])
+def test_fallback_checks_arguments_before_building_the_family(pg32, monkeypatch,
+                                                              workers, budget, message):
+    def unbuilt(ctx, k):
+        raise AssertionError("the theorem family was built")
+
+    monkeypatch.setattr(constructions, "theorem_family", unbuilt)
+    with pytest.raises(InputError, match=message):
+        verify_middle_case(pg32, 1, workers, budget)
 
 
 def test_exhaustive_mode_runs_on_one_worker(pg22):
