@@ -39,15 +39,14 @@ from .pgkernel import GeometryContext, Point, Subspace
 class IncidenceSystem:
     """Bitset incidence between blocker candidates and the s-spaces.
 
-    covers[u] has bit j set iff universe element u blocks spaces[j] (point
-    on it, or hyperplane through it); candidate_masks[j] has bit u set iff
-    the same holds.  The two are the directions of one relation: element to
-    spaces and space to elements.
+    covers[u] has bit j set iff universe element u blocks the s-space
+    ctx.subspaces(s)[j] (point on it, or hyperplane through it);
+    candidate_masks[j] has bit u set iff the same holds.  The two are the
+    directions of one relation: element to spaces and space to elements.
     """
 
     ctx: GeometryContext
     s: int
-    spaces: tuple[Subspace, ...]
     covers: tuple[int, ...]
     candidate_masks: tuple[int, ...]
     full_mask: int
@@ -93,7 +92,6 @@ def incidence(ctx: GeometryContext, s: int) -> IncidenceSystem:
     system = IncidenceSystem(
         ctx=ctx,
         s=s,
-        spaces=ctx.subspaces(s),
         covers=tuple(covers),
         candidate_masks=tuple(cand_masks),
         full_mask=(1 << len(cand_masks)) - 1,
@@ -229,7 +227,7 @@ def is_blocking(bset: BlockingSet):
         return True, None
     missing = (~mask & inc.full_mask)
     j = (missing & -missing).bit_length() - 1
-    return False, inc.spaces[j]
+    return False, bset.ctx.subspaces(bset.k)[j]
 
 
 def unblocked_count(bset: BlockingSet, s: int) -> int:
@@ -402,8 +400,8 @@ def pinned_hyperplanes(bset: BlockingSet, hull: Subspace, pin: Point) -> PinnedH
     full = [trace for trace, count in traces.items() if count == q ** k]
     if full:
         lowest = min(reduce(and_, map(inc.covers.__getitem__, ordinals(trace)))
-                     for trace in full)
-        return PinnedHyperplanesReport(members, FULL_TRACE, inc.spaces[lowest.bit_length() - 1],
+                     for trace in full).bit_length() - 1
+        return PinnedHyperplanesReport(members, FULL_TRACE, ctx.subspaces(k)[lowest],
                                        q ** k, len(members) >= q ** k)
     bound = q ** (k - 1) * (q + 1)
     return PinnedHyperplanesReport(members, COUNT_BOUND, None,

@@ -149,9 +149,9 @@ def canonical_pencil_partition(ctx: GeometryContext, k: int, t: int = 1) -> Penc
 
 
 def _inside(inc, hull_hyperplanes: int) -> int:
-    """The k-spaces inside a hull, as a mask over inc.spaces: the ones that
-    every hyperplane through it contains.  hull_hyperplanes holds the dual
-    ordinals of those hyperplanes, as `GeometryContext.subspace_masks`
+    """The k-spaces inside a hull, as a mask over ctx.subspaces(k): the ones
+    that every hyperplane through it contains.  hull_hyperplanes holds the
+    dual ordinals of those hyperplanes, as `GeometryContext.subspace_masks`
     gives them."""
     covers, num_points = inc.covers, inc.ctx.num_points
     return reduce(and_, (covers[num_points + d] for d in ordinals(hull_hyperplanes)),
@@ -237,7 +237,7 @@ def recognize_pencil_partition(bset: BlockingSet) -> PencilPartitionParams | Non
     if rem or not 1 <= t <= q or len(hyperplanes) != (q + 1 - t) * qk:
         return None
     inc = incidence(ctx, k)
-    covers, masks = inc.covers, inc.candidate_masks
+    covers, masks, spaces = inc.covers, inc.candidate_masks, ctx.subspaces(k)
     # pick each point off the span of those picked before it.  Up to
     # dimension k that span is the meet of the k-spaces holding it (shared),
     # so a point is in it when it is on all of them.  The loop ends at k+2
@@ -253,7 +253,7 @@ def recognize_pencil_partition(bset: BlockingSet) -> PencilPartitionParams | Non
                 break
     if shared:
         # the points lie in one k-space, and any hull over it will do
-        hull = next(ctx.extensions(inc.spaces[shared.bit_length() - 1], ctx.whole_space()))
+        hull = next(ctx.extensions(spaces[shared.bit_length() - 1], ctx.whole_space()))
     else:
         hull = ctx.span(*map(ctx.point, independent))
     point_part = (1 << num_points) - 1
@@ -264,7 +264,7 @@ def recognize_pencil_partition(bset: BlockingSet) -> PencilPartitionParams | Non
     traces = reduce(or_, cuts)
     trace_ids = ordinals(traces)
     if len(trace_ids) == 1:
-        axis = Subspace(k - 1, inc.spaces[trace_ids[0]].basis[:k])
+        axis = Subspace(k - 1, spaces[trace_ids[0]].basis[:k])
         axis_points = ctx.subspace_masks(axis)[0]
     else:
         axis = None  # the span of axis_points, once the set is confirmed
@@ -284,8 +284,8 @@ def recognize_pencil_partition(bset: BlockingSet) -> PencilPartitionParams | Non
     if axis is None:
         axis = ctx.span(*map(ctx.point, ordinals(axis_points)))
     return PencilPartitionParams(hull, axis,
-                                 frozenset(inc.spaces[j] for j in point_members),
-                                 frozenset(inc.spaces[j] for j in trace_ids))
+                                 frozenset(spaces[j] for j in point_members),
+                                 frozenset(spaces[j] for j in trace_ids))
 
 
 def bose_burton(ctx: GeometryContext, k: int, variant: str, anchor: Subspace) -> BlockingSet:

@@ -80,7 +80,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import or_
@@ -122,12 +122,10 @@ class SearchReport:
 
     def canonical_dict(self) -> dict:
         """Deterministic payload: identical across reruns and worker counts."""
-        out = asdict(self)
-        del out["workers"], out["wall_time"]
-        return out
+        return {k: v for k, v in vars(self).items() if k not in ("workers", "wall_time")}
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "wall_time": round(self.wall_time, 3)}
+        return {**vars(self), "wall_time": round(self.wall_time, 3)}
 
 
 def _covered_by(covers, mask: int) -> int:
@@ -453,7 +451,7 @@ class RefutationReport:
     nodes_expanded: int
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**vars(self), "compositions": tuple(dict(vars(c)) for c in self.compositions)}
 
 
 def _skew_space_floor(n: int, q: int, s: int, count: int) -> int:
@@ -549,9 +547,8 @@ class ClassificationVerdict:
     fallback: "MiddleCaseFallback | None" = None
 
     def to_dict(self) -> dict:
-        # the report serializes itself (wall time rounded), and only once
-        report = self.report.to_dict() if self.report else None
-        return {**asdict(replace(self, report=None)), "report": report}
+        return {**vars(self), "report": self.report and self.report.to_dict(),
+                "fallback": self.fallback and self.fallback.to_dict()}
 
 
 @dataclass(frozen=True)
@@ -564,18 +561,22 @@ class MiddleCaseFallback:
     all_blocking: bool
     refutation: RefutationReport
 
+    def to_dict(self) -> dict:
+        return {**vars(self), "refutation": self.refutation.to_dict()}
+
 
 def verify_middle_case(ctx: GeometryContext, k: int, workers: int = 1,
                        budget_seconds: float | None = None) -> MiddleCaseFallback:
     """Generate every member of the theorem family, check each blocks, and
     refute all sizes below (q+1) q^k with bound-assisted pruning."""
     check_middle(ctx, k)
-    _check_input(ctx, k, workers, budget_seconds)
+    deadline = _check_input(ctx, k, workers, budget_seconds)
     sets, tuples = constructions.theorem_family(ctx, k)
     all_blocking = all(is_blocking(BlockingSet(ctx, k, ids))[0]
                        for ids in sets)
     bound = minimum_size_bound(ctx.n, k, ctx.q)
-    refutation = refute_below(ctx, k, bound, workers, budget_seconds)
+    left = None if deadline is None else deadline - time.monotonic()
+    refutation = refute_below(ctx, k, bound, workers, left)
     return MiddleCaseFallback(tuples, len(sets), all_blocking, refutation)
 
 

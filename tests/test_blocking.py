@@ -582,7 +582,7 @@ def test_incidence_matches_candidates_oracle():
     for q, n, k in INCIDENCE_ORACLE_CASES:
         inc = incidence(GeometryContext(field_for_order(q), n), k)
         expected = oracle_incidence(GeometryContext(field_for_order(q), n), k)
-        assert (inc.spaces, inc.covers, inc.candidate_masks) == expected, (q, n, k)
+        assert (inc.ctx.subspaces(k), inc.covers, inc.candidate_masks) == expected, (q, n, k)
 
 
 def oracle_tangent_closure(ctx, point_set):

@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import json
 import math
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -344,7 +346,7 @@ def test_root_coverage_bound_is_safe(pg22, pg32, pg23):
     for ctx, k, cap in ((pg22, 1, 3), (pg32, 1, 6), (pg23, 0, 4), (pg23, 1, 4)):
         inc = incidence(ctx, k)
         max_cover = max(c.bit_count() for c in inc.covers)
-        root_bound = -(-len(inc.spaces) // max_cover)
+        root_bound = -(-len(inc.candidate_masks) // max_cover)
         report = min_blocking_search(ctx, k, cap)
         assert report.minimum_size is not None
         assert root_bound <= report.minimum_size
@@ -418,6 +420,21 @@ def test_fallback_checks_arguments_before_building_the_family(pg32, monkeypatch,
     monkeypatch.setattr(constructions, "theorem_family", unbuilt)
     with pytest.raises(InputError, match=message):
         verify_middle_case(pg32, 1, workers, budget)
+
+
+def test_fallback_spends_one_budget(pg33, monkeypatch):
+    # the refutation gets what the family leaves of the budget: a family
+    # that takes longer than the whole budget leaves a spent deadline, so
+    # the first searched composition raises
+    family = constructions.theorem_family
+
+    def slow_family(ctx, k):
+        time.sleep(0.3)
+        return family(ctx, k)
+
+    monkeypatch.setattr(constructions, "theorem_family", slow_family)
+    with pytest.raises(TimeBudgetExceeded):
+        verify_middle_case(pg33, 1, budget_seconds=0.2)
 
 
 def test_exhaustive_mode_runs_on_one_worker(pg22):
@@ -644,3 +661,39 @@ def test_serialized_payloads_pinned(pg32, pg32_minima, kind, digest):
         "refute": lambda: refute_below(pg32, 1, 6),
     }[kind]
     assert _payload_digest(build().to_dict()) == digest
+
+
+def _scribble(doc):
+    """Overwrite every value of every dict inside a payload, innermost first."""
+    for value in doc.values() if isinstance(doc, dict) else doc:
+        if isinstance(value, (dict, tuple)):
+            _scribble(value)
+    if isinstance(doc, dict):
+        doc.update(dict.fromkeys(doc, "edited"))
+
+
+@pytest.mark.parametrize("kind", ["classify", "fallback", "refute"])
+def test_payloads_are_independent_of_the_report(pg32, kind):
+    # a payload shares only immutable values with its report: editing every
+    # dict in it, top-level and nested, changes neither the report nor the
+    # next payload
+    report = {
+        "classify": lambda: classify_minimum(pg32, 1),
+        "fallback": lambda: classify_minimum(pg32, 1, budget_seconds=0),
+        "refute": lambda: refute_below(pg32, 1, 7),
+    }[kind]()
+
+    def payloads():
+        docs = [report.to_dict()]
+        if kind == "classify":
+            docs.append(report.report.canonical_dict())
+        return docs
+
+    snapshot = copy.deepcopy(report)
+    docs = payloads()
+    expected = copy.deepcopy(docs)
+    for doc in docs:
+        _scribble(doc)
+    assert docs != expected
+    assert report == snapshot
+    assert payloads() == expected
