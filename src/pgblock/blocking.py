@@ -100,6 +100,16 @@ def incidence(ctx: GeometryContext, s: int) -> IncidenceSystem:
     return system
 
 
+def spaces_inside(inc: IncidenceSystem, hyperplanes: int) -> int:
+    """The s-spaces inside a space, as a mask over ctx.subspaces(s): the ones
+    that every hyperplane through it contains.  hyperplanes holds the dual
+    ordinals of those hyperplanes, as `GeometryContext.subspace_masks`
+    gives them."""
+    covers, num_points = inc.covers, inc.ctx.num_points
+    return reduce(and_, (covers[num_points + d] for d in ordinals(hyperplanes)),
+                  inc.full_mask)
+
+
 def check_middle(ctx: GeometryContext, k: int):
     """The one check for the middle case n = 2k + 1, shared by the
     diagnostics, the constructions and the search."""
@@ -393,15 +403,15 @@ def pinned_hyperplanes(bset: BlockingSet, hull: Subspace, pin: Point) -> PinnedH
     # Case 1: a k-space of the hull through the pin whose full hyperplane
     # fibre {H : H meet hull = that k-space} sits inside the collection.  A
     # fibre has q^k hyperplanes, so it is full iff q^k members cut the hull
-    # in it; the witness is the first such trace in canonical order, found
-    # as the one k-space through all of its points.
-    table = ctx.hyperplane_table()
-    traces = Counter(hull_points & table[d] for d in ordinals(member_mask))
+    # in it.  A member's trace is one bit over ctx.subspaces(k): the one
+    # k-space inside the hull that it contains.  The witness is the first
+    # full trace in canonical order.
+    inside = spaces_inside(inc, hull_hyperplanes)
+    traces = Counter(inc.covers[ctx.num_points + d] & inside for d in ordinals(member_mask))
     full = [trace for trace, count in traces.items() if count == q ** k]
     if full:
-        lowest = min(reduce(and_, map(inc.covers.__getitem__, ordinals(trace)))
-                     for trace in full).bit_length() - 1
-        return PinnedHyperplanesReport(members, FULL_TRACE, ctx.subspaces(k)[lowest],
+        return PinnedHyperplanesReport(members, FULL_TRACE,
+                                       ctx.subspaces(k)[min(full).bit_length() - 1],
                                        q ** k, len(members) >= q ** k)
     bound = q ** (k - 1) * (q + 1)
     return PinnedHyperplanesReport(members, COUNT_BOUND, None,
@@ -464,9 +474,7 @@ def lemma_checks(bset: BlockingSet) -> dict:
             dim=closure.dim, expected_dim=closure.expected_dim)
         if at_equality and middle and closure.hypothesis_ok and closure.is_subspace \
                 and closure.dim <= k + 1:
-            hull = ctx.span(*bset.points)
-            while hull.dim < k + 1:
-                hull = next(ctx.extensions(hull, ctx.whole_space()))
+            hull = ctx.hull(bset.points, k + 1)
             pins = [ctx.point(u) for u in ordinals(ctx.subspace_masks(hull)[0] & ~points)]
             failures = [list(pt.coords) for pt in pins
                         if not pinned_hyperplanes(bset, hull, pt).bound_ok]

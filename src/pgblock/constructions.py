@@ -33,10 +33,10 @@ recover candidate parameters, regenerate the set, and demand exact set
 equality.  It reads the same bitmasks of `incidence(ctx, k)`, building them
 if absent: the k-spaces inside a hull, the traces of the set's hyperplanes
 on it, the axis they share and the members through the axis are ANDs of
-`covers` and `candidate_masks`.  Subspace arithmetic is left to finding the
-hull (one `span` of k+2 of the points, or the first (k+1)-space over the
-one k-space holding them) and to the axis of a recognized set (one `span` of
-the points the traces share).
+`covers` and `candidate_masks` (`blocking.spaces_inside` reads the first).
+Subspace arithmetic is left to finding the hull (`GeometryContext.hull` of
+at most k+2 of the points) and to the axis of a recognized set (one `span`
+of the points the traces share).
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
 
-from .blocking import BlockingSet, candidates, check_middle, incidence, ordinals
+from .blocking import (BlockingSet, candidates, check_middle, incidence, ordinals,
+                       spaces_inside)
 from .counting import minimum_size_bound, theta
 from .gf import InputError
 from .pgkernel import GeometryContext, Subspace
@@ -64,16 +65,11 @@ class PencilPartitionParams:
     hyperplane_spaces: frozenset[Subspace]
 
 
-def _check_pencil(ctx: GeometryContext, axis: Subspace, hull: Subspace):
-    """Raise unless axis has codimension 2 in hull and lies in it."""
-    if hull.dim - axis.dim != 2 or not ctx.contains(hull, axis):
-        raise InputError(f"axis dim {axis.dim} / hull dim {hull.dim} do not form a pencil")
-
-
 def pencil(ctx: GeometryContext, axis: Subspace, hull: Subspace) -> tuple[Subspace, ...]:
     """The q+1 spaces between axis (codim 2 in hull) and hull, canonically
     ordered by their smallest off-axis point."""
-    _check_pencil(ctx, axis, hull)
+    if hull.dim - axis.dim != 2 or not ctx.contains(hull, axis):
+        raise InputError(f"axis dim {axis.dim} / hull dim {hull.dim} do not form a pencil")
     return tuple(ctx.extensions(axis, hull))
 
 
@@ -98,8 +94,9 @@ def pencil_partition(ctx: GeometryContext, params: PencilPartitionParams) -> Blo
 
     The parts partition the pencil exactly when their q+1 distinct members
     are k-spaces through the axis inside the hull, so validation builds no
-    pencil.  The set is built from the members' candidates as sets of
-    ordinals, at a cost linear in its size.
+    pencil, and an axis off the hull leaves no such member.  The set is
+    built from the members' candidates as sets of ordinals, at a cost
+    linear in its size.
     """
     hull, axis = params.hull, params.axis
     k = hull.dim - 1
@@ -111,7 +108,6 @@ def pencil_partition(ctx: GeometryContext, params: PencilPartitionParams) -> Blo
         raise InputError("both parts of the pencil partition must be nonempty")
     if params.point_spaces & params.hyperplane_spaces:
         raise InputError("the two parts of the partition overlap")
-    _check_pencil(ctx, axis, hull)
     members = [*params.point_spaces, *params.hyperplane_spaces]
     if len(members) != ctx.q + 1 or not all(
             member.dim == k and ctx.contains(member, axis) and ctx.contains(hull, member)
@@ -138,24 +134,12 @@ def canonical_pencil_partition(ctx: GeometryContext, k: int, t: int = 1) -> Penc
     check_middle(ctx, k)
     if not 1 <= t <= ctx.q:
         raise InputError(f"need 1 <= t <= q, got t={t}")
-    rows = ctx.whole_space().basis
-    hull = Subspace(k + 1, rows[:k + 2])
-    axis = Subspace(k - 1, rows[:k])
+    hull, axis = canonical_anchor(ctx, k + 1), canonical_anchor(ctx, k - 1)
     zeros = (0,) * (ctx.n - k - 1)
     directions = [(0, 1)] + [(1, c) for c in range(ctx.q)]
-    members = [Subspace(k, rows[:k] + ((0,) * k + d + zeros,)) for d in directions]
+    members = [Subspace(k, axis.basis + ((0,) * k + d + zeros,)) for d in directions]
     return PencilPartitionParams(hull, axis,
                                  frozenset(members[:t]), frozenset(members[t:]))
-
-
-def _inside(inc, hull_hyperplanes: int) -> int:
-    """The k-spaces inside a hull, as a mask over ctx.subspaces(k): the ones
-    that every hyperplane through it contains.  hull_hyperplanes holds the
-    dual ordinals of those hyperplanes, as `GeometryContext.subspace_masks`
-    gives them."""
-    covers, num_points = inc.covers, inc.ctx.num_points
-    return reduce(and_, (covers[num_points + d] for d in ordinals(hull_hyperplanes)),
-                  inc.full_mask)
 
 
 def distinct_pencil_partition_sets(ctx: GeometryContext, k: int):
@@ -168,7 +152,7 @@ def distinct_pencil_partition_sets(ctx: GeometryContext, k: int):
     seen = set()
     count = 0
     for _, _, hull_hyperplanes in ctx.iter_subspace_masks(k + 1):
-        inside = _inside(inc, hull_hyperplanes)
+        inside = spaces_inside(inc, hull_hyperplanes)
         members = [inc.candidate_masks[j] for j in ordinals(inside)]
         member_points = [mask & point_part for mask in members]
         axes = {a & b for i, a in enumerate(member_points) for b in member_points[:i]}
@@ -206,23 +190,23 @@ def recognize_pencil_partition(bset: BlockingSet) -> PencilPartitionParams | Non
     """Parameters whose generated set equals bset exactly, or None.
 
     Recovery reads the bitmasks of `incidence(ctx, k)`, building them if
-    absent.  The hull is the span of k+2 independent points of the set,
-    picked greedily; a set with points off that hull is not the one it
-    regenerates.  When the points lie in one k-space M (their `covers`
-    share a bit), t = 1 and the set is M off the axis A plus the hyperplanes
-    through A not containing M, whatever the hull over M: the first
-    (k+1)-space over M is taken, and it regenerates the set whenever any
-    hull does.  The k-spaces inside the hull are the ones every hyperplane
-    through it contains, and a set holding such a hyperplane is rejected.
-    Every other hyperplane of the set cuts the hull in one k-space, its
-    trace.  The axis is the meet of the traces, read as the points they
-    share and spanned by them.  A single trace forces t = q, and then the
-    set is the hull minus the trace plus the hyperplanes through the trace
-    off the hull, whatever the axis inside the trace, so the span of its
-    first k basis rows is taken, and its points are read off the
-    point-hyperplane table.  The members are the k-spaces inside the hull
-    through the axis, and the set is regenerated from their candidate masks
-    and compared with bset.
+    absent.  The hull is `ctx.hull` of independent points of the set, picked
+    greedily until they span a (k+1)-space or all the points; a set with
+    points off that hull is not the one it regenerates.  When the points lie
+    in one k-space M (their `covers` share a bit), the picked points span M,
+    t = 1 and the set is M off the axis A plus the hyperplanes through A not
+    containing M, whatever the hull over M: the first (k+1)-space over M,
+    which `ctx.hull` takes, regenerates the set whenever any hull does.  The
+    k-spaces inside the hull are the ones every hyperplane through it
+    contains, and a set holding such a hyperplane is rejected.  Every other
+    hyperplane of the set cuts the hull in one k-space, its trace.  The axis
+    is the meet of the traces, read as the points they share and spanned by
+    them.  A single trace forces t = q, and then the set is the hull minus
+    the trace plus the hyperplanes through the trace off the hull, whatever
+    the axis inside the trace, so the span of its first k basis rows is
+    taken, and its points are read off the point-hyperplane table.  The
+    members are the k-spaces inside the hull through the axis, and the set
+    is regenerated from their candidate masks and compared with bset.
     """
     ctx, k = bset.ctx, bset.k
     q, num_points = ctx.q, ctx.num_points
@@ -242,7 +226,7 @@ def recognize_pencil_partition(bset: BlockingSet) -> PencilPartitionParams | Non
     # dimension k that span is the meet of the k-spaces holding it (shared),
     # so a point is in it when it is on all of them.  The loop ends at k+2
     # independent points (shared is 0) or with shared the AND of the covers
-    # of every point.
+    # of every point, and then the picked points span all of them.
     shared = inc.full_mask
     independent = []
     for p in points:
@@ -251,13 +235,9 @@ def recognize_pencil_partition(bset: BlockingSet) -> PencilPartitionParams | Non
             shared &= covers[p]
             if not shared:
                 break
-    if shared:
-        # the points lie in one k-space, and any hull over it will do
-        hull = next(ctx.extensions(spaces[shared.bit_length() - 1], ctx.whole_space()))
-    else:
-        hull = ctx.span(*map(ctx.point, independent))
+    hull = ctx.hull(map(ctx.point, independent), k + 1)
     point_part = (1 << num_points) - 1
-    inside = _inside(inc, ctx.subspace_masks(hull)[1])
+    inside = spaces_inside(inc, ctx.subspace_masks(hull)[1])
     cuts = [covers[h] & inside for h in hyperplanes]
     if inside in cuts:  # a hyperplane through the hull
         return None

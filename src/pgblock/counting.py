@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .gf import InputError, prime_power_parts
+from .gf import InputError, plain_int, prime_power_parts
 
 
 class HypothesisViolated(InputError):
@@ -114,8 +114,8 @@ def heger_nagy_upper_bound(a: int, b: int, q: int) -> Fraction:
 
 
 def check_k(n: int, k: int):
-    """The one range check on k, for the bound, BlockingSet and the search."""
-    if not 0 <= k < n:
+    """The one type and range check on k: the bound, BlockingSet, the search."""
+    if not 0 <= plain_int(k, "k") < n:
         raise InputError(f"need 0 <= k < n, got k={k}, n={n}")
 
 

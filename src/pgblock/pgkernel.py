@@ -118,7 +118,7 @@ class GeometryContext:
     """
 
     def __init__(self, field: Field, n: int):
-        if n < 1:
+        if plain_int(n, "projective dimension n") < 1:
             raise InputError(f"projective dimension n = {n} must be >= 1")
         self.field = field
         self.n = n
@@ -249,6 +249,14 @@ class GeometryContext:
                 if ext not in seen:
                     seen.add(ext)
                     yield ext
+
+    def hull(self, parts, dim: int) -> Subspace:
+        """The span of parts, raised to dimension dim (if it is lower) by
+        taking the first space over it in `extensions` order, step by step."""
+        space = self.span(*parts)
+        while space.dim < dim:
+            space = next(self.extensions(space, self.whole_space()))
+        return space
 
     def whole_space(self) -> Subspace:
         rows = tuple(tuple(1 if i == j else 0 for j in range(self.n + 1))

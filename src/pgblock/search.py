@@ -88,9 +88,8 @@ from operator import or_
 from . import constructions
 from .blocking import (BlockingSet, IncidenceSystem, check_middle, incidence, is_blocking,
                        ordinals)
-from .counting import (OPEN, HypothesisViolated, check_k, metsch_lower_bound,
-                       minimum_size_bound, theta)
-from .gf import InputError
+from .counting import OPEN, check_k, metsch_lower_bound, minimum_size_bound, theta
+from .gf import InputError, plain_int
 from .pgkernel import BudgetExceeded, GeometryContext
 
 _WORKER_STATE = {}
@@ -161,7 +160,7 @@ def _root_tasks(inc: IncidenceSystem, caps, forced=()) -> list[tuple[tuple[int, 
 
 
 def _shard_search(inc: IncidenceSystem, clashes, caps, cap: int, chosen0, forbidden0: int,
-                  deadline: float | None, first_only: bool = False):
+                  deadline: float | None):
     """Explore one branch-and-bound shard; returns (best, sets, nodes, pruned).
 
     clashes is the packing memo of the search, each allowed-candidate mask
@@ -169,7 +168,9 @@ def _shard_search(inc: IncidenceSystem, clashes, caps, cap: int, chosen0, forbid
     elements the shard starts from and forbidden0 the elements it may not
     take.  caps is (max points, max hyperplanes), None for no limit.  best
     is the smallest solution size found (initialized to cap), sets the
-    complete list of solutions of that size inside this shard.
+    complete list of solutions of that size inside this shard.  A
+    composition search (a cap set) asks only whether a set exists, so it
+    stops at its first set; a plain search explores the whole shard.
     """
     covers = inc.covers
     cand_masks = inc.candidate_masks
@@ -289,7 +290,7 @@ def _shard_search(inc: IncidenceSystem, clashes, caps, cap: int, chosen0, forbid
             explore(chosen, unc & ~cover, forbidden | tried, planes,
                     pts_used + is_point, hyps_used + (not is_point))
             chosen.pop()
-            if first_only and sets:
+            if composition and sets:
                 return
             tried |= bit
             if branch:
@@ -325,12 +326,12 @@ def _init_worker(*args):
 
 
 def _run_task(task):
-    inc, clashes, caps, cap, deadline, first_only = _WORKER_STATE["args"]
-    return _shard_search(inc, clashes, caps, cap, *task, deadline, first_only)
+    inc, clashes, caps, cap, deadline = _WORKER_STATE["args"]
+    return _shard_search(inc, clashes, caps, cap, *task, deadline)
 
 
 def _branch_and_bound(inc: IncidenceSystem, caps, cap: int, workers: int,
-                      deadline: float | None, first_only: bool = False, forced=()):
+                      deadline: float | None, forced=()):
     """Shard the root branches and merge; the merge is associative, so the
     result does not depend on worker count or scheduling.  Every solution
     holds the forced elements, and the root branches as `_root_tasks` says
@@ -342,14 +343,13 @@ def _branch_and_bound(inc: IncidenceSystem, caps, cap: int, workers: int,
         return None, (), nodes, pruned
     clashes = {}
     if workers <= 1 or len(tasks) == 1:
-        results = [_shard_search(inc, clashes, caps, cap, *task, deadline, first_only)
-                   for task in tasks]
+        results = [_shard_search(inc, clashes, caps, cap, *task, deadline) for task in tasks]
     else:
         import multiprocessing
 
         mp = multiprocessing.get_context("fork")
         with mp.Pool(min(workers, len(tasks)), _init_worker,
-                     (inc, clashes, caps, cap, deadline, first_only)) as pool:
+                     (inc, clashes, caps, cap, deadline)) as pool:
             results = pool.map(_run_task, tasks)
     best = cap + 1
     merged: set[tuple[int, ...]] = set()
@@ -390,13 +390,14 @@ def _exhaustive(inc: IncidenceSystem, cap: int, deadline: float | None):
 
 def _check_input(ctx: GeometryContext, k: int, workers: int,
                  budget_seconds: float | None) -> float | None:
-    """Reject the k that BlockingSet rejects, fewer than one worker, and a
-    NaN budget, which no clock reading exceeds; return the deadline the
-    budget sets from now (None for no budget)."""
+    """Reject the k that BlockingSet rejects, workers that are no int >= 1,
+    and a budget that is no int or float, or NaN, which no clock reading
+    exceeds; return the deadline the budget sets from now (None for none)."""
     check_k(ctx.n, k)
-    if workers < 1:
+    if plain_int(workers, "workers") < 1:
         raise InputError(f"need workers >= 1, got workers={workers}")
-    if budget_seconds is not None and math.isnan(budget_seconds):
+    if budget_seconds is not None and (type(budget_seconds) not in (int, float)
+                                       or math.isnan(budget_seconds)):
         raise InputError(f"need a budget that is a number, got budget_seconds={budget_seconds}")
     return None if budget_seconds is None else time.monotonic() + budget_seconds
 
@@ -412,6 +413,7 @@ def min_blocking_search(ctx: GeometryContext, k: int, size_cap: int,
     if mode not in ("branch_and_bound", "exhaustive"):
         raise InputError(f"unknown mode {mode!r}")
     deadline = _check_input(ctx, k, workers, budget_seconds)
+    plain_int(size_cap, "size_cap")
     if mode == "exhaustive" and workers > 1:
         raise InputError(f"exhaustive mode runs on one worker, got workers={workers}")
     start = time.monotonic()
@@ -457,14 +459,10 @@ class RefutationReport:
 def _skew_space_floor(n: int, q: int, s: int, count: int) -> int:
     """Best counting lower bound on the s-spaces skew to `count` points.
     Through the polarity it also bounds the (n-s-1)-spaces that `count`
-    hyperplanes leave unblocked."""
-    best = 0
-    for d in range(n + 1):
-        try:
-            best = max(best, metsch_lower_bound(n, q, d, s, count))
-        except HypothesisViolated:
-            pass
-    return best
+    hyperplanes leave unblocked.  It takes every d where the bound's
+    hypotheses hold: d + s <= n and count <= theta_d."""
+    return max((metsch_lower_bound(n, q, d, s, count)
+                for d in range(n - s + 1) if count <= theta(d, q)), default=0)
 
 
 def _slice(ctx: GeometryContext, points: int, hyperplanes: int) -> tuple[int, ...]:
@@ -507,6 +505,7 @@ def refute_below(ctx: GeometryContext, k: int, target: int,
     below 12 that leaves (6, 5) to search, in 939 nodes.
     """
     deadline = _check_input(ctx, k, workers, budget_seconds)
+    plain_int(target, "target")
     n, q = ctx.n, ctx.q
     inc = incidence(ctx, k)
     per_point, per_hyperplane = inc.covers[0].bit_count(), inc.covers[ctx.num_points].bit_count()
@@ -523,7 +522,7 @@ def refute_below(ctx: GeometryContext, k: int, target: int,
                 outcomes.append(CompositionOutcome(b0, b1, "polarity"))
                 continue
             _, sets, nodes, _ = _branch_and_bound(inc, (b0, b1), total, workers, deadline,
-                                                  first_only=True, forced=_slice(ctx, b0, b1))
+                                                  forced=_slice(ctx, b0, b1))
             total_nodes += nodes
             outcomes.append(CompositionOutcome(b0, b1, "search", nodes))
             if sets:

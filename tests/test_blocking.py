@@ -12,8 +12,8 @@ from pgblock import blocking
 from pgblock.blocking import (COUNT_BOUND, FULL_TRACE, VACUOUS, BlockingSet,
                               PinnedHyperplanesReport, SkewSpaceProfile, dual_set,
                               incidence, is_blocking, is_minimal, lemma_checks,
-                              pinned_hyperplanes, skew_space_profile, tangent_closure,
-                              unblocked_count)
+                              pinned_hyperplanes, skew_space_profile, spaces_inside,
+                              tangent_closure, unblocked_count)
 from pgblock.constructions import (bose_burton, canonical_pencil_partition,
                                    pencil_partition, theorem_family)
 from pgblock.counting import gaussian, theta
@@ -583,6 +583,25 @@ def test_incidence_matches_candidates_oracle():
         inc = incidence(GeometryContext(field_for_order(q), n), k)
         expected = oracle_incidence(GeometryContext(field_for_order(q), n), k)
         assert (inc.ctx.subspaces(k), inc.covers, inc.candidate_masks) == expected, (q, n, k)
+
+
+@pytest.mark.parametrize("q,n,k,hulls", [(2, 3, 1, 15), (3, 3, 1, 40), (4, 3, 1, 85),
+                                         (2, 5, 2, 651)])
+def test_spaces_inside_matches_contains(q, n, k, hulls):
+    # contains reduces each basis row of the inner space on its own, so a
+    # k-space lies in the hull iff contains holds for each of its rows'
+    # points: one contains call per point of the geometry and hull
+    ctx = GeometryContext(field_for_order(q), n)
+    inc = incidence(ctx, k)
+    rows = [[ctx.point(row).index for row in space.basis] for space in ctx.subspaces(k)]
+    points = ctx.points()
+    seen = 0
+    for hull, _, hyperplanes in ctx.iter_subspace_masks(k + 1):
+        on_hull = [ctx.contains(hull, pt) for pt in points]
+        expected = sum(1 << j for j, ids in enumerate(rows) if all(on_hull[u] for u in ids))
+        assert spaces_inside(inc, hyperplanes) == expected, hull
+        seen += 1
+    assert seen == hulls
 
 
 def oracle_tangent_closure(ctx, point_set):

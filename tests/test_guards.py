@@ -6,9 +6,10 @@ from pgblock.blocking import BlockingSet, pinned_hyperplanes, skew_space_profile
 from pgblock.cli import main
 from pgblock.constructions import (PencilPartitionParams, bose_burton, canonical_anchor,
                                    canonical_pencil_partition, pencil, pencil_partition)
+from pgblock.counting import minimum_size_bound
 from pgblock.gf import Field, InputError
 from pgblock.pgkernel import BudgetExceeded, GeometryContext
-from pgblock.search import min_blocking_search
+from pgblock.search import min_blocking_search, refute_below
 
 PG22 = GeometryContext(Field(2), 2)
 PG32 = GeometryContext(Field(2), 3)
@@ -74,6 +75,33 @@ GUARDS = {
     "search-mode": (
         lambda: min_blocking_search(PG32, 1, 6, mode="dfs"),
         InputError, "unknown mode 'dfs'"),
+    "bound-k-float": (
+        lambda: minimum_size_bound(3, 1.0, 2),
+        InputError, "k must be an integer, got 1.0"),
+    "blocking-set-k-float": (
+        lambda: BlockingSet(PG32, 1.0, PENCIL_SET.ids),
+        InputError, "k must be an integer, got 1.0"),
+    "search-k-float": (
+        lambda: min_blocking_search(PG32, 1.0, 6),
+        InputError, "k must be an integer, got 1.0"),
+    "projective-dimension-float": (
+        lambda: GeometryContext(Field(2), 3.0),
+        InputError, "projective dimension n must be an integer, got 3.0"),
+    "search-cap-float": (
+        lambda: min_blocking_search(PG32, 1, 6.5),
+        InputError, "size_cap must be an integer, got 6.5"),
+    "search-workers-float": (
+        lambda: min_blocking_search(PG32, 1, 6, workers=1.5),
+        InputError, "workers must be an integer, got 1.5"),
+    "refutation-target-float": (
+        lambda: refute_below(PG32, 1, 6.5),
+        InputError, "target must be an integer, got 6.5"),
+    "budget-string": (
+        lambda: min_blocking_search(PG32, 1, 6, budget_seconds="1"),
+        InputError, "need a budget that is a number, got budget_seconds=1"),
+    "budget-bool": (
+        lambda: refute_below(PG32, 1, 7, budget_seconds=True),
+        InputError, "need a budget that is a number, got budget_seconds=True"),
 }
 
 

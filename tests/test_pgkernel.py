@@ -280,3 +280,24 @@ def test_extensions(field, n):
                               if not ctx.contains(base, p)) for e in exts]
                 assert firsts == sorted(firsts)
                 assert exts == [e for e in every if ctx.contains(ambient, e)]
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (3, 3), (2, 5)])
+def test_hull(q, n):
+    # the span of the parts, then the first space over it in extensions
+    # order, step by step up to the target dimension
+    ctx = GeometryContext(Field(q), n)
+    rng = random.Random(q * 10 + n)
+    points = ctx.points()
+    for _ in range(12):
+        parts = rng.sample(points, rng.randint(0, n + 1))
+        if parts and rng.random() < 0.5:
+            parts[0] = ctx.span(parts[0], rng.choice(points))
+        for dim in range(-1, n + 1):
+            expected = ctx.span(*parts)
+            while expected.dim < dim:
+                expected = next(ctx.extensions(expected, ctx.whole_space()))
+            hull = ctx.hull(iter(parts), dim)
+            assert hull == expected
+            assert hull.dim == max(dim, ctx.span(*parts).dim)
+            assert all(ctx.contains(hull, part) for part in parts)

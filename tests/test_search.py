@@ -158,9 +158,9 @@ def _list_shards(inc, caps, cap, first_only=False, deadline=None):
     return results
 
 
-def _bitmask_shards(inc, caps, cap, first_only=False, deadline=None):
+def _bitmask_shards(inc, caps, cap, deadline=None):
     clashes = {}
-    return [search._shard_search(inc, clashes, caps, cap, *task, deadline, first_only)
+    return [search._shard_search(inc, clashes, caps, cap, *task, deadline)
             for task in search._root_tasks(inc, caps)]
 
 
@@ -192,7 +192,7 @@ def test_bitmask_node_matches_list_oracle_per_composition(pg32):
         for points in range(total + 1):
             caps = (points, total - points)
             oracle = _list_shards(inc, caps, total, first_only=True)
-            assert _bitmask_shards(inc, caps, total, first_only=True) == oracle, caps
+            assert _bitmask_shards(inc, caps, total) == oracle, caps
             searched += bool(oracle)
     assert searched == 20  # every composition but (0, 0), which has no root branch
 
@@ -483,9 +483,8 @@ def test_slice_search_matches_plain_search(q, n, k):
         for points in range(total + 1):
             caps = (points, total - points)
             forced = search._slice(ctx, *caps)
-            _, plain, _, _ = search._branch_and_bound(inc, caps, total, 1, None, first_only=True)
-            _, sliced, _, _ = search._branch_and_bound(inc, caps, total, 1, None,
-                                                       first_only=True, forced=forced)
+            _, plain, _, _ = search._branch_and_bound(inc, caps, total, 1, None)
+            _, sliced, _, _ = search._branch_and_bound(inc, caps, total, 1, None, forced=forced)
             assert bool(sliced) == bool(plain), caps
             for ids in sliced:
                 assert set(forced) <= set(ids)
