@@ -34,6 +34,10 @@ from .gf import (Field, InputError, field_for_order, json_list, json_object,
                  plain_int, required)
 from .pgkernel import GeometryContext, Point, Subspace
 
+# spaces per digit string of the `incidence` transpose: it bounds the string
+# at _TRANSPOSE_BLOCK * 2 theta_n characters
+_TRANSPOSE_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class IncidenceSystem:
@@ -73,27 +77,29 @@ def ordinals(mask: int) -> tuple[int, ...]:
 def incidence(ctx: GeometryContext, s: int) -> IncidenceSystem:
     """The incidence system of the s-spaces, built once per context: each
     space's candidate mask is its point mask with the mask of the
-    hyperplanes through it above, both read off `ctx.hyperplane_table`,
-    and `covers` is the transpose of those masks."""
+    hyperplanes through it above, both read off `ctx.hyperplane_table`.
+    `covers` is their transpose, read by digit columns: the masks of a
+    block of spaces, written as binary digits with the last space first,
+    hold element e's bits over the block at every width-th digit."""
     cached = ctx.incidence_systems.get(s)
     if cached is not None:
         return cached
     half = ctx.num_points
-    covers = [0] * (2 * half)
-    cand_masks = []
-    for j, (_, points, hyperplanes) in enumerate(ctx.iter_subspace_masks(s)):
-        mask = points | hyperplanes << half
-        cand_masks.append(mask)
-        bit = 1 << j
-        while mask:
-            low = mask & -mask
-            covers[low.bit_length() - 1] |= bit
-            mask ^= low
+    width = 2 * half
+    cand_masks = tuple(points | hyperplanes << half
+                       for _, points, hyperplanes in ctx.iter_subspace_masks(s))
+    covers = [0] * width
+    digits = f"0{width}b"
+    for start in range(0, len(cand_masks), _TRANSPOSE_BLOCK):
+        block = cand_masks[start:start + _TRANSPOSE_BLOCK]
+        text = "".join(format(mask, digits) for mask in reversed(block))
+        for e in range(width):
+            covers[e] |= int(text[width - 1 - e::width], 2) << start
     system = IncidenceSystem(
         ctx=ctx,
         s=s,
         covers=tuple(covers),
-        candidate_masks=tuple(cand_masks),
+        candidate_masks=cand_masks,
         full_mask=(1 << len(cand_masks)) - 1,
     )
     ctx.incidence_systems[s] = system
@@ -137,7 +143,11 @@ class BlockingSet:
 
     def __post_init__(self):
         check_k(self.ctx.n, self.k)
-        ids = tuple(sorted(set(self.ids)))
+        given = tuple(self.ids)
+        if not {int}.issuperset(map(type, given)):
+            bad = next(u for u in given if type(u) is not int)
+            raise InputError(f"element ordinals must be integers, got {bad!r}")
+        ids = tuple(sorted(set(given)))
         if ids and not (0 <= ids[0] and ids[-1] < 2 * self.ctx.num_points):
             raise InputError(f"element ordinals {ids[0]}..{ids[-1]} leave "
                              f"[0, {2 * self.ctx.num_points})")

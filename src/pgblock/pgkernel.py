@@ -15,7 +15,7 @@ through it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from .counting import gaussian, theta
 from .gf import Field, InputError, plain_int
@@ -305,33 +305,37 @@ class GeometryContext:
 
     # -- enumeration -----------------------------------------------------------
 
-    def iter_subspaces(self, m: int):
-        """All m-spaces of the geometry, exactly once.
-
-        The reduced-echelon (m+1)-row matrices come in canonical order:
-        pivot-column patterns lexicographically, then free entries in code
-        order.
-        """
+    def _echelon_rows(self, m: int):
+        """For each pivot-column pattern of the reduced-echelon (m+1)-row
+        matrices, lexicographically: the choices of each row as coordinate
+        tuples.  Row i is e_{p_i} plus free entries at the non-pivot columns
+        after p_i, later columns varying fastest."""
         if not 0 <= m <= self.n:
             raise InputError(f"need 0 <= m <= {self.n}, got m = {m}")
         count = gaussian(self.n + 1, m + 1, self.q)
         if count > ENUMERATION_BUDGET:
             raise BudgetExceeded(
                 f"{count} {m}-spaces exceed the enumeration budget {ENUMERATION_BUDGET}")
-        cols = self.n + 1
-        codes = range(self.q)
+        cols, codes = self.n + 1, range(self.q)
         for pivots in combinations(range(cols), m + 1):
-            pivset = set(pivots)
-            free = [(i, j) for i, p in enumerate(pivots)
-                    for j in range(p + 1, cols) if j not in pivset]
-            template = [[0] * cols for _ in range(m + 1)]
-            for i, p in enumerate(pivots):
-                template[i][p] = 1
-            for vals in product(codes, repeat=len(free)):
-                rows = [row[:] for row in template]
-                for (i, j), v in zip(free, vals):
-                    rows[i][j] = v
-                yield Subspace(m, tuple(tuple(r) for r in rows))
+            coords = []
+            for p in pivots:
+                rows = [(0,) * p + (1,)]
+                for j in range(p + 1, cols):
+                    rows = [r + (v,) for r in rows for v in ((0,) if j in pivots else codes)]
+                coords.append(rows)
+            yield coords
+
+    def iter_subspaces(self, m: int):
+        """All m-spaces of the geometry, exactly once.
+
+        The reduced-echelon (m+1)-row matrices come in canonical order:
+        pivot-column patterns lexicographically, then free entries in code
+        order, later rows varying fastest.
+        """
+        for coords in self._echelon_rows(m):
+            for basis in product(*coords):
+                yield Subspace(m, basis)
 
     def subspaces(self, m: int) -> tuple[Subspace, ...]:
         if m not in self._subspaces:
@@ -455,13 +459,16 @@ class GeometryContext:
 
     def iter_subspace_masks(self, m: int):
         """(space, points, hyperplanes) of each m-space in canonical order,
-        the masks as in `subspace_masks`; the enumeration budget is checked
-        before the table is built."""
+        the masks as in `subspace_masks`, read off the point ordinals of the
+        space's echelon rows; the enumeration budget is checked before the
+        table is built."""
         memo, index = self._space_masks, self.point_index
-        for space in self.subspaces(m):
+        bases = chain.from_iterable(product(*(list(map(index, rows)) for rows in coords))
+                                    for coords in self._echelon_rows(m))
+        for space, basis in zip(self.subspaces(m), bases):
             masks = memo.get(space)
             if masks is None:
-                masks = memo[space] = self._masks([index(row) for row in space.basis])
+                masks = memo[space] = self._masks(basis)
             yield space, *masks
 
     def _masks(self, rows) -> tuple[int, int]:

@@ -585,6 +585,13 @@ def test_incidence_matches_candidates_oracle():
         assert (inc.ctx.subspaces(k), inc.covers, inc.candidate_masks) == expected, (q, n, k)
 
 
+def test_incidence_transpose_across_blocks(monkeypatch):
+    # seven spaces per digit string: covers is assembled from many blocks,
+    # with a ragged last one wherever 7 does not divide the space count
+    monkeypatch.setattr(blocking, "_TRANSPOSE_BLOCK", 7)
+    test_incidence_matches_candidates_oracle()
+
+
 @pytest.mark.parametrize("q,n,k,hulls", [(2, 3, 1, 15), (3, 3, 1, 40), (4, 3, 1, 85),
                                          (2, 5, 2, 651)])
 def test_spaces_inside_matches_contains(q, n, k, hulls):

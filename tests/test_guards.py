@@ -81,6 +81,15 @@ GUARDS = {
     "blocking-set-k-float": (
         lambda: BlockingSet(PG32, 1.0, PENCIL_SET.ids),
         InputError, "k must be an integer, got 1.0"),
+    "blocking-set-float-ordinal": (
+        lambda: BlockingSet(PG32, 1, [0.0, 5]),
+        InputError, "element ordinals must be integers, got 0.0"),
+    "blocking-set-bool-ordinal": (
+        lambda: BlockingSet(PG32, 1, [True, 5]),
+        InputError, "element ordinals must be integers, got True"),
+    "blocking-set-string-ordinal": (
+        lambda: BlockingSet(PG32, 1, ["1", 5]),
+        InputError, "element ordinals must be integers, got '1'"),
     "search-k-float": (
         lambda: min_blocking_search(PG32, 1.0, 6),
         InputError, "k must be an integer, got 1.0"),

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, product
 
 import pytest
 
@@ -107,6 +108,30 @@ def test_enumeration_is_duplicate_free_and_canonical(pg32):
         assert len(set(spaces)) == len(spaces)
         for s in spaces:
             assert pg32.span(s) == s  # already in reduced echelon form
+
+
+def template_subspaces(ctx, m):
+    """The m-spaces by filling a reduced-echelon template, one free entry at
+    a time: pivot patterns lexicographically, then the free entries in
+    product order over (row, column)."""
+    cols = ctx.n + 1
+    spaces = []
+    for pivots in combinations(range(cols), m + 1):
+        free = [(i, j) for i, p in enumerate(pivots)
+                for j in range(p + 1, cols) if j not in pivots]
+        for vals in product(range(ctx.q), repeat=len(free)):
+            rows = [[int(j == p) for j in range(cols)] for p in pivots]
+            for (i, j), v in zip(free, vals):
+                rows[i][j] = v
+            spaces.append(Subspace(m, tuple(map(tuple, rows))))
+    return tuple(spaces)
+
+
+@pytest.mark.parametrize("q,n", [(4, 2), (8, 2), (9, 2), (4, 3), (3, 4), (2, 5)])
+def test_subspaces_match_template_oracle(q, n):
+    ctx = GeometryContext(field_for_order(q), n)
+    for m in range(n + 1):
+        assert ctx.subspaces(m) == template_subspaces(ctx, m), (q, n, m)
 
 
 def test_canonical_uniqueness_exhaustive(pg32):
@@ -228,8 +253,9 @@ def test_hyperplane_table_is_the_dot_product():
             assert row == expected, (q, n, x)
 
 
-@pytest.mark.parametrize("field,n", [(Field(2), 3), (Field(3), 3), (Field(2, 2), 2)],
-                         ids=["pg32", "pg33", "pg24"])
+@pytest.mark.parametrize("field,n", [(Field(2), 3), (Field(3), 3), (Field(2, 2), 2),
+                                     (Field(2, 3), 2), (Field(3, 2), 2)],
+                         ids=["pg32", "pg33", "pg24", "pg28", "pg29"])
 def test_subspace_masks_match_subspace_points(field, n):
     ctx = GeometryContext(field, n)
     spaces = [EMPTY_SUBSPACE, ctx.whole_space()]
@@ -243,6 +269,17 @@ def test_subspace_masks_match_subspace_points(field, n):
             list(ctx.iter_subspace_masks(m))
     pt = ctx.point(5)
     assert ctx.subspace_masks(pt) == ctx.subspace_masks(Subspace(0, (pt.coords,)))
+
+
+@pytest.mark.parametrize("q,n", [(4, 2), (8, 2), (9, 2), (3, 3), (2, 5)])
+def test_iter_subspace_masks_match_subspace_masks_unmemoized(q, n):
+    # iter_subspace_masks on a fresh context, so that every mask is read off
+    # the echelon-row ordinals rather than the memo that subspace_masks fills
+    fresh = GeometryContext(field_for_order(q), n)
+    ctx = GeometryContext(field_for_order(q), n)
+    for m in range(n + 1):
+        assert list(fresh.iter_subspace_masks(m)) == \
+            [(s, *ctx.subspace_masks(s)) for s in ctx.subspaces(m)], (q, n, m)
 
 
 def test_table_budget():
