@@ -9,9 +9,10 @@ every minimum cover up to a size cap:
   fewest remaining candidates, pruning with coverage lower bounds, and
   keeps leaves duplicate-free by forbidding, inside each branch, the
   candidates tried earlier at the same node;
-* the refutation searches each composition in one slice: the elements
-  that a collineation can move any blocking set of it onto are forced at
-  the root (see `refute_below`).
+* the refutation searches each composition in one slice per rank r of its
+  point part: a collineation moves any blocking set of it into one of
+  them, whose root forces r independent points and forbids every point
+  off their span (see `refute_below`).
 
 A shard reads the incidence system itself: `covers` (element to spaces),
 `candidate_masks` (space to elements) and `full_mask`, and takes its
@@ -47,12 +48,18 @@ A node is a handful of bitmask operations:
   workers inherit it), and it is cleared when it reaches `_CLASH_MEMO`
   entries.  The packing takes at most room+1 steps.
 
-Every uncovered space keeps an allowed candidate at every node: a root
-task forbids fewer than C, the ones tried before it; a node with a tight
-space branches on its one allowed candidate and forbids nothing new; any
-other node branches on a space with the fewest allowed candidates, m >= 2,
-and its i-th child forbids only the i-1 < m tried before it, while every
-uncovered space had at least m allowed ones.
+Every uncovered space keeps an allowed candidate at every node.  A root
+task forbids its slice's elements, all of one kind, and the candidates of
+the root space tried before it.  A k-space other than the root space lies
+in at most theta_{n-k-2} of the theta_{n-k-1} hyperplanes through the root
+space, so it keeps an allowed hyperplane and, in a slice that forbids
+hyperplanes (where the root tries no point), an allowed point.  A node
+with a tight space branches on its one allowed candidate and forbids
+nothing new; any other node branches on a space with the fewest allowed
+candidates, m >= 2, and its i-th child forbids only the i-1 < m tried
+before it, while every uncovered space had at least m allowed ones.  So no
+space's forbidden count passes C - 1 (a covered space keeps the element
+that covers it), and the bit-planes cannot overflow.
 
 The bounds apply in a fixed order: the static size bound (or, per
 composition, the point/hyperplane cover ceiling), then the packing bound,
@@ -61,8 +68,8 @@ adaptive coverage bound: room elements cover the uncovered spaces only if
 one allowed element blocks ceil(uncovered / room) of them.  Plain,
 composition-constrained and sliced searches share this one path.  On
 PG(3,3) k=1 it expands 721,577 nodes and prunes 560,536 of them, and the
-refutation below 12, which searches (6, 5) with points 0 and 1 forced and
-settles (5, 6) by the polarity, expands 939.
+refutation below 12, which searches the rank slices of (6, 5) and settles
+(5, 6) by the polarity, expands 109.
 
 Reports are deterministic for a given (geometry, k, cap, mode): worker
 sharding splits the root branches, each shard runs with its own local
@@ -132,18 +139,21 @@ def _covered_by(covers, mask: int) -> int:
     return reduce(or_, map(covers.__getitem__, ordinals(mask)))
 
 
-def _root_tasks(inc: IncidenceSystem, caps, forced=()) -> list[tuple[tuple[int, ...], int]]:
-    """(chosen0, forbidden0) of each root branch.  The root holds the forced
-    elements and branches on the lowest space they leave uncovered (space 0
-    when nothing is forced), forbidding in each branch the candidates tried
-    before it; a part whose cap the forced elements fill offers none.  If the
-    forced elements block everything, the root is the one task."""
+def _root_tasks(inc: IncidenceSystem, caps, forced=(), forbidden=0
+                ) -> list[tuple[tuple[int, ...], int]]:
+    """(chosen0, forbidden0) of each root branch of one slice.  The root holds
+    the forced elements and branches on the lowest space they leave uncovered
+    (space 0 when nothing is forced), over its candidates that the slice does
+    not forbid, forbidding in each branch the slice's forbidden elements and
+    the candidates tried before it; a part whose cap the forced elements fill
+    offers none.  If the forced elements block everything, the root is the
+    one task."""
     unc = inc.full_mask
     for e in forced:
         unc &= ~inc.covers[e]
     if not unc:
-        return [(tuple(forced), 0)]
-    root = inc.candidate_masks[(unc & -unc).bit_length() - 1]
+        return [(tuple(forced), forbidden)]
+    root = inc.candidate_masks[(unc & -unc).bit_length() - 1] & ~forbidden
     num_points = inc.ctx.num_points
     point_mask = (1 << num_points) - 1
     forced_points = sum(1 for e in forced if e < num_points)
@@ -152,7 +162,7 @@ def _root_tasks(inc: IncidenceSystem, caps, forced=()) -> list[tuple[tuple[int, 
     if caps[1] == len(forced) - forced_points:
         root &= point_mask
     tasks = []
-    tried = 0
+    tried = forbidden
     for e in ordinals(root):
         tasks.append(((*forced, e), tried))
         tried |= 1 << e
@@ -331,14 +341,17 @@ def _run_task(task):
 
 
 def _branch_and_bound(inc: IncidenceSystem, caps, cap: int, workers: int,
-                      deadline: float | None, forced=()):
-    """Shard the root branches and merge; the merge is associative, so the
-    result does not depend on worker count or scheduling.  Every solution
-    holds the forced elements, and the root branches as `_root_tasks` says
-    (on space 0 when nothing is forced, see the module docstring)."""
-    nodes = 1  # the root
+                      deadline: float | None, slices=(((), 0),)):
+    """Shard the root branches of every slice, as one task list, and merge;
+    the merge is associative, so the result does not depend on worker count
+    or scheduling.  slices holds (forced, forbidden) pairs: every solution
+    holds a slice's forced elements and none of its forbidden ones, and each
+    slice's root, counted as one node, branches as `_root_tasks` says (on
+    space 0 when nothing is forced, see the module docstring)."""
+    nodes = len(slices)  # the roots
     pruned = 0
-    tasks = _root_tasks(inc, caps, forced) if cap >= 1 else []
+    tasks = [task for forced, forbidden in slices
+             for task in _root_tasks(inc, caps, forced, forbidden)] if cap >= 1 else []
     if not tasks:
         return None, (), nodes, pruned
     clashes = {}
@@ -465,16 +478,21 @@ def _skew_space_floor(n: int, q: int, s: int, count: int) -> int:
                 for d in range(n - s + 1) if count <= theta(d, q)), default=0)
 
 
-def _slice(ctx: GeometryContext, points: int, hyperplanes: int) -> tuple[int, ...]:
-    """The elements forced in the one slice of a composition that holds an
-    image of every blocking set of it (see `refute_below`)."""
-    if points >= 2:
-        return (0, 1)
-    if points == 1:
-        return (0,)
-    if hyperplanes:
-        return (ctx.num_points,)  # hyperplane 0, ordinal theta_n
-    return ()
+def _slices(ctx: GeometryContext, points: int, hyperplanes: int
+            ) -> list[tuple[tuple[int, ...], int]]:
+    """(forced, forbidden) of each rank slice of a composition: together they
+    hold an image of every blocking set of it (see `refute_below`)."""
+    if points:
+        count, base = points, 0
+    elif hyperplanes:
+        count, base = hyperplanes, ctx.num_points  # dual ordinals, offset by theta_n
+    else:
+        return [((), 0)]
+    q = ctx.q
+    block = ((1 << ctx.num_points) - 1) << base
+    return [(tuple(base + theta(i - 1, q) for i in range(r)),
+             block & ~((1 << base + theta(r - 1, q)) - 1))
+            for r in range(1, min(count, ctx.n + 1) + 1) if theta(r - 1, q) >= count]
 
 
 def refute_below(ctx: GeometryContext, k: int, target: int,
@@ -490,19 +508,26 @@ def refute_below(ctx: GeometryContext, k: int, target: int,
     to their dual points, so the floor for b1 hyperplanes is the floor for
     b1 points on the (n-k-1)-spaces.
 
-    The search covers one slice of the composition.  A collineation of
-    PGL(n+1, q) maps blocking sets onto blocking sets of the same
-    composition, and PGL is 2-transitive on points and transitive on
-    hyperplanes.  So a set with at least two points has an image holding
-    points 0 and 1, a set with exactly one point an image whose point is 0
-    (the point cap keeps it the only one), and a set with no point but some
-    hyperplane an image holding hyperplane 0; the search forces those
-    elements (`_slice`), and finds a set exactly when the whole composition
-    has one.  In the middle case n = 2k+1 the polarity maps the k-spaces
-    onto themselves and a set of composition (b0, b1) onto one of (b1, b0),
-    so a composition with b0 < b1 is settled by its twin, which comes later
-    at the same total, and is reported with method "polarity" and 0 nodes.  On PG(3,3) k=1
-    below 12 that leaves (6, 5) to search, in 939 nodes.
+    The search covers one slice of the composition per rank r of its point
+    part (`_slices`), all in one task list.  A collineation of PGL(n+1, q)
+    maps blocking sets onto blocking sets of the same composition, and PGL
+    is transitive on ordered r-tuples of independent points.  Take a set
+    whose b0 points span rank r: a collineation maps r independent ones
+    among them onto E_r = {e_n, ..., e_{n-r+1}}, and so maps the other
+    points into span(E_r).  In ordinals, E_r is {theta_{i-1} : i < r} =
+    {0, 1, q+1, ...} and span(E_r) is the points below theta_{r-1}; slice r
+    forces E_r and forbids every point off span(E_r).  It is needed exactly
+    when 1 <= r <= min(b0, n+1) and theta_{r-1} >= b0, so the slices find a
+    set exactly when the whole composition has one.  When b0 = 0 < b1 the
+    same rule applies to the hyperplanes' dual ordinals, offset by theta_n,
+    and (0, 0) keeps its one empty slice.  A sliced part larger than theta_n
+    has no slice, and no set has that exact composition; a smaller total
+    fails first, since theta_n points block.  In the middle
+    case n = 2k+1 the polarity maps the k-spaces onto themselves and a set
+    of composition (b0, b1) onto one of (b1, b0), so a composition with
+    b0 < b1 is settled by its twin, which comes later at the same total, and
+    is reported with method "polarity" and 0 nodes.  On PG(3,3) k=1 below 12
+    that leaves (6, 5) to search, in 109 nodes.
     """
     deadline = _check_input(ctx, k, workers, budget_seconds)
     plain_int(target, "target")
@@ -522,7 +547,7 @@ def refute_below(ctx: GeometryContext, k: int, target: int,
                 outcomes.append(CompositionOutcome(b0, b1, "polarity"))
                 continue
             _, sets, nodes, _ = _branch_and_bound(inc, (b0, b1), total, workers, deadline,
-                                                  forced=_slice(ctx, b0, b1))
+                                                  _slices(ctx, b0, b1))
             total_nodes += nodes
             outcomes.append(CompositionOutcome(b0, b1, "search", nodes))
             if sets:

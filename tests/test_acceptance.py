@@ -257,7 +257,7 @@ def test_criterion_9_stretch_pg33_classification():
         assert fallback.all_blocking
         assert fallback.refutation.refuted
         assert fallback.parameter_tuples == 7280
-        assert fallback.refutation.nodes_expanded == 939
+        assert fallback.refutation.nodes_expanded == 109
         print(f"[acceptance]   fallback: {fallback.distinct_sets} distinct "
               f"instances block; no set of size < 12 "
               f"({fallback.refutation.nodes_expanded} search nodes)")

@@ -264,14 +264,11 @@ def test_subspace_masks_match_subspace_points(field, n):
         points, hyperplanes = ctx.subspace_masks(space)
         assert points == sum(1 << p.index for p in ctx.subspace_points(space))
         assert hyperplanes == sum(1 << p.index for p in ctx.subspace_points(ctx.dual(space)))
-    for m in range(n):
-        assert [(s, *ctx.subspace_masks(s)) for s in ctx.subspaces(m)] == \
-            list(ctx.iter_subspace_masks(m))
     pt = ctx.point(5)
     assert ctx.subspace_masks(pt) == ctx.subspace_masks(Subspace(0, (pt.coords,)))
 
 
-@pytest.mark.parametrize("q,n", [(4, 2), (8, 2), (9, 2), (3, 3), (2, 5)])
+@pytest.mark.parametrize("q,n", [(4, 2), (8, 2), (9, 2), (2, 3), (3, 3), (2, 5)])
 def test_iter_subspace_masks_match_subspace_masks_unmemoized(q, n):
     # iter_subspace_masks on a fresh context, so that every mask is read off
     # the echelon-row ordinals rather than the memo that subspace_masks fills

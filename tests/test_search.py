@@ -3,12 +3,15 @@ import hashlib
 import json
 import math
 import time
+from functools import reduce
+from operator import or_
 from types import SimpleNamespace
 
 import pytest
 
 from pgblock import constructions, search
-from pgblock.blocking import BlockingSet, candidates, incidence, is_blocking, is_minimal, ordinals
+from pgblock.blocking import (BlockingSet, candidates, dual_set, incidence, is_blocking,
+                              is_minimal, ordinals)
 from pgblock.counting import (OPEN, HypothesisViolated, gaussian, metsch_dual_lower_bound,
                               minimum_size_bound, theta)
 from pgblock.gf import Field, InputError
@@ -146,15 +149,23 @@ def _list_shards(inc, caps, cap, first_only=False, deadline=None):
         root &= ~point_mask
     if caps[1] == 0:
         root &= point_mask
-    blocked = tuple(frozenset(ordinals(c)) for c in inc.covers)
-    unc = ordinals(inc.full_mask)
-    results = []
+    tasks = []
     tried = 0
     for e in ordinals(root):
-        results.append(_list_shard_search(
-            inc, blocked, caps, cap, (e,), [j for j in unc if j not in blocked[e]],
-            inc.covers[e], tried, deadline, first_only))
+        tasks.append(((e,), tried))
         tried |= 1 << e
+    return _list_tasks(inc, caps, cap, tasks, first_only, deadline)
+
+
+def _list_tasks(inc, caps, cap, tasks, first_only=True, deadline=None):
+    """Per-task results of the oracle kernel on the given root tasks."""
+    blocked = tuple(frozenset(ordinals(c)) for c in inc.covers)
+    results = []
+    for chosen0, forbidden0 in tasks:
+        covered0 = reduce(or_, (inc.covers[e] for e in chosen0), 0)
+        results.append(_list_shard_search(
+            inc, blocked, caps, cap, chosen0, list(ordinals(inc.full_mask & ~covered0)),
+            covered0, forbidden0, deadline, first_only))
     return results
 
 
@@ -195,6 +206,26 @@ def test_bitmask_node_matches_list_oracle_per_composition(pg32):
             assert _bitmask_shards(inc, caps, total) == oracle, caps
             searched += bool(oracle)
     assert searched == 20  # every composition but (0, 0), which has no root branch
+
+
+@pytest.mark.parametrize("q,n,k,compositions", [
+    (2, 3, 1, [(b0, t - b0) for t in range(7) for b0 in range(t + 1)]),
+    (3, 2, 1, [(b0, t - b0) for t in range(6) for b0 in range(t + 1)]),
+    (3, 3, 1, [(6, 5), (6, 6)]),
+    (2, 5, 2, [(5, 5), (8, 3)]),
+])
+def test_bitmask_node_matches_list_oracle_on_slices(q, n, k, compositions):
+    # the same tree on every root task of every rank slice, hyperplane
+    # slices included, and the oracle asserts at each node that every
+    # uncovered space keeps an allowed candidate
+    ctx = GeometryContext(Field(q), n)
+    inc = incidence(ctx, k)
+    for caps in compositions:
+        tasks = [task for slice_ in search._slices(ctx, *caps)
+                 for task in search._root_tasks(inc, caps, *slice_)] if sum(caps) else []
+        clashes = {}
+        assert [search._shard_search(inc, clashes, caps, sum(caps), *task, None)
+                for task in tasks] == _list_tasks(inc, caps, sum(caps), tasks), caps
 
 
 def test_budget_expires_mid_shard(pg33, monkeypatch):
@@ -448,10 +479,10 @@ def test_refute_below_pg33_worker_independent(pg33):
     # is the same at any worker count
     docs = [refute_below(pg33, 1, 12, workers=w).to_dict() for w in (1, 2)]
     assert docs[0] == docs[1]
-    assert docs[0]["refuted"] and docs[0]["nodes_expanded"] == 939
+    assert docs[0]["refuted"] and docs[0]["nodes_expanded"] == 109
     assert [(c["points"], c["hyperplanes"], c["method"], c["nodes"])
             for c in docs[0]["compositions"] if c["method"] != "counting-bound"] \
-        == [(5, 6, "polarity", 0), (6, 5, "search", 939)]
+        == [(5, 6, "polarity", 0), (6, 5, "search", 109)]
 
 
 def test_refute_below_finds_counterexample(pg32):
@@ -473,27 +504,41 @@ def _composition(ctx, ids):
 ])
 def test_slice_search_matches_plain_search(q, n, k):
     # the oracle of the symmetry argument: for every composition of at most
-    # 8 elements, the search of its slice finds a set exactly when the plain
+    # 8 elements, the rank slices together find a set exactly when the plain
     # search of the whole composition does, and in the middle case so does
-    # the plain search of its twin
+    # the plain search of its twin.  The sliced part (the points, or the
+    # hyperplanes when there is no point) has no slice when it is larger
+    # than theta_n, since no set has that exact composition; plain search
+    # within the caps still finds smaller sets there, so it is left out
     ctx = GeometryContext(Field(q), n)
     inc = incidence(ctx, k)
     found = {}
     for total in range(9):
         for points in range(total + 1):
             caps = (points, total - points)
-            forced = search._slice(ctx, *caps)
+            slices = search._slices(ctx, *caps)
+            if (caps[0] or caps[1]) > ctx.num_points:
+                assert slices == [], caps
+                continue
             _, plain, _, _ = search._branch_and_bound(inc, caps, total, 1, None)
-            _, sliced, _, _ = search._branch_and_bound(inc, caps, total, 1, None, forced=forced)
-            assert bool(sliced) == bool(plain), caps
-            for ids in sliced:
-                assert set(forced) <= set(ids)
-                assert is_blocking(BlockingSet(ctx, k, ids))[0]
-                got = _composition(ctx, ids)
-                assert got[0] <= caps[0] and got[1] <= caps[1], (caps, ids)
-            found[caps] = bool(plain)
+            hit = False
+            for forced, forbidden in slices:
+                _, sliced, _, _ = search._branch_and_bound(inc, caps, total, 1, None,
+                                                           [(forced, forbidden)])
+                for ids in sliced:
+                    assert set(forced) <= set(ids), (caps, ids)
+                    assert not any(forbidden >> u & 1 for u in ids), (caps, ids)
+                    assert is_blocking(BlockingSet(ctx, k, ids))[0]
+                    got = _composition(ctx, ids)
+                    assert got[0] <= caps[0] and got[1] <= caps[1], (caps, ids)
+                hit = hit or bool(sliced)
+            assert hit == bool(plain), caps
+            _, together, _, _ = search._branch_and_bound(inc, caps, total, 1, None, slices)
+            assert bool(together) == hit, caps
+            found[caps] = hit
     if n == 2 * k + 1:
-        assert all(found[b1, b0] == hit for (b0, b1), hit in found.items())
+        assert all(found[b1, b0] == hit for (b0, b1), hit in found.items()
+                   if (b1, b0) in found)
     report = refute_below(ctx, k, 9)
     assert report.refuted == (not any(found.values()))
     if report.counterexample is not None:
@@ -503,6 +548,28 @@ def test_slice_search_matches_plain_search(q, n, k):
         assert is_blocking(BlockingSet(ctx, k, report.counterexample))[0]
         smallest = min(sum(caps) for caps, hit in found.items() if hit)
         assert len(report.counterexample) == smallest
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (3, 2), (4, 2), (3, 3), (2, 5)])
+def test_slices_force_a_basis_and_forbid_off_its_span(q, n):
+    # slice r forces r independent points (hyperplanes, when the composition
+    # has no point) and forbids exactly the ones off their span, and there
+    # is one slice for every rank that b points can span: r <= min(b, n+1)
+    # and theta_{r-1} >= b
+    ctx = GeometryContext(Field(2, 2) if q == 4 else Field(q), n)
+    half = ctx.num_points
+    assert search._slices(ctx, 0, 0) == [((), 0)]
+    for b in range(1, half + 2):
+        for caps, base in (((b, 0), 0), ((b, 3), 0), ((0, b), half)):
+            slices = search._slices(ctx, *caps)
+            ranks = [len(forced) for forced, _ in slices]
+            assert ranks == [r for r in range(1, n + 2) if r <= b <= theta(r - 1, q)], caps
+            for forced, forbidden in slices:
+                assert all(base <= u < base + half for u in forced)
+                span = ctx.span(*(ctx.point(u - base) for u in forced))
+                assert span.dim == len(forced) - 1
+                inside = sum(1 << base + p.index for p in ctx.subspace_points(span))
+                assert forbidden == (((1 << half) - 1) << base) & ~inside, caps
 
 
 def test_root_tasks_with_forced_elements(pg22, pg32):
@@ -517,8 +584,8 @@ def test_root_tasks_with_forced_elements(pg22, pg32):
             expected.append(((e,), tried))
             tried |= 1 << e
         assert search._root_tasks(inc, caps) == expected
-    # (0, 0) forces nothing and has no root branch
-    assert search._slice(pg32, 0, 0) == ()
+    # (0, 0) has one empty slice and no root branch
+    assert search._slices(pg32, 0, 0) == [((), 0)]
     assert search._root_tasks(inc, (0, 0)) == []
     assert search._branch_and_bound(inc, (0, 0), 0, 1, None) == (None, (), 1, 0)
     # the root branches on the lowest space the forced elements leave
@@ -528,6 +595,16 @@ def test_root_tasks_with_forced_elements(pg22, pg32):
     tasks = search._root_tasks(inc, (3, 2), (0, 1))
     assert [chosen[:2] for chosen, _ in tasks] == [(0, 1)] * len(tasks)
     assert [chosen[2] for chosen, _ in tasks] == list(ordinals(inc.candidate_masks[low]))
+    # a forbidden mask: the root offers none of it, and every task forbids
+    # it besides the candidates tried before
+    forbidden = point_mask & ~0b111  # the points off the line through 0 and 1
+    tasks = search._root_tasks(inc, (3, 2), (0, 1), forbidden)
+    offered = inc.candidate_masks[low] & ~forbidden
+    assert [chosen[2] for chosen, _ in tasks] == list(ordinals(offered))
+    tried = forbidden
+    for chosen, forbidden0 in tasks:
+        assert forbidden0 == tried
+        tried |= 1 << chosen[2]
     # forced points count against the point cap, forced hyperplanes
     # against the hyperplane cap
     assert all(e >= num_points for (*_, e), _ in search._root_tasks(inc, (1, 3), (0,)))
@@ -539,8 +616,51 @@ def test_root_tasks_with_forced_elements(pg22, pg32):
     line = tuple(p.index for p in pg22.subspace_points(pg22.subspaces(1)[3]))
     inc22 = incidence(pg22, 1)
     assert search._root_tasks(inc22, (3, 0), line) == [(line, 0)]
-    assert search._branch_and_bound(inc22, (3, 0), 3, 1, None, forced=line) \
+    assert search._root_tasks(inc22, (3, 0), line, 1 << 6) == [(line, 1 << 6)]
+    assert search._branch_and_bound(inc22, (3, 0), 3, 1, None, [(line, 0)]) \
         == (3, (line,), 2, 0)
+
+
+@pytest.mark.parametrize("q,n,k,target,searched,size", [
+    (3, 3, 1, 13, [(6, 5, 109), (6, 6, 909)], 12),
+    (2, 5, 2, 12, [(5, 5, 25), (6, 5, 143), (7, 4, 154), (8, 3, 106)], None),
+])
+def test_refute_below_rank_slices_worker_independent(q, n, k, target, searched, size):
+    # the node counts of the rank slices, pinned, and the same report at any
+    # worker count
+    ctx = GeometryContext(Field(q), n)
+    docs = [refute_below(ctx, k, target, workers=w).to_dict() for w in (1, 2)]
+    assert docs[0] == docs[1]
+    assert [(c["points"], c["hyperplanes"], c["nodes"]) for c in docs[0]["compositions"]
+            if c["method"] == "search"] == searched
+    assert docs[0]["nodes_expanded"] == sum(nodes for *_, nodes in searched)
+    assert docs[0]["refuted"] == (size is None)
+    if size is not None:
+        counterexample = docs[0]["counterexample"]
+        assert len(counterexample) == size
+        assert _composition(ctx, counterexample) == searched[-1][:2]
+        assert is_blocking(BlockingSet(ctx, k, counterexample))[0]
+
+
+def test_refute_below_pg62_k3():
+    # an open q = 2 case of the paper, settled here: in PG(6,2) no set below
+    # 15 blocks the 3-spaces, and at 15 the search finds the points of a
+    # 3-space, a (15, 0) set, whose dual set blocks the 2-spaces
+    ctx = GeometryContext(Field(2), 6)
+    assert minimum_size_bound(6, 3, 2) == OPEN
+    docs = [refute_below(ctx, 3, 15, workers=w).to_dict() for w in (1, 2)]
+    assert docs[0] == docs[1]
+    assert docs[0]["refuted"] and docs[0]["nodes_expanded"] == 1497
+    assert [(c["points"], c["hyperplanes"], c["nodes"]) for c in docs[0]["compositions"]
+            if c["method"] == "search"] \
+        == [(6, 8, 87), (7, 7, 290), (8, 6, 370), (9, 5, 375), (10, 4, 375)]
+    report = refute_below(ctx, 3, 16)
+    assert not report.refuted
+    bset = BlockingSet(ctx, 3, report.counterexample)
+    assert _composition(ctx, bset.ids) == (15, 0)
+    assert ctx.span(*bset.points).dim == 3
+    assert is_blocking(bset)[0]
+    assert is_blocking(dual_set(bset))[0] and dual_set(bset).k == 2
 
 
 @pytest.mark.parametrize("target", [6, 7])
