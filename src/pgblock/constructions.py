@@ -49,7 +49,7 @@ from operator import and_, or_
 from .blocking import (BlockingSet, candidates, check_middle, incidence, ordinals,
                        spaces_inside)
 from .counting import minimum_size_bound, theta
-from .gf import InputError
+from .gf import InputError, plain_int
 from .pgkernel import GeometryContext, Subspace
 
 
@@ -132,7 +132,7 @@ def canonical_pencil_partition(ctx: GeometryContext, k: int, t: int = 1) -> Penc
     reduced echelon form each member's basis is the axis rows followed by d.
     """
     check_middle(ctx, k)
-    if not 1 <= t <= ctx.q:
+    if not 1 <= plain_int(t, "t") <= ctx.q:
         raise InputError(f"need 1 <= t <= q, got t={t}")
     hull, axis = canonical_anchor(ctx, k + 1), canonical_anchor(ctx, k - 1)
     zeros = (0,) * (ctx.n - k - 1)
@@ -287,7 +287,7 @@ def bose_burton(ctx: GeometryContext, k: int, variant: str, anchor: Subspace) ->
 
 def canonical_anchor(ctx: GeometryContext, dim: int) -> Subspace:
     """The standard-basis subspace spanned by the first dim+1 unit vectors."""
-    if not -1 <= dim <= ctx.n:
+    if not -1 <= plain_int(dim, "dim") <= ctx.n:
         raise InputError(f"no subspace of dimension {dim} in {ctx!r}")
     rows = ctx.whole_space().basis
     return Subspace(dim, rows[:dim + 1])

@@ -24,14 +24,18 @@ class HypothesisViolated(InputError):
 OPEN = "open"
 
 
-def _check_q(q: int):
-    if prime_power_parts(q) is None:
+def _check_q(q: int, **ints):
+    """Reject a q that is no prime power >= 2, and any of ints, by name,
+    that is no plain int."""
+    for what, value in ints.items():
+        plain_int(value, what)
+    if prime_power_parts(plain_int(q, "q")) is None:
         raise InputError(f"q = {q} is not a prime power >= 2")
 
 
 def gaussian(a: int, b: int, q: int) -> int:
     """Gaussian binomial [a choose b]_q; 0 unless 0 <= b <= a."""
-    _check_q(q)
+    _check_q(q, a=a, b=b)
     if b < 0 or b > a:
         return 0
     num = 1
@@ -44,7 +48,7 @@ def gaussian(a: int, b: int, q: int) -> int:
 
 def theta(m: int, q: int) -> int:
     """Number of points of PG(m, q); 0 for the empty subspace (m = -1)."""
-    _check_q(q)
+    _check_q(q, m=m)
     if m < 0:
         return 0
     return (q ** (m + 1) - 1) // (q - 1)
@@ -53,7 +57,7 @@ def theta(m: int, q: int) -> int:
 def metsch_lower_bound(n: int, q: int, d: int, s: int, b_size: int) -> int:
     """Lower bound on the number of s-spaces skew to a point set of size
     b_size <= theta_d in PG(n, q)."""
-    _check_q(q)
+    _check_q(q, n=n, d=d, s=s, b_size=b_size)
     if d < 0 or s < 0 or n < d + s:
         raise HypothesisViolated(f"need d, s >= 0 and n >= d + s, got n={n}, d={d}, s={s}")
     if not 0 <= b_size <= theta(d, q):
@@ -65,7 +69,7 @@ def metsch_lower_bound(n: int, q: int, d: int, s: int, b_size: int) -> int:
 def metsch_dual_lower_bound(n: int, q: int, d: int, s: int, b_size: int) -> int:
     """Lower bound on the number of s-spaces lying in no member of a set of
     b_size <= theta_d hyperplanes of PG(n, q)."""
-    _check_q(q)
+    _check_q(q, n=n, d=d, s=s, b_size=b_size)
     if d < 0 or s < d - 1 or s >= n:
         raise HypothesisViolated(f"need d >= 0 and d-1 <= s < n, got n={n}, d={d}, s={s}")
     if not 0 <= b_size <= theta(d, q):
@@ -96,7 +100,7 @@ def _exp_bracket(x: Fraction, terms: int = 30) -> tuple[Fraction, Fraction]:
 def heger_nagy_bracket(a: int, b: int, q: int) -> tuple[Fraction, Fraction]:
     """Certified rational bracket of the upper-bound formula for [a choose b]_q:
     q^((a-b)b) * e^(1/(q-2)) for q > 2, and 2^((a-b)b + 1) * e^(2/3) for q = 2."""
-    _check_q(q)
+    _check_q(q, a=a, b=b)
     if not 0 <= b <= a:
         raise HypothesisViolated(f"need 0 <= b <= a, got a={a}, b={b}")
     if q == 2:
@@ -126,7 +130,7 @@ def minimum_size_bound(n: int, k: int, q: int):
     theta_{k+1} below the middle, theta_{n-k} above it, (q+1) q^k at
     k = (n-1)/2.
     """
-    _check_q(q)
+    _check_q(q, n=n)
     check_k(n, k)
     if q == 2 and n % 2 == 0 and (2 * k == n - 2 or 2 * k == n):
         return OPEN

@@ -108,9 +108,9 @@ class Field:
     """
 
     def __init__(self, p: int, e: int = 1, modulus=None):
-        if prime_power_parts(p) != (p, 1):
+        if prime_power_parts(plain_int(p, "p")) != (p, 1):
             raise InputError(f"p = {p} is not prime")
-        if e < 1:
+        if plain_int(e, "exponent e") < 1:
             raise InputError(f"exponent e = {e} must be >= 1")
         q = p ** e
         if modulus is None:
@@ -270,7 +270,7 @@ def prime_power_parts(q: int) -> tuple[int, int] | None:
 
 def field_for_order(q: int) -> Field:
     """Build GF(q) from its prime-power factorization, using built-in moduli."""
-    parts = prime_power_parts(q)
+    parts = prime_power_parts(plain_int(q, "q"))
     if parts is None:
         raise InputError(f"q = {q} is not a prime power")
     return Field(*parts)

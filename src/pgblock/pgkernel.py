@@ -155,7 +155,7 @@ class GeometryContext:
     # -- points -------------------------------------------------------------
 
     def normalize(self, coords) -> tuple[int, ...]:
-        coords = tuple(int(c) for c in coords)
+        coords = tuple(plain_int(c, "coordinate") for c in coords)
         if len(coords) != self.n + 1:
             raise InputError(
                 f"expected {self.n + 1} coordinates, got {len(coords)}")
@@ -183,14 +183,15 @@ class GeometryContext:
         return self._lead_offsets[lead] + offset
 
     def point(self, arg) -> Point:
-        """Point from an ordinal, from (possibly unnormalized) coordinates,
-        or from a Point, whose coordinates must belong to this geometry."""
+        """Point from an ordinal, from (possibly unnormalized) coordinates
+        as a tuple or list, or from a Point, whose coordinates must belong
+        to this geometry."""
         if isinstance(arg, Point):
             arg = arg.coords
-        if isinstance(arg, int):
-            # invert point_index: one point has n leading zeros, q points
-            # have n-1, q^2 have n-2, and so on
-            if not 0 <= arg < self.num_points:
+        if not isinstance(arg, (tuple, list)):
+            # an ordinal: invert point_index.  One point has n leading
+            # zeros, q points have n-1, q^2 have n-2, and so on
+            if not 0 <= plain_int(arg, "point ordinal") < self.num_points:
                 raise InputError(f"point ordinal {arg} is outside [0, {self.num_points})")
             q = self.q
             offset, block, lead = arg, 1, self.n

@@ -9,10 +9,11 @@ every minimum cover up to a size cap:
   fewest remaining candidates, pruning with coverage lower bounds, and
   keeps leaves duplicate-free by forbidding, inside each branch, the
   candidates tried earlier at the same node;
-* the refutation searches each composition in one slice per rank r of its
-  point part: a collineation moves any blocking set of it into one of
-  them, whose root forces r independent points and forbids every point
-  off their span (see `refute_below`).
+* the refutation searches each composition in one shard per rank r of
+  its point part, in rank order up to the first with a set: a
+  collineation moves any blocking set of it into one of them, which starts
+  from r forced independent points and forbids every point off their span
+  (see `refute_below`).
 
 A shard reads the incidence system itself: `covers` (element to spaces),
 `candidate_masks` (space to elements) and `full_mask`, and takes its
@@ -22,10 +23,9 @@ per-point and per-hyperplane ceilings, the most k-spaces one element
 blocks, are read off `covers` (the bit counts of point 0 and of hyperplane
 0).  Every k-space has the same number
 C = theta_k + theta_{n-k-1} of candidates (its points and the hyperplanes
-through it), so the root, which holds the forced elements and branches on
-the lowest space they leave uncovered (space 0 when nothing is forced),
-has no more-constrained space to prefer, and "fewest allowed candidates"
-is "most forbidden candidates".
+through it), so plain search's root, which branches on space 0, has no
+more-constrained space to prefer, and "fewest allowed candidates" is
+"most forbidden candidates".
 
 A node is a handful of bitmask operations:
 
@@ -46,35 +46,36 @@ A node is a handful of bitmask operations:
   keyed by the allowed-candidate mask.  The memo starts empty at every
   search and is filled on a miss; the search's shards share it (forked
   workers inherit it), and it is cleared when it reaches `_CLASH_MEMO`
-  entries.  The packing takes at most room+1 steps.
+  entries.  The packing takes at most need+1 steps, need being the
+  number of elements the node may still add.
 
-Every uncovered space keeps an allowed candidate at every node.  A root
-task forbids its slice's elements, all of one kind, and the candidates of
-the root space tried before it.  A k-space other than the root space lies
-in at most theta_{n-k-2} of the theta_{n-k-1} hyperplanes through the root
-space, so it keeps an allowed hyperplane and, in a slice that forbids
-hyperplanes (where the root tries no point), an allowed point.  A node
-with a tight space branches on its one allowed candidate and forbids
-nothing new; any other node branches on a space with the fewest allowed
-candidates, m >= 2, and its i-th child forbids only the i-1 < m tried
-before it, while every uncovered space had at least m allowed ones.  So no
-space's forbidden count passes C - 1 (a covered space keeps the element
-that covers it), and the bit-planes cannot overflow.
+Every uncovered space keeps an allowed candidate at every node.  Plain
+search's root forbids nothing, and its split on space 0 is a node's
+branching.  A slice forbids elements of one kind only, so at its root
+every k-space keeps all its candidates of the other kind: theta_{n-k-1}
+hyperplanes, or theta_k points in a slice of hyperplanes.  A node with a
+tight space branches on its one allowed candidate and forbids nothing new;
+any other node branches on a space with the fewest allowed candidates,
+m >= 2, and its i-th child forbids only the i-1 < m tried before it, while
+every uncovered space had at least m allowed ones.  So no space's
+forbidden count passes C - 1 (a covered space keeps the element that
+covers it), and the bit-planes cannot overflow.
 
 The bounds apply in a fixed order: the static size bound (or, per
 composition, the point/hyperplane cover ceiling), then the packing bound,
 then, when every uncovered space has two or more allowed candidates, the
-adaptive coverage bound: room elements cover the uncovered spaces only if
-one allowed element blocks ceil(uncovered / room) of them.  Plain,
+adaptive coverage bound: need elements cover the uncovered spaces only if
+one allowed element blocks ceil(uncovered / need) of them.  Plain,
 composition-constrained and sliced searches share this one path.  On
 PG(3,3) k=1 it expands 721,577 nodes and prunes 560,536 of them, and the
 refutation below 12, which searches the rank slices of (6, 5) and settles
 (5, 6) by the polarity, expands 109.
 
 Reports are deterministic for a given (geometry, k, cap, mode): worker
-sharding splits the root branches, each shard runs with its own local
-incumbent, and the merge is order-independent.  Wall time is reported but
-excluded from the canonical form of a report.
+sharding splits plain search's root branches, each shard runs with its own
+local incumbent, and the merge is order-independent; a composition search
+reads its slices' shards in order and stops at the first with a set.  Wall
+time is reported but excluded from the canonical form of a report.
 
 Classification compares the minima, as ordinal tuples, with the family the
 theorem names (`constructions.theorem_family`).  In the middle case
@@ -87,8 +88,9 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations
 from operator import or_
 
@@ -139,32 +141,14 @@ def _covered_by(covers, mask: int) -> int:
     return reduce(or_, map(covers.__getitem__, ordinals(mask)))
 
 
-def _root_tasks(inc: IncidenceSystem, caps, forced=(), forbidden=0
-                ) -> list[tuple[tuple[int, ...], int]]:
-    """(chosen0, forbidden0) of each root branch of one slice.  The root holds
-    the forced elements and branches on the lowest space they leave uncovered
-    (space 0 when nothing is forced), over its candidates that the slice does
-    not forbid, forbidding in each branch the slice's forbidden elements and
-    the candidates tried before it; a part whose cap the forced elements fill
-    offers none.  If the forced elements block everything, the root is the
-    one task."""
-    unc = inc.full_mask
-    for e in forced:
-        unc &= ~inc.covers[e]
-    if not unc:
-        return [(tuple(forced), forbidden)]
-    root = inc.candidate_masks[(unc & -unc).bit_length() - 1] & ~forbidden
-    num_points = inc.ctx.num_points
-    point_mask = (1 << num_points) - 1
-    forced_points = sum(1 for e in forced if e < num_points)
-    if caps[0] == forced_points:
-        root &= ~point_mask
-    if caps[1] == len(forced) - forced_points:
-        root &= point_mask
+def _root_tasks(inc: IncidenceSystem) -> list[tuple[tuple[int, ...], int]]:
+    """(chosen0, forbidden0) of each root branch of plain search: the root
+    branches on space 0, forbidding in each branch the candidates tried
+    before it."""
     tasks = []
-    tried = forbidden
-    for e in ordinals(root):
-        tasks.append(((*forced, e), tried))
+    tried = 0
+    for e in ordinals(inc.candidate_masks[0]):
+        tasks.append(((e,), tried))
         tried |= 1 << e
     return tasks
 
@@ -176,11 +160,12 @@ def _shard_search(inc: IncidenceSystem, clashes, caps, cap: int, chosen0, forbid
     clashes is the packing memo of the search, each allowed-candidate mask
     mapped to `_covered_by` of it, which the shard extends; chosen0 the
     elements the shard starts from and forbidden0 the elements it may not
-    take.  caps is (max points, max hyperplanes), None for no limit.  best
-    is the smallest solution size found (initialized to cap), sets the
-    complete list of solutions of that size inside this shard.  A
-    composition search (a cap set) asks only whether a set exists, so it
-    stops at its first set; a plain search explores the whole shard.
+    take.  caps is a composition (points, hyperplanes) whose total is cap,
+    or None for plain search.  best is the smallest solution size found
+    (initialized to cap), sets the complete list of solutions of that size
+    inside this shard.  A composition search asks only whether a set
+    exists, so it stops at its first set; a plain search explores the whole
+    shard.
     """
     covers = inc.covers
     cand_masks = inc.candidate_masks
@@ -188,8 +173,8 @@ def _shard_search(inc: IncidenceSystem, clashes, caps, cap: int, chosen0, forbid
     point_mask = (1 << num_points) - 1
     per_point, per_hyperplane = covers[0].bit_count(), covers[num_points].bit_count()
     static_max = max(per_point, per_hyperplane)
-    max_pts, max_hyps = caps
-    composition = max_pts is not None or max_hyps is not None
+    composition = caps is not None
+    max_pts = caps[0] if composition else None
     # every space has `width` candidates.  Its forbidden count plus `offset`
     # is kept in `depth` bit-planes, most significant first: the offset
     # makes the sum reach 2**top exactly when the count reaches width - 1,
@@ -210,7 +195,7 @@ def _shard_search(inc: IncidenceSystem, clashes, caps, cap: int, chosen0, forbid
     if deadline is not None and time.monotonic() > deadline:
         raise TimeBudgetExceeded("search budget exhausted", nodes, pruned)
 
-    def explore(chosen, unc, forbidden, planes, pts_used, hyps_used):
+    def explore(chosen, unc, forbidden, planes, pts_used):
         nonlocal best, sets, nodes, pruned
         nodes += 1
         if deadline is not None and nodes % check_every == 0 and time.monotonic() > deadline:
@@ -228,12 +213,11 @@ def _shard_search(inc: IncidenceSystem, clashes, caps, cap: int, chosen0, forbid
             pruned += 1
             return
         ucnt = unc.bit_count()
-        room = need
         if composition:
-            pts_room = need if max_pts is None else min(need, max_pts - pts_used)
-            hyps_room = need if max_hyps is None else min(need, max_hyps - hyps_used)
-            room = min(need, pts_room + hyps_room)
-            if pts_room * per_point + hyps_room * per_hyperplane < ucnt:
+            # cap is the composition's total and no part passes its cap, so
+            # need is the points left plus the hyperplanes left
+            pts_room = max_pts - pts_used
+            if pts_room * per_point + (need - pts_room) * per_hyperplane < ucnt:
                 pruned += 1
                 return
         elif ucnt > need * static_max:
@@ -244,7 +228,7 @@ def _shard_search(inc: IncidenceSystem, clashes, caps, cap: int, chosen0, forbid
         # greedy packing, in ascending order, of the uncovered spaces below
         # the lowest tight one: spaces with pairwise disjoint allowed
         # candidates need pairwise distinct new elements (any blocker of a
-        # space is one of its candidates), so more than room of them prune.
+        # space is one of its candidates), so more than need of them prune.
         # Each packed space removes the spaces it shares a candidate with.
         if tight:
             low = tight & -tight
@@ -254,7 +238,7 @@ def _shard_search(inc: IncidenceSystem, clashes, caps, cap: int, chosen0, forbid
         packing = 0
         while packable:
             packing += 1
-            if packing > room:
+            if packing > need:
                 pruned += 1
                 return
             j = (packable & -packable).bit_length() - 1
@@ -274,10 +258,10 @@ def _shard_search(inc: IncidenceSystem, clashes, caps, cap: int, chosen0, forbid
                 if most & plane:
                     most &= plane
             branch = cand_masks[(most & -most).bit_length() - 1] & ~forbidden
-            # adaptive coverage bound: room elements cover ucnt spaces only
-            # if one of them blocks ceil(ucnt / room); an allowed element
+            # adaptive coverage bound: need elements cover ucnt spaces only
+            # if one of them blocks ceil(ucnt / need); an allowed element
             # that blocks no uncovered space never qualifies
-            threshold = -(-ucnt // room)
+            threshold = -(-ucnt // need)
             for bit, cover in element_covers:
                 if not bit & forbidden and (cover & unc).bit_count() >= threshold:
                     break
@@ -285,20 +269,19 @@ def _shard_search(inc: IncidenceSystem, clashes, caps, cap: int, chosen0, forbid
                 pruned += 1
                 return
         # a part at its cap offers no candidates
-        if max_pts is not None and pts_used >= max_pts:
-            branch &= ~point_mask
-        if max_hyps is not None and hyps_used >= max_hyps:
-            branch &= point_mask
+        if composition:
+            if not pts_room:
+                branch &= ~point_mask
+            elif pts_room == need:
+                branch &= point_mask
         tried = 0
         while branch:
             bit = branch & -branch
             branch ^= bit
             e = bit.bit_length() - 1
-            is_point = e < num_points
             cover = covers[e]
             chosen.append(e)
-            explore(chosen, unc & ~cover, forbidden | tried, planes,
-                    pts_used + is_point, hyps_used + (not is_point))
+            explore(chosen, unc & ~cover, forbidden | tried, planes, pts_used + (e < num_points))
             chosen.pop()
             if composition and sets:
                 return
@@ -312,8 +295,7 @@ def _shard_search(inc: IncidenceSystem, clashes, caps, cap: int, chosen0, forbid
     planes0 = [inc.full_mask if offset >> i & 1 else 0 for i in reversed(range(depth))]
     for e in ordinals(forbidden0):
         planes0 = _add_ones(planes0, covers[e], carry_order)
-    pts0 = sum(1 for e in chosen0 if e < num_points)
-    explore(list(chosen0), unc0, forbidden0, planes0, pts0, len(chosen0) - pts0)
+    explore(list(chosen0), unc0, forbidden0, planes0, sum(1 for e in chosen0 if e < num_points))
     return best, sets, nodes, pruned
 
 
@@ -340,41 +322,53 @@ def _run_task(task):
     return _shard_search(inc, clashes, caps, cap, *task, deadline)
 
 
-def _branch_and_bound(inc: IncidenceSystem, caps, cap: int, workers: int,
-                      deadline: float | None, slices=(((), 0),)):
-    """Shard the root branches of every slice, as one task list, and merge;
-    the merge is associative, so the result does not depend on worker count
-    or scheduling.  slices holds (forced, forbidden) pairs: every solution
-    holds a slice's forced elements and none of its forbidden ones, and each
-    slice's root, counted as one node, branches as `_root_tasks` says (on
-    space 0 when nothing is forced, see the module docstring)."""
-    nodes = len(slices)  # the roots
-    pruned = 0
-    tasks = [task for forced, forbidden in slices
-             for task in _root_tasks(inc, caps, forced, forbidden)] if cap >= 1 else []
-    if not tasks:
-        return None, (), nodes, pruned
-    clashes = {}
-    if workers <= 1 or len(tasks) == 1:
-        results = [_shard_search(inc, clashes, caps, cap, *task, deadline) for task in tasks]
+def _branch_and_bound(inc: IncidenceSystem, cap, workers: int, deadline: float | None,
+                      slices=(((), 0),)):
+    """Run the shards of one search and merge them.  cap is the size cap of
+    a plain search, or a composition (points, hyperplanes), which is
+    searched for a set of its total size.
+
+    Plain search shards the root branches (`_root_tasks`), counts the root
+    as one node and merges every shard; the merge is associative, so the
+    result does not depend on worker count or scheduling.  A composition
+    search has one shard per slice, a (forced, forbidden) pair of `slices`
+    (the whole composition by default): every set it finds holds the forced
+    elements and none of the forbidden ones, and the shard's root is an
+    ordinary node (see the module docstring).  It takes the results in
+    slice order and stops at the first slice with a set, counting the nodes
+    of the slices up to it, so its counters do not depend on worker count
+    either."""
+    if isinstance(cap, tuple):
+        caps, cap, tasks, nodes = cap, sum(cap), slices, 0
     else:
+        caps, tasks, nodes = None, _root_tasks(inc), 1  # the root
+    if cap < 1:
+        return None, (), 1, 0
+    clashes = {}
+    if workers > 1 and len(tasks) > 1:
         import multiprocessing
 
         mp = multiprocessing.get_context("fork")
-        with mp.Pool(min(workers, len(tasks)), _init_worker,
-                     (inc, clashes, caps, cap, deadline)) as pool:
-            results = pool.map(_run_task, tasks)
+        pool = mp.Pool(min(workers, len(tasks)), _init_worker, (inc, clashes, caps, cap, deadline))
+        results = pool.imap(_run_task, tasks)
+    else:
+        pool = nullcontext()
+        results = (_shard_search(inc, clashes, caps, cap, *task, deadline) for task in tasks)
     best = cap + 1
     merged: set[tuple[int, ...]] = set()
-    for shard_best, shard_sets, shard_nodes, shard_pruned in results:
-        nodes += shard_nodes
-        pruned += shard_pruned
-        if shard_sets:
-            if shard_best < best:
-                best = shard_best
-                merged = set()
-            if shard_best == best:
-                merged.update(tuple(sorted(s)) for s in shard_sets)
+    pruned = 0
+    with pool:
+        for shard_best, shard_sets, shard_nodes, shard_pruned in results:
+            nodes += shard_nodes
+            pruned += shard_pruned
+            if shard_sets:
+                if shard_best < best:
+                    best = shard_best
+                    merged = set()
+                if shard_best == best:
+                    merged.update(tuple(sorted(s)) for s in shard_sets)
+                if caps is not None:
+                    break
     if not merged:
         return None, (), nodes, pruned
     return best, tuple(sorted(merged)), nodes, pruned
@@ -434,8 +428,7 @@ def min_blocking_search(ctx: GeometryContext, k: int, size_cap: int,
     if mode == "exhaustive":
         best, sets, nodes, pruned = _exhaustive(inc, size_cap, deadline)
     else:
-        best, sets, nodes, pruned = _branch_and_bound(inc, (None, None), size_cap,
-                                                      workers, deadline)
+        best, sets, nodes, pruned = _branch_and_bound(inc, size_cap, workers, deadline)
     return SearchReport(
         n=ctx.n, q=ctx.q, k=k, size_cap=size_cap, mode=mode, workers=workers,
         minimum_size=best, minimum_sets=sets,
@@ -469,6 +462,7 @@ class RefutationReport:
         return {**vars(self), "compositions": tuple(dict(vars(c)) for c in self.compositions)}
 
 
+@cache
 def _skew_space_floor(n: int, q: int, s: int, count: int) -> int:
     """Best counting lower bound on the s-spaces skew to `count` points.
     Through the polarity it also bounds the (n-s-1)-spaces that `count`
@@ -509,7 +503,8 @@ def refute_below(ctx: GeometryContext, k: int, target: int,
     b1 points on the (n-k-1)-spaces.
 
     The search covers one slice of the composition per rank r of its point
-    part (`_slices`), all in one task list.  A collineation of PGL(n+1, q)
+    part (`_slices`), each one shard, in rank order up to the first slice
+    with a set; its node count is the count of those shards.  A collineation of PGL(n+1, q)
     maps blocking sets onto blocking sets of the same composition, and PGL
     is transitive on ordered r-tuples of independent points.  Take a set
     whose b0 points span rank r: a collineation maps r independent ones
@@ -546,7 +541,7 @@ def refute_below(ctx: GeometryContext, k: int, target: int,
             if n == 2 * k + 1 and b0 < b1:
                 outcomes.append(CompositionOutcome(b0, b1, "polarity"))
                 continue
-            _, sets, nodes, _ = _branch_and_bound(inc, (b0, b1), total, workers, deadline,
+            _, sets, nodes, _ = _branch_and_bound(inc, (b0, b1), workers, deadline,
                                                   _slices(ctx, b0, b1))
             total_nodes += nodes
             outcomes.append(CompositionOutcome(b0, b1, "search", nodes))

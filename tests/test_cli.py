@@ -468,7 +468,7 @@ def test_classify_pg52_middle_case_fallback(capsys):
     assert data["observed_minimum"] == 12
     assert data["minima_count"] == data["fallback"]["distinct_sets"] == 19530
     refutation = data["fallback"]["refutation"]
-    assert refutation["refuted"] and refutation["nodes_expanded"] == 428
+    assert refutation["refuted"] and refutation["nodes_expanded"] == 413
     assert [(c["points"], c["hyperplanes"]) for c in refutation["compositions"]
             if c["method"] == "search"] == [(5, 5), (6, 5), (7, 4), (8, 3)]
 

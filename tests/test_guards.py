@@ -6,8 +6,9 @@ from pgblock.blocking import BlockingSet, pinned_hyperplanes, skew_space_profile
 from pgblock.cli import main
 from pgblock.constructions import (PencilPartitionParams, bose_burton, canonical_anchor,
                                    canonical_pencil_partition, pencil, pencil_partition)
-from pgblock.counting import minimum_size_bound
-from pgblock.gf import Field, InputError
+from pgblock.counting import (gaussian, heger_nagy_upper_bound, metsch_lower_bound,
+                              minimum_size_bound, theta)
+from pgblock.gf import Field, InputError, field_for_order
 from pgblock.pgkernel import BudgetExceeded, GeometryContext
 from pgblock.search import min_blocking_search, refute_below
 
@@ -111,6 +112,54 @@ GUARDS = {
     "budget-bool": (
         lambda: refute_below(PG32, 1, 7, budget_seconds=True),
         InputError, "need a budget that is a number, got budget_seconds=True"),
+    "point-float-coordinate": (
+        lambda: PG32.point((1.5, 0, 0, 0)),
+        InputError, "coordinate must be an integer, got 1.5"),
+    "point-string": (
+        lambda: PG32.point("0001"),
+        InputError, "point ordinal must be an integer, got '0001'"),
+    "point-bool": (
+        lambda: PG32.point(True),
+        InputError, "point ordinal must be an integer, got True"),
+    "point-float": (
+        lambda: PG32.point(1.0),
+        InputError, "point ordinal must be an integer, got 1.0"),
+    "hyperplane-bool": (
+        lambda: PG32.hyperplane(True),
+        InputError, "point ordinal must be an integer, got True"),
+    "anchor-bool": (
+        lambda: canonical_anchor(PG32, True),
+        InputError, "dim must be an integer, got True"),
+    "anchor-float": (
+        lambda: canonical_anchor(PG32, 1.0),
+        InputError, "dim must be an integer, got 1.0"),
+    "t-bool": (
+        lambda: canonical_pencil_partition(PG32, 1, t=True),
+        InputError, "t must be an integer, got True"),
+    "t-float": (
+        lambda: canonical_pencil_partition(PG32, 1, t=1.0),
+        InputError, "t must be an integer, got 1.0"),
+    "theta-float": (
+        lambda: theta(1.5, 2),
+        InputError, "m must be an integer, got 1.5"),
+    "gaussian-float": (
+        lambda: gaussian(4.0, 2, 2),
+        InputError, "a must be an integer, got 4.0"),
+    "bound-q-float": (
+        lambda: minimum_size_bound(3, 1, 3.0),
+        InputError, "q must be an integer, got 3.0"),
+    "metsch-size-float": (
+        lambda: metsch_lower_bound(3, 2, 1, 1, 2.5),
+        InputError, "b_size must be an integer, got 2.5"),
+    "heger-nagy-q-float": (
+        lambda: heger_nagy_upper_bound(4, 2, 3.0),
+        InputError, "q must be an integer, got 3.0"),
+    "field-order-float": (
+        lambda: field_for_order(4.0),
+        InputError, "q must be an integer, got 4.0"),
+    "field-exponent-bool": (
+        lambda: Field(2, True),
+        InputError, "exponent e must be an integer, got True"),
 }
 
 

@@ -36,7 +36,7 @@ def _list_shard_search(inc, blocked, caps, cap, chosen0, unc0, covered0, forbidd
     per_point, per_hyperplane = (gaussian(inc.ctx.n, inc.s, inc.ctx.q),
                                  gaussian(inc.ctx.n, inc.s + 1, inc.ctx.q))
     static_max = max(per_point, per_hyperplane)
-    max_pts, max_hyps = caps
+    max_pts, max_hyps = caps or (None, None)
     composition = max_pts is not None or max_hyps is not None
 
     best = cap
@@ -141,17 +141,14 @@ def _list_shard_search(inc, blocked, caps, cap, chosen0, unc0, covered0, forbidd
 
 
 def _list_shards(inc, caps, cap, first_only=False, deadline=None):
-    """Per-shard results of the oracle kernel, with the root branches built
-    as the list-based search built them."""
-    root = inc.candidate_masks[0]
-    point_mask = (1 << inc.ctx.num_points) - 1
-    if caps[0] == 0:
-        root &= ~point_mask
-    if caps[1] == 0:
-        root &= point_mask
+    """Per-shard results of the oracle kernel: a plain search's root
+    branches, built as the list-based search built them, or a composition
+    as one task."""
+    if caps is not None:
+        return _list_tasks(inc, caps, cap, [((), 0)], first_only, deadline)
     tasks = []
     tried = 0
-    for e in ordinals(root):
+    for e in ordinals(inc.candidate_masks[0]):
         tasks.append(((e,), tried))
         tried |= 1 << e
     return _list_tasks(inc, caps, cap, tasks, first_only, deadline)
@@ -172,7 +169,7 @@ def _list_tasks(inc, caps, cap, tasks, first_only=True, deadline=None):
 def _bitmask_shards(inc, caps, cap, deadline=None):
     clashes = {}
     return [search._shard_search(inc, clashes, caps, cap, *task, deadline)
-            for task in search._root_tasks(inc, caps)]
+            for task in ([((), 0)] if caps is not None else search._root_tasks(inc))]
 
 
 def _classify_cap(ctx, k):
@@ -189,7 +186,7 @@ def test_bitmask_node_matches_list_oracle(q, n, k):
     # the same tree: equal (best, sets, nodes, pruned) in every root shard
     ctx = GeometryContext(Field(2, 2) if q == 4 else Field(q), n)
     inc = incidence(ctx, k)
-    caps = (None, None)
+    caps = None
     cap = _classify_cap(ctx, k)
     oracle = _list_shards(inc, caps, cap)
     assert len(oracle) > 1
@@ -205,7 +202,7 @@ def test_bitmask_node_matches_list_oracle_per_composition(pg32):
             oracle = _list_shards(inc, caps, total, first_only=True)
             assert _bitmask_shards(inc, caps, total) == oracle, caps
             searched += bool(oracle)
-    assert searched == 20  # every composition but (0, 0), which has no root branch
+    assert searched == 21  # every composition, (0, 0) included, is one task
 
 
 @pytest.mark.parametrize("q,n,k,compositions", [
@@ -213,16 +210,16 @@ def test_bitmask_node_matches_list_oracle_per_composition(pg32):
     (3, 2, 1, [(b0, t - b0) for t in range(6) for b0 in range(t + 1)]),
     (3, 3, 1, [(6, 5), (6, 6)]),
     (2, 5, 2, [(5, 5), (8, 3)]),
+    (2, 6, 3, [(6, 8)]),
 ])
 def test_bitmask_node_matches_list_oracle_on_slices(q, n, k, compositions):
-    # the same tree on every root task of every rank slice, hyperplane
-    # slices included, and the oracle asserts at each node that every
-    # uncovered space keeps an allowed candidate
+    # the same tree in the shard of every rank slice, hyperplane slices
+    # included, and the oracle asserts at each node, the slice root first,
+    # that every uncovered space keeps an allowed candidate
     ctx = GeometryContext(Field(q), n)
     inc = incidence(ctx, k)
     for caps in compositions:
-        tasks = [task for slice_ in search._slices(ctx, *caps)
-                 for task in search._root_tasks(inc, caps, *slice_)] if sum(caps) else []
+        tasks = search._slices(ctx, *caps)
         clashes = {}
         assert [search._shard_search(inc, clashes, caps, sum(caps), *task, None)
                 for task in tasks] == _list_tasks(inc, caps, sum(caps), tasks), caps
@@ -237,7 +234,7 @@ def test_budget_expires_mid_shard(pg33, monkeypatch):
         monkeypatch.setattr(search, "time", SimpleNamespace(
             monotonic=lambda: next(ticks, 10.0)))
         with pytest.raises(TimeBudgetExceeded) as info:
-            shards(incidence(pg33, 1), (None, None), 12, deadline=1.0)
+            shards(incidence(pg33, 1), None, 12, deadline=1.0)
         raised.append((info.value.nodes_expanded, info.value.pruned))
     assert raised[0] == raised[1]
     assert raised[0][0] == 1024 and 0 < raised[0][1] < 1024
@@ -249,7 +246,7 @@ def test_budget_exit_on_the_worker_pool(pg33, monkeypatch):
     ticks = iter([0.0])
     monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: next(ticks, 10.0)))
     with pytest.raises(TimeBudgetExceeded) as info:
-        search._branch_and_bound(incidence(pg33, 1), (None, None), 12, 2, deadline=1.0)
+        search._branch_and_bound(incidence(pg33, 1), 12, 2, deadline=1.0)
     assert info.value.nodes_expanded == 1024 and 0 < info.value.pruned < 1024
 
 
@@ -272,10 +269,10 @@ def test_packing_memo_start_over(pg32, monkeypatch):
 
     monkeypatch.setattr(search, "_CLASH_MEMO", 1)
     inc = incidence(pg32, 1)
-    caps = (None, None)
+    caps = None
     clashes = Memo()
     shards = [search._shard_search(inc, clashes, caps, 6, *task, None)
-              for task in search._root_tasks(inc, caps)]
+              for task in search._root_tasks(inc)]
     assert shards == _list_shards(inc, caps, 6)
     assert len(clashes.sizes) > 1 and set(clashes.sizes) == {1}
 
@@ -520,10 +517,10 @@ def test_slice_search_matches_plain_search(q, n, k):
             if (caps[0] or caps[1]) > ctx.num_points:
                 assert slices == [], caps
                 continue
-            _, plain, _, _ = search._branch_and_bound(inc, caps, total, 1, None)
+            _, plain, _, _ = search._branch_and_bound(inc, caps, 1, None)
             hit = False
             for forced, forbidden in slices:
-                _, sliced, _, _ = search._branch_and_bound(inc, caps, total, 1, None,
+                _, sliced, _, _ = search._branch_and_bound(inc, caps, 1, None,
                                                            [(forced, forbidden)])
                 for ids in sliced:
                     assert set(forced) <= set(ids), (caps, ids)
@@ -533,7 +530,7 @@ def test_slice_search_matches_plain_search(q, n, k):
                     assert got[0] <= caps[0] and got[1] <= caps[1], (caps, ids)
                 hit = hit or bool(sliced)
             assert hit == bool(plain), caps
-            _, together, _, _ = search._branch_and_bound(inc, caps, total, 1, None, slices)
+            _, together, _, _ = search._branch_and_bound(inc, caps, 1, None, slices)
             assert bool(together) == hit, caps
             found[caps] = hit
     if n == 2 * k + 1:
@@ -573,57 +570,30 @@ def test_slices_force_a_basis_and_forbid_off_its_span(q, n):
 
 
 def test_root_tasks_with_forced_elements(pg22, pg32):
+    # plain search's root branches on space 0, each branch forbidding the
+    # candidates tried before it
     inc = incidence(pg32, 1)
-    num_points = pg32.num_points
-    point_mask = (1 << num_points) - 1
-    # plain search forces nothing: the root branches on space 0 as before
-    for caps, allowed in (((None, None), ~0), ((0, 3), ~point_mask), ((3, 0), point_mask)):
-        tried = 0
-        expected = []
-        for e in ordinals(inc.candidate_masks[0] & allowed):
-            expected.append(((e,), tried))
-            tried |= 1 << e
-        assert search._root_tasks(inc, caps) == expected
-    # (0, 0) has one empty slice and no root branch
+    tried = 0
+    expected = []
+    for e in ordinals(inc.candidate_masks[0]):
+        expected.append(((e,), tried))
+        tried |= 1 << e
+    assert search._root_tasks(inc) == expected
+    # (0, 0) has one empty slice and a cap of 0: one node
     assert search._slices(pg32, 0, 0) == [((), 0)]
-    assert search._root_tasks(inc, (0, 0)) == []
-    assert search._branch_and_bound(inc, (0, 0), 0, 1, None) == (None, (), 1, 0)
-    # the root branches on the lowest space the forced elements leave
-    # uncovered, after them
-    unc = inc.full_mask & ~inc.covers[0] & ~inc.covers[1]
-    low = (unc & -unc).bit_length() - 1
-    tasks = search._root_tasks(inc, (3, 2), (0, 1))
-    assert [chosen[:2] for chosen, _ in tasks] == [(0, 1)] * len(tasks)
-    assert [chosen[2] for chosen, _ in tasks] == list(ordinals(inc.candidate_masks[low]))
-    # a forbidden mask: the root offers none of it, and every task forbids
-    # it besides the candidates tried before
-    forbidden = point_mask & ~0b111  # the points off the line through 0 and 1
-    tasks = search._root_tasks(inc, (3, 2), (0, 1), forbidden)
-    offered = inc.candidate_masks[low] & ~forbidden
-    assert [chosen[2] for chosen, _ in tasks] == list(ordinals(offered))
-    tried = forbidden
-    for chosen, forbidden0 in tasks:
-        assert forbidden0 == tried
-        tried |= 1 << chosen[2]
-    # forced points count against the point cap, forced hyperplanes
-    # against the hyperplane cap
-    assert all(e >= num_points for (*_, e), _ in search._root_tasks(inc, (1, 3), (0,)))
-    assert all(e >= num_points for (*_, e), _ in search._root_tasks(inc, (2, 2), (0, 1)))
-    assert any(e < num_points for (*_, e), _ in search._root_tasks(inc, (2, 3), (0,)))
-    assert all(e < num_points for (*_, e), _ in search._root_tasks(inc, (3, 1), (num_points,)))
-    # forced elements that block everything: one leaf task, and the search
-    # returns them
+    assert search._branch_and_bound(inc, (0, 0), 1, None) == (None, (), 1, 0)
+    # a slice whose forced elements block everything: its root is a leaf,
+    # one node, and the search returns them
     line = tuple(p.index for p in pg22.subspace_points(pg22.subspaces(1)[3]))
     inc22 = incidence(pg22, 1)
-    assert search._root_tasks(inc22, (3, 0), line) == [(line, 0)]
-    assert search._root_tasks(inc22, (3, 0), line, 1 << 6) == [(line, 1 << 6)]
-    assert search._branch_and_bound(inc22, (3, 0), 3, 1, None, [(line, 0)]) \
-        == (3, (line,), 2, 0)
+    for forbidden in (0, 1 << 6):
+        assert search._branch_and_bound(inc22, (3, 0), 1, None, [(line, forbidden)]) \
+            == (3, (line,), 1, 0)
 
 
 @pytest.mark.parametrize("q,n,k,target,searched,size", [
-    (3, 3, 1, 13, [(6, 5, 109), (6, 6, 909)], 12),
-    (2, 5, 2, 12, [(5, 5, 25), (6, 5, 143), (7, 4, 154), (8, 3, 106)], None),
+    (3, 3, 1, 13, [(6, 5, 109), (6, 6, 47)], 12),
+    (2, 5, 2, 12, [(5, 5, 10), (6, 5, 143), (7, 4, 154), (8, 3, 106)], None),
 ])
 def test_refute_below_rank_slices_worker_independent(q, n, k, target, searched, size):
     # the node counts of the rank slices, pinned, and the same report at any
@@ -650,10 +620,10 @@ def test_refute_below_pg62_k3():
     assert minimum_size_bound(6, 3, 2) == OPEN
     docs = [refute_below(ctx, 3, 15, workers=w).to_dict() for w in (1, 2)]
     assert docs[0] == docs[1]
-    assert docs[0]["refuted"] and docs[0]["nodes_expanded"] == 1497
+    assert docs[0]["refuted"] and docs[0]["nodes_expanded"] == 1417
     assert [(c["points"], c["hyperplanes"], c["nodes"]) for c in docs[0]["compositions"]
             if c["method"] == "search"] \
-        == [(6, 8, 87), (7, 7, 290), (8, 6, 370), (9, 5, 375), (10, 4, 375)]
+        == [(6, 8, 80), (7, 7, 283), (8, 6, 348), (9, 5, 353), (10, 4, 353)]
     report = refute_below(ctx, 3, 16)
     assert not report.refuted
     bset = BlockingSet(ctx, 3, report.counterexample)
