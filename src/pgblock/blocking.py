@@ -47,6 +47,8 @@ class IncidenceSystem:
     ctx.subspaces(s)[j] (point on it, or hyperplane through it);
     candidate_masks[j] has bit u set iff the same holds.  The two are the
     directions of one relation: element to spaces and space to elements.
+    A space is named only by its ordinal j: the system holds no Subspace,
+    and `space_at` builds the one a caller asks for.
     """
 
     ctx: GeometryContext
@@ -77,17 +79,18 @@ def ordinals(mask: int) -> tuple[int, ...]:
 def incidence(ctx: GeometryContext, s: int) -> IncidenceSystem:
     """The incidence system of the s-spaces, built once per context: each
     space's candidate mask is its point mask with the mask of the
-    hyperplanes through it above, both read off `ctx.hyperplane_table`.
-    `covers` is their transpose, read by digit columns: the masks of a
-    block of spaces, written as binary digits with the last space first,
-    hold element e's bits over the block at every width-th digit."""
+    hyperplanes through it above, both read off `ctx.hyperplane_table` by
+    `ctx.iter_masks`, so the build makes no Subspace and fills no subspace
+    cache.  `covers` is their transpose, read by digit columns: the masks
+    of a block of spaces, written as binary digits with the last space
+    first, hold element e's bits over the block at every width-th digit."""
     cached = ctx.incidence_systems.get(s)
     if cached is not None:
         return cached
     half = ctx.num_points
     width = 2 * half
     cand_masks = tuple(points | hyperplanes << half
-                       for _, points, hyperplanes in ctx.iter_subspace_masks(s))
+                       for points, hyperplanes in ctx.iter_masks(s))
     covers = [0] * width
     digits = f"0{width}b"
     for start in range(0, len(cand_masks), _TRANSPOSE_BLOCK):
@@ -104,6 +107,14 @@ def incidence(ctx: GeometryContext, s: int) -> IncidenceSystem:
     )
     ctx.incidence_systems[s] = system
     return system
+
+
+def space_at(inc: IncidenceSystem, j: int) -> Subspace:
+    """The s-space with ordinal j, ctx.subspaces(s)[j], as the span of its
+    points alone, so that naming one space builds no other."""
+    ctx = inc.ctx
+    points = inc.candidate_masks[j] & ((1 << ctx.num_points) - 1)
+    return ctx.span(*map(ctx.point, ordinals(points)))
 
 
 def spaces_inside(inc: IncidenceSystem, hyperplanes: int) -> int:
@@ -247,7 +258,7 @@ def is_blocking(bset: BlockingSet):
         return True, None
     missing = (~mask & inc.full_mask)
     j = (missing & -missing).bit_length() - 1
-    return False, bset.ctx.subspaces(bset.k)[j]
+    return False, space_at(inc, j)
 
 
 def unblocked_count(bset: BlockingSet, s: int) -> int:
@@ -413,7 +424,7 @@ def pinned_hyperplanes(bset: BlockingSet, hull: Subspace, pin: Point) -> PinnedH
     # Case 1: a k-space of the hull through the pin whose full hyperplane
     # fibre {H : H meet hull = that k-space} sits inside the collection.  A
     # fibre has q^k hyperplanes, so it is full iff q^k members cut the hull
-    # in it.  A member's trace is one bit over ctx.subspaces(k): the one
+    # in it.  A member's trace is one bit over the k-space ordinals: the one
     # k-space inside the hull that it contains.  The witness is the first
     # full trace in canonical order.
     inside = spaces_inside(inc, hull_hyperplanes)
@@ -421,7 +432,7 @@ def pinned_hyperplanes(bset: BlockingSet, hull: Subspace, pin: Point) -> PinnedH
     full = [trace for trace, count in traces.items() if count == q ** k]
     if full:
         return PinnedHyperplanesReport(members, FULL_TRACE,
-                                       ctx.subspaces(k)[min(full).bit_length() - 1],
+                                       space_at(inc, min(full).bit_length() - 1),
                                        q ** k, len(members) >= q ** k)
     bound = q ** (k - 1) * (q + 1)
     return PinnedHyperplanesReport(members, COUNT_BOUND, None,

@@ -24,7 +24,7 @@ other.  So enumerating every split of a pencil builds it once.  The
 enumeration reads each hull's members, axes and pencils off the bitmasks of
 `blocking.incidence(ctx, k)`, with no subspace arithmetic: the members are
 the k-spaces that every hyperplane through the hull contains, and those
-hyperplanes come from the point-hyperplane table (`subspace_masks`).
+hyperplanes come from the point-hyperplane table (`iter_masks`).
 `pencil_partition` builds one set from the members it is given, as sets of
 ordinals, and checks them without building the pencil.
 
@@ -36,7 +36,8 @@ on it, the axis they share and the members through the axis are ANDs of
 `covers` and `candidate_masks` (`blocking.spaces_inside` reads the first).
 Subspace arithmetic is left to finding the hull (`GeometryContext.hull` of
 at most k+2 of the points) and to the axis of a recognized set (one `span`
-of the points the traces share).
+of the points the traces share); its members are read from
+`ctx.subspaces(k)`, which the first recognition builds.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ def distinct_pencil_partition_sets(ctx: GeometryContext, k: int):
     point_part = (1 << num_points) - 1
     seen = set()
     count = 0
-    for _, _, hull_hyperplanes in ctx.iter_subspace_masks(k + 1):
+    for _, hull_hyperplanes in ctx.iter_masks(k + 1):
         inside = spaces_inside(inc, hull_hyperplanes)
         members = [inc.candidate_masks[j] for j in ordinals(inside)]
         member_points = [mask & point_part for mask in members]
@@ -182,7 +183,7 @@ def theorem_family(ctx: GeometryContext, k: int):
     pure = tuple(ordinals(points << offset)
                  for dim, offset in ((ctx.n - k, 0), (k + 1, ctx.num_points))
                  if theta(dim, ctx.q) == bound
-                 for _, points, _ in ctx.iter_subspace_masks(dim))
+                 for points, _ in ctx.iter_masks(dim))
     return tuple(sorted(sets + pure)), count + len(pure)
 
 

@@ -15,7 +15,7 @@ through it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import combinations, product
 
 from .counting import gaussian, theta
 from .gf import Field, InputError, plain_int
@@ -112,9 +112,11 @@ class GeometryContext:
     values determined by (field, n), so contexts are safe to share between
     worker processes and threads.  The public one, `incidence_systems`,
     holds the s-space incidence systems that `blocking.incidence` builds,
-    keyed by s; the private ones (enumerated subspaces, their points, the
-    dual memo, the point-hyperplane table of `hyperplane_table` and the
-    masks read off it per subspace) are never mutated from outside.
+    keyed by s; the private ones (the m-space tuples of `subspaces`, their
+    points, the dual memo, the point-hyperplane table of `hyperplane_table`
+    and the masks `subspace_masks` reads off it per Subspace) are never
+    mutated from outside.  Each is filled on first use: `iter_masks`, which
+    the incidence build reads, fills none but the table.
     """
 
     def __init__(self, field: Field, n: int):
@@ -254,6 +256,8 @@ class GeometryContext:
     def hull(self, parts, dim: int) -> Subspace:
         """The span of parts, raised to dimension dim (if it is lower) by
         taking the first space over it in `extensions` order, step by step."""
+        if not -1 <= plain_int(dim, "dim") <= self.n:
+            raise InputError(f"no subspace of dimension {dim} in {self!r}")
         space = self.span(*parts)
         while space.dim < dim:
             space = next(self.extensions(space, self.whole_space()))
@@ -458,15 +462,27 @@ class GeometryContext:
                 self._space_masks[part] = masks
         return masks
 
+    def _bases(self, m: int):
+        """The point ordinals of each m-space's echelon rows, in canonical
+        order; each row choice of a pivot pattern goes through `point_index`
+        once."""
+        index = self.point_index
+        for coords in self._echelon_rows(m):
+            yield from product(*(list(map(index, rows)) for rows in coords))
+
+    def iter_masks(self, m: int):
+        """(points, hyperplanes) of each m-space in canonical order, the
+        masks as in `subspace_masks`, read off `_bases`; it builds no
+        Subspace and memoizes nothing, and the enumeration budget is checked
+        before the table is built."""
+        return map(self._masks, self._bases(m))
+
     def iter_subspace_masks(self, m: int):
-        """(space, points, hyperplanes) of each m-space in canonical order,
-        the masks as in `subspace_masks`, read off the point ordinals of the
-        space's echelon rows; the enumeration budget is checked before the
-        table is built."""
-        memo, index = self._space_masks, self.point_index
-        bases = chain.from_iterable(product(*(list(map(index, rows)) for rows in coords))
-                                    for coords in self._echelon_rows(m))
-        for space, basis in zip(self.subspaces(m), bases):
+        """(space, points, hyperplanes) of each m-space in canonical order:
+        `iter_masks` next to `subspaces(m)`, through the memo of
+        `subspace_masks`."""
+        memo = self._space_masks
+        for space, basis in zip(self.subspaces(m), self._bases(m)):
             masks = memo.get(space)
             if masks is None:
                 masks = memo[space] = self._masks(basis)

@@ -45,9 +45,10 @@ A node is a handful of bitmask operations:
   with, the OR of the covers of its allowed ones, looked up in one memo
   keyed by the allowed-candidate mask.  The memo starts empty at every
   search and is filled on a miss; the search's shards share it (forked
-  workers inherit it), and it is cleared when it reaches `_CLASH_MEMO`
-  entries.  The packing takes at most need+1 steps, need being the
-  number of elements the node may still add.
+  workers inherit it, and a refutation's pool workers keep theirs across
+  its compositions, since it depends on the mask alone), and it is cleared
+  when it reaches `_CLASH_MEMO` entries.  The packing takes at most need+1
+  steps, need being the number of elements the node may still add.
 
 Every uncovered space keeps an allowed candidate at every node.  Plain
 search's root forbids nothing, and its split on space 0 is a node's
@@ -88,7 +89,7 @@ from __future__ import annotations
 
 import math
 import time
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import combinations
@@ -318,12 +319,21 @@ def _init_worker(*args):
 
 
 def _run_task(task):
-    inc, clashes, caps, cap, deadline = _WORKER_STATE["args"]
-    return _shard_search(inc, clashes, caps, cap, *task, deadline)
+    inc, clashes, deadline = _WORKER_STATE["args"]
+    return _shard_search(inc, clashes, *task, deadline)
+
+
+def _pool(inc: IncidenceSystem, clashes, deadline: float | None, workers: int):
+    """Forked workers that run `_shard_search` tasks (caps, cap, chosen0,
+    forbidden0) on inc, each from its own copy of the packing memo."""
+    import multiprocessing
+
+    mp = multiprocessing.get_context("fork")
+    return mp.Pool(workers, _init_worker, (inc, clashes, deadline))
 
 
 def _branch_and_bound(inc: IncidenceSystem, cap, workers: int, deadline: float | None,
-                      slices=(((), 0),)):
+                      slices=(((), 0),), pool=None):
     """Run the shards of one search and merge them.  cap is the size cap of
     a plain search, or a composition (points, hyperplanes), which is
     searched for a set of its total size.
@@ -337,7 +347,10 @@ def _branch_and_bound(inc: IncidenceSystem, cap, workers: int, deadline: float |
     ordinary node (see the module docstring).  It takes the results in
     slice order and stops at the first slice with a set, counting the nodes
     of the slices up to it, so its counters do not depend on worker count
-    either."""
+    either.  Shards run on pool, a `_pool` on the same inc and deadline
+    that the caller terminates, if one is given and there is more than one;
+    otherwise a search of more than one shard on more than one worker forks
+    its own pool for its shards."""
     if isinstance(cap, tuple):
         caps, cap, tasks, nodes = cap, sum(cap), slices, 0
     else:
@@ -345,19 +358,17 @@ def _branch_and_bound(inc: IncidenceSystem, cap, workers: int, deadline: float |
     if cap < 1:
         return None, (), 1, 0
     clashes = {}
-    if workers > 1 and len(tasks) > 1:
-        import multiprocessing
-
-        mp = multiprocessing.get_context("fork")
-        pool = mp.Pool(min(workers, len(tasks)), _init_worker, (inc, clashes, caps, cap, deadline))
-        results = pool.imap(_run_task, tasks)
+    own = nullcontext()
+    if pool is None and workers > 1 and len(tasks) > 1:
+        pool = own = _pool(inc, clashes, deadline, min(workers, len(tasks)))
+    if pool is not None and len(tasks) > 1:
+        results = pool.imap(_run_task, [(caps, cap, *task) for task in tasks])
     else:
-        pool = nullcontext()
         results = (_shard_search(inc, clashes, caps, cap, *task, deadline) for task in tasks)
     best = cap + 1
     merged: set[tuple[int, ...]] = set()
     pruned = 0
-    with pool:
+    with own:
         for shard_best, shard_sets, shard_nodes, shard_pruned in results:
             nodes += shard_nodes
             pruned += shard_pruned
@@ -504,12 +515,16 @@ def refute_below(ctx: GeometryContext, k: int, target: int,
 
     The search covers one slice of the composition per rank r of its point
     part (`_slices`), each one shard, in rank order up to the first slice
-    with a set; its node count is the count of those shards.  A collineation of PGL(n+1, q)
-    maps blocking sets onto blocking sets of the same composition, and PGL
-    is transitive on ordered r-tuples of independent points.  Take a set
-    whose b0 points span rank r: a collineation maps r independent ones
-    among them onto E_r = {e_n, ..., e_{n-r+1}}, and so maps the other
-    points into span(E_r).  In ordinals, E_r is {theta_{i-1} : i < r} =
+    with a set; its node count is the count of those shards.  On more than
+    one worker they run on one pool, forked at the first composition with
+    two or more slices and terminated when the call returns.
+
+    A collineation of PGL(n+1, q) maps blocking sets onto blocking sets of
+    the same composition, and PGL is transitive on ordered r-tuples of
+    independent points.  Take a set whose b0 points span rank r: a
+    collineation maps r independent ones among them onto
+    E_r = {e_n, ..., e_{n-r+1}}, and so maps the other points into
+    span(E_r).  In ordinals, E_r is {theta_{i-1} : i < r} =
     {0, 1, q+1, ...} and span(E_r) is the points below theta_{r-1}; slice r
     forces E_r and forbids every point off span(E_r).  It is needed exactly
     when 1 <= r <= min(b0, n+1) and theta_{r-1} >= b0, so the slices find a
@@ -531,23 +546,28 @@ def refute_below(ctx: GeometryContext, k: int, target: int,
     per_point, per_hyperplane = inc.covers[0].bit_count(), inc.covers[ctx.num_points].bit_count()
     outcomes = []
     total_nodes = 0
-    for total in range(target):
-        for b0 in range(total + 1):
-            b1 = total - b0
-            if (_skew_space_floor(n, q, k, b0) > b1 * per_hyperplane
-                    or _skew_space_floor(n, q, n - k - 1, b1) > b0 * per_point):
-                outcomes.append(CompositionOutcome(b0, b1, "counting-bound"))
-                continue
-            if n == 2 * k + 1 and b0 < b1:
-                outcomes.append(CompositionOutcome(b0, b1, "polarity"))
-                continue
-            _, sets, nodes, _ = _branch_and_bound(inc, (b0, b1), workers, deadline,
-                                                  _slices(ctx, b0, b1))
-            total_nodes += nodes
-            outcomes.append(CompositionOutcome(b0, b1, "search", nodes))
-            if sets:
-                return RefutationReport(target, False, tuple(outcomes),
-                                        sets[0], total_nodes)
+    with ExitStack() as stack:
+        pool = None
+        for total in range(target):
+            for b0 in range(total + 1):
+                b1 = total - b0
+                if (_skew_space_floor(n, q, k, b0) > b1 * per_hyperplane
+                        or _skew_space_floor(n, q, n - k - 1, b1) > b0 * per_point):
+                    outcomes.append(CompositionOutcome(b0, b1, "counting-bound"))
+                    continue
+                if n == 2 * k + 1 and b0 < b1:
+                    outcomes.append(CompositionOutcome(b0, b1, "polarity"))
+                    continue
+                slices = _slices(ctx, b0, b1)
+                if pool is None and workers > 1 and len(slices) > 1:
+                    pool = stack.enter_context(_pool(inc, {}, deadline, min(workers, n + 1)))
+                _, sets, nodes, _ = _branch_and_bound(inc, (b0, b1), workers, deadline,
+                                                      slices, pool)
+                total_nodes += nodes
+                outcomes.append(CompositionOutcome(b0, b1, "search", nodes))
+                if sets:
+                    return RefutationReport(target, False, tuple(outcomes),
+                                            sets[0], total_nodes)
     return RefutationReport(target, True, tuple(outcomes), None, total_nodes)
 
 

@@ -592,6 +592,60 @@ def test_incidence_transpose_across_blocks(monkeypatch):
     test_incidence_matches_candidates_oracle()
 
 
+@pytest.mark.parametrize("q,n,k", [(2, 3, 1), (3, 3, 1), (4, 3, 1), (2, 5, 2), (2, 6, 3)])
+def test_incidence_builds_no_subspace(monkeypatch, q, n, k):
+    ctx = GeometryContext(field_for_order(q), n)
+
+    def fail(m):
+        raise AssertionError(f"the incidence build asked for subspaces({m})")
+
+    monkeypatch.setattr(ctx, "subspaces", fail)
+    inc = incidence(ctx, k)
+    assert len(inc.candidate_masks) == gaussian(n + 1, k + 1, q)
+    assert not ctx._subspaces and not ctx._space_masks
+
+
+@pytest.mark.parametrize("q,n,k,samples", [(2, 3, 1, None), (3, 3, 1, None), (2, 5, 2, 40)])
+def test_is_blocking_witness_is_the_space_of_its_ordinal(q, n, k, samples):
+    # every element but the candidates of space j leaves exactly space j
+    # unblocked, since a space is the only one with its candidates
+    ctx = GeometryContext(field_for_order(q), n)
+    inc = incidence(ctx, k)
+    everything = set(range(2 * ctx.num_points))
+    ordinals = range(len(inc.candidate_masks))
+    if samples is not None:
+        ordinals = sorted(random.Random(n * q + k).sample(ordinals, samples))
+    for j in ordinals:
+        bset = BlockingSet(ctx, k, everything - set(blocking.ordinals(inc.candidate_masks[j])))
+        assert is_blocking(bset) == (False, ctx.subspaces(k)[j]), j
+    assert is_blocking(BlockingSet(ctx, k, ())) == (False, ctx.subspaces(k)[0])
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 3, 1), (3, 3, 1), (4, 3, 1), (2, 5, 2)])
+def test_pinned_full_trace_is_the_space_of_its_ordinal(q, n, k):
+    # on a pencil-partition set, a pin off the axis on a member of the
+    # hyperplane part has that member's whole fibre: the witness is the
+    # lowest k-space ordinal cut by q^k members, found here by meet
+    ctx = GeometryContext(field_for_order(q), n)
+    spaces = ctx.subspaces(k)
+    full_traces = 0
+    for t in range(1, q):
+        params = canonical_pencil_partition(ctx, k, t)
+        bset = pencil_partition(ctx, params)
+        for pin in ctx.subspace_points(params.hull):
+            if pin in bset.points:
+                continue
+            report = pinned_hyperplanes(bset, params.hull, pin)
+            traces = Counter(ctx.meet(hp, params.hull) for hp in report.hyperplanes)
+            full = [spaces.index(trace) for trace, count in traces.items() if count == q ** k]
+            if full:
+                full_traces += 1
+                assert report.case == FULL_TRACE and report.trace == spaces[min(full)]
+            else:
+                assert report.trace is None
+    assert full_traces
+
+
 @pytest.mark.parametrize("q,n,k,hulls", [(2, 3, 1, 15), (3, 3, 1, 40), (4, 3, 1, 85),
                                          (2, 5, 2, 651)])
 def test_spaces_inside_matches_contains(q, n, k, hulls):

@@ -160,6 +160,15 @@ GUARDS = {
     "field-exponent-bool": (
         lambda: Field(2, True),
         InputError, "exponent e must be an integer, got True"),
+    "hull-dim-too-high": (
+        lambda: PG32.hull([PG32.point(0)], 5),
+        InputError, r"no subspace of dimension 5 in PG\(3,2\)"),
+    "hull-dim-bool": (
+        lambda: PG32.hull([PG32.point(0)], True),
+        InputError, "dim must be an integer, got True"),
+    "hull-dim-float": (
+        lambda: PG32.hull([PG32.point(0)], 1.5),
+        InputError, "dim must be an integer, got 1.5"),
 }
 
 

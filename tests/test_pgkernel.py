@@ -279,6 +279,19 @@ def test_iter_subspace_masks_match_subspace_masks_unmemoized(q, n):
             [(s, *ctx.subspace_masks(s)) for s in ctx.subspaces(m)], (q, n, m)
 
 
+@pytest.mark.parametrize("q,n", [(3, 2), (2, 3), (4, 3), (2, 4)])
+def test_iter_masks_match_iter_subspace_masks(q, n):
+    # the lean iterator, on a context of its own, gives the same masks in
+    # the same order and builds no subspace tuple and no mask memo
+    lean = GeometryContext(field_for_order(q), n)
+    ctx = GeometryContext(field_for_order(q), n)
+    for m in range(n + 1):
+        assert list(lean.iter_masks(m)) == \
+            [(points, hyperplanes) for _, points, hyperplanes in ctx.iter_subspace_masks(m)], \
+            (q, n, m)
+    assert not lean._subspaces and not lean._space_masks
+
+
 def test_table_budget():
     # the table of PG(5,16) would hold 1,118,481^2 bits
     ctx = GeometryContext(field_for_order(16), 5)

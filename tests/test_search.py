@@ -612,6 +612,29 @@ def test_refute_below_rank_slices_worker_independent(q, n, k, target, searched, 
         assert is_blocking(BlockingSet(ctx, k, counterexample))[0]
 
 
+@pytest.mark.parametrize("q,n,k,target", [(3, 3, 1, 13), (2, 5, 2, 12)])
+def test_refutation_runs_on_one_pool(monkeypatch, q, n, k, target):
+    # two workers fork one pool for every composition searched, terminated
+    # when refute_below returns, found set or not; the report is the one
+    # worker's
+    ctx = GeometryContext(Field(q), n)
+    opened, terminated = [], []
+    fork = search._pool
+
+    def counted(*args):
+        pool = fork(*args)
+        terminate = pool.terminate
+        pool.terminate = lambda: (terminated.append(pool), terminate())
+        opened.append(pool)
+        return pool
+
+    monkeypatch.setattr(search, "_pool", counted)
+    report = refute_below(ctx, k, target, workers=2)
+    assert opened == terminated and len(opened) == 1
+    assert sum(c.method == "search" for c in report.compositions) > 1
+    assert report == refute_below(ctx, k, target, workers=1) and len(opened) == 1
+
+
 def test_refute_below_pg62_k3():
     # an open q = 2 case of the paper, settled here: in PG(6,2) no set below
     # 15 blocks the 3-spaces, and at 15 the search finds the points of a
