@@ -110,11 +110,10 @@ def incidence(ctx: GeometryContext, s: int) -> IncidenceSystem:
 
 
 def space_at(inc: IncidenceSystem, j: int) -> Subspace:
-    """The s-space with ordinal j, ctx.subspaces(s)[j], as the span of its
-    points alone, so that naming one space builds no other."""
+    """The s-space with ordinal j, ctx.subspaces(s)[j], read off its point
+    mask alone, so that naming one space builds no other."""
     ctx = inc.ctx
-    points = inc.candidate_masks[j] & ((1 << ctx.num_points) - 1)
-    return ctx.span(*map(ctx.point, ordinals(points)))
+    return ctx.space_of_mask(inc.candidate_masks[j] & ((1 << ctx.num_points) - 1))
 
 
 def spaces_inside(inc: IncidenceSystem, hyperplanes: int) -> int:

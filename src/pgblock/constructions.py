@@ -263,7 +263,7 @@ def recognize_pencil_partition(bset: BlockingSet) -> PencilPartitionParams | Non
     if ordinals(ids) != bset.ids:
         return None
     if axis is None:
-        axis = ctx.span(*map(ctx.point, ordinals(axis_points)))
+        axis = ctx.space_of_mask(axis_points)
     return PencilPartitionParams(hull, axis,
                                  frozenset(spaces[j] for j in point_members),
                                  frozenset(spaces[j] for j in trace_ids))

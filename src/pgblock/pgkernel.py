@@ -462,6 +462,19 @@ class GeometryContext:
                 self._space_masks[part] = masks
         return masks
 
+    def space_of_mask(self, points: int) -> Subspace:
+        """The subspace with this point mask, spanned by its lowest point of
+        each leading coordinate: a subspace's points lead exactly at its
+        pivot columns, so those are dim+1 independent points."""
+        picked = []
+        for i in range(self.n + 1):
+            # the points left below theta_i all lead at coordinate n - i
+            low = points & ((1 << theta(i, self.q)) - 1)
+            if low:
+                picked.append((low & -low).bit_length() - 1)
+                points ^= low
+        return self.span(*map(self.point, picked))
+
     def _bases(self, m: int):
         """The point ordinals of each m-space's echelon rows, in canonical
         order; each row choice of a pivot pattern goes through `point_index`

@@ -43,11 +43,10 @@ A node is a handful of bitmask operations:
   space with at most one allowed candidate (all of them if there is none).
   Each packed space removes the spaces it shares an allowed candidate
   with, the OR of the covers of its allowed ones, looked up in one memo
-  keyed by the allowed-candidate mask.  The memo starts empty at every
-  search and is filled on a miss; the search's shards share it (forked
-  workers inherit it, and a refutation's pool workers keep theirs across
-  its compositions, since it depends on the mask alone), and it is cleared
-  when it reaches `_CLASH_MEMO` entries.  The packing takes at most need+1
+  keyed by the allowed-candidate mask.  The memo depends on the mask
+  alone, so a search call (a plain search or a whole refutation) keeps one,
+  and each forked worker a copy: it starts empty, fills on a miss and is
+  cleared at `_CLASH_MEMO` entries.  The packing takes at most need+1
   steps, need being the number of elements the node may still add.
 
 Every uncovered space keeps an allowed candidate at every node.  Plain
@@ -72,11 +71,13 @@ PG(3,3) k=1 it expands 721,577 nodes and prunes 560,536 of them, and the
 refutation below 12, which searches the rank slices of (6, 5) and settles
 (5, 6) by the polarity, expands 109.
 
-Reports are deterministic for a given (geometry, k, cap, mode): worker
-sharding splits plain search's root branches, each shard runs with its own
-local incumbent, and the merge is order-independent; a composition search
-reads its slices' shards in order and stops at the first with a set.  Wall
-time is reported but excluded from the canonical form of a report.
+A search call runs its shards through one `_Runner`, which forks at most
+one pool and ends it when the call returns or raises.  Reports are
+deterministic for a given (geometry, k, cap, mode): worker sharding splits
+plain search's root branches, each shard runs with its own local
+incumbent, and the merge is order-independent; a composition search reads
+its slices' shards in order and stops at the first with a set.  Wall time
+is reported but excluded from the canonical form of a report.
 
 Classification compares the minima, as ordinal tuples, with the family the
 theorem names (`constructions.theorem_family`).  In the middle case
@@ -89,7 +90,6 @@ from __future__ import annotations
 
 import math
 import time
-from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import combinations
@@ -145,13 +145,9 @@ def _covered_by(covers, mask: int) -> int:
 def _root_tasks(inc: IncidenceSystem) -> list[tuple[tuple[int, ...], int]]:
     """(chosen0, forbidden0) of each root branch of plain search: the root
     branches on space 0, forbidding in each branch the candidates tried
-    before it."""
-    tasks = []
-    tried = 0
-    for e in ordinals(inc.candidate_masks[0]):
-        tasks.append(((e,), tried))
-        tried |= 1 << e
-    return tasks
+    before it, the ones below it."""
+    root = inc.candidate_masks[0]
+    return [((e,), root & ((1 << e) - 1)) for e in ordinals(root)]
 
 
 def _shard_search(inc: IncidenceSystem, clashes, caps, cap: int, chosen0, forbidden0: int,
@@ -314,75 +310,81 @@ def _add_ones(planes, mask: int, carry_order):
     return planes
 
 
-def _init_worker(*args):
-    _WORKER_STATE["args"] = args
+def _init_worker(*state):
+    _WORKER_STATE["state"] = state
 
 
-def _run_task(task):
-    inc, clashes, deadline = _WORKER_STATE["args"]
+def _run_task(task, state=None):
+    inc, clashes, deadline = state or _WORKER_STATE["state"]
     return _shard_search(inc, clashes, *task, deadline)
 
 
-def _pool(inc: IncidenceSystem, clashes, deadline: float | None, workers: int):
-    """Forked workers that run `_shard_search` tasks (caps, cap, chosen0,
-    forbidden0) on inc, each from its own copy of the packing memo."""
-    import multiprocessing
+class _Runner:
+    """The shard runner of one search call.  It holds the call's state, (inc,
+    its one packing memo, its deadline), and at most one forked pool, which
+    it terminates when the call leaves it, on return or on an exception."""
 
-    mp = multiprocessing.get_context("fork")
-    return mp.Pool(workers, _init_worker, (inc, clashes, deadline))
+    def __init__(self, inc: IncidenceSystem, workers: int, deadline: float | None):
+        self.state, self.workers, self.pool = (inc, {}, deadline), workers, None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self.pool is not None:
+            self.pool.terminate()
+
+    def fork(self, size: int):
+        import multiprocessing
+
+        return multiprocessing.get_context("fork").Pool(size, _init_worker, self.state)
+
+    def run(self, tasks):
+        """The `_shard_search` results of tasks (caps, cap, chosen0,
+        forbidden0) in task order: on the pool if the call has two or more
+        workers and there are two or more tasks, else in process.  The pool
+        is forked at the first such list, with at most one worker per task."""
+        if self.workers > 1 and len(tasks) > 1:
+            if self.pool is None:
+                self.pool = self.fork(min(self.workers, len(tasks)))
+            return self.pool.imap(_run_task, tasks)
+        return (_run_task(task, self.state) for task in tasks)
 
 
-def _branch_and_bound(inc: IncidenceSystem, cap, workers: int, deadline: float | None,
-                      slices=(((), 0),), pool=None):
-    """Run the shards of one search and merge them.  cap is the size cap of
-    a plain search, or a composition (points, hyperplanes), which is
-    searched for a set of its total size.
+def _branch_and_bound(inc: IncidenceSystem, cap, run, slices=(((), 0),)):
+    """Build the tasks of one search, run them through run (a `_Runner.run`)
+    and merge their results.  cap is the size cap of a plain search, or a
+    composition (points, hyperplanes), which is searched for a set of its
+    total size.
 
-    Plain search shards the root branches (`_root_tasks`), counts the root
-    as one node and merges every shard; the merge is associative, so the
-    result does not depend on worker count or scheduling.  A composition
-    search has one shard per slice, a (forced, forbidden) pair of `slices`
-    (the whole composition by default): every set it finds holds the forced
-    elements and none of the forbidden ones, and the shard's root is an
-    ordinary node (see the module docstring).  It takes the results in
-    slice order and stops at the first slice with a set, counting the nodes
-    of the slices up to it, so its counters do not depend on worker count
-    either.  Shards run on pool, a `_pool` on the same inc and deadline
-    that the caller terminates, if one is given and there is more than one;
-    otherwise a search of more than one shard on more than one worker forks
-    its own pool for its shards."""
+    Plain search has one task per root branch (`_root_tasks`), counts the
+    root as one node and merges every shard.  A composition search has one
+    task per (forced, forbidden) slice of `slices` (the whole composition by
+    default): every set it finds holds the forced elements and none of the
+    forbidden ones.  It stops at the first slice with a set, counting the
+    nodes of the slices up to it."""
     if isinstance(cap, tuple):
         caps, cap, tasks, nodes = cap, sum(cap), slices, 0
     else:
         caps, tasks, nodes = None, _root_tasks(inc), 1  # the root
     if cap < 1:
         return None, (), 1, 0
-    clashes = {}
-    own = nullcontext()
-    if pool is None and workers > 1 and len(tasks) > 1:
-        pool = own = _pool(inc, clashes, deadline, min(workers, len(tasks)))
-    if pool is not None and len(tasks) > 1:
-        results = pool.imap(_run_task, [(caps, cap, *task) for task in tasks])
-    else:
-        results = (_shard_search(inc, clashes, caps, cap, *task, deadline) for task in tasks)
     best = cap + 1
     merged: set[tuple[int, ...]] = set()
     pruned = 0
-    with own:
-        for shard_best, shard_sets, shard_nodes, shard_pruned in results:
-            nodes += shard_nodes
-            pruned += shard_pruned
-            if shard_sets:
-                if shard_best < best:
-                    best = shard_best
-                    merged = set()
-                if shard_best == best:
-                    merged.update(tuple(sorted(s)) for s in shard_sets)
-                if caps is not None:
-                    break
-    if not merged:
-        return None, (), nodes, pruned
-    return best, tuple(sorted(merged)), nodes, pruned
+    for shard_best, shard_sets, shard_nodes, shard_pruned in run(
+            [(caps, cap, *task) for task in tasks]):
+        nodes += shard_nodes
+        pruned += shard_pruned
+        if shard_sets:
+            if shard_best < best:
+                best = shard_best
+                merged = set()
+            if shard_best == best:
+                merged.update(tuple(sorted(s)) for s in shard_sets)
+            if caps is not None:
+                break
+    return best if merged else None, tuple(sorted(merged)), nodes, pruned
 
 
 def _exhaustive(inc: IncidenceSystem, cap: int, deadline: float | None):
@@ -439,7 +441,8 @@ def min_blocking_search(ctx: GeometryContext, k: int, size_cap: int,
     if mode == "exhaustive":
         best, sets, nodes, pruned = _exhaustive(inc, size_cap, deadline)
     else:
-        best, sets, nodes, pruned = _branch_and_bound(inc, size_cap, workers, deadline)
+        with _Runner(inc, workers, deadline) as runner:
+            best, sets, nodes, pruned = _branch_and_bound(inc, size_cap, runner.run)
     return SearchReport(
         n=ctx.n, q=ctx.q, k=k, size_cap=size_cap, mode=mode, workers=workers,
         minimum_size=best, minimum_sets=sets,
@@ -515,9 +518,9 @@ def refute_below(ctx: GeometryContext, k: int, target: int,
 
     The search covers one slice of the composition per rank r of its point
     part (`_slices`), each one shard, in rank order up to the first slice
-    with a set; its node count is the count of those shards.  On more than
-    one worker they run on one pool, forked at the first composition with
-    two or more slices and terminated when the call returns.
+    with a set; its node count is the count of those shards.  The call's
+    compositions share one `_Runner`: one packing memo and, on more than
+    one worker, one pool, forked at the first with two or more slices.
 
     A collineation of PGL(n+1, q) maps blocking sets onto blocking sets of
     the same composition, and PGL is transitive on ordered r-tuples of
@@ -546,8 +549,7 @@ def refute_below(ctx: GeometryContext, k: int, target: int,
     per_point, per_hyperplane = inc.covers[0].bit_count(), inc.covers[ctx.num_points].bit_count()
     outcomes = []
     total_nodes = 0
-    with ExitStack() as stack:
-        pool = None
+    with _Runner(inc, workers, deadline) as runner:
         for total in range(target):
             for b0 in range(total + 1):
                 b1 = total - b0
@@ -558,11 +560,8 @@ def refute_below(ctx: GeometryContext, k: int, target: int,
                 if n == 2 * k + 1 and b0 < b1:
                     outcomes.append(CompositionOutcome(b0, b1, "polarity"))
                     continue
-                slices = _slices(ctx, b0, b1)
-                if pool is None and workers > 1 and len(slices) > 1:
-                    pool = stack.enter_context(_pool(inc, {}, deadline, min(workers, n + 1)))
-                _, sets, nodes, _ = _branch_and_bound(inc, (b0, b1), workers, deadline,
-                                                      slices, pool)
+                _, sets, nodes, _ = _branch_and_bound(inc, (b0, b1), runner.run,
+                                                      _slices(ctx, b0, b1))
                 total_nodes += nodes
                 outcomes.append(CompositionOutcome(b0, b1, "search", nodes))
                 if sets:

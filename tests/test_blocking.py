@@ -605,7 +605,8 @@ def test_incidence_builds_no_subspace(monkeypatch, q, n, k):
     assert not ctx._subspaces and not ctx._space_masks
 
 
-@pytest.mark.parametrize("q,n,k,samples", [(2, 3, 1, None), (3, 3, 1, None), (2, 5, 2, 40)])
+@pytest.mark.parametrize("q,n,k,samples", [(2, 3, 1, None), (3, 3, 1, None), (4, 3, 1, None),
+                                           (9, 2, 1, None), (2, 5, 2, 40)])
 def test_is_blocking_witness_is_the_space_of_its_ordinal(q, n, k, samples):
     # every element but the candidates of space j leaves exactly space j
     # unblocked, since a space is the only one with its candidates

@@ -292,6 +292,21 @@ def test_iter_masks_match_iter_subspace_masks(q, n):
     assert not lean._subspaces and not lean._space_masks
 
 
+@pytest.mark.parametrize("q,n", [(2, 3), (4, 3), (9, 2), (2, 5)])
+def test_space_of_mask_inverts_the_point_mask(q, n):
+    # every subspace, the empty one included, back from its point mask,
+    # spanned by one point per pivot column
+    ctx = GeometryContext(field_for_order(q), n)
+    spans = []
+    span = ctx.span
+    ctx.span = lambda *parts: spans.append(len(parts)) or span(*parts)
+    for m in range(-1, n + 1):
+        for space, points, _ in ([(EMPTY_SUBSPACE, 0, 0)] if m < 0
+                                 else ctx.iter_subspace_masks(m)):
+            assert ctx.space_of_mask(points) == space, (q, n, space)
+            assert spans.pop() == m + 1
+
+
 def test_table_budget():
     # the table of PG(5,16) would hold 1,118,481^2 bits
     ctx = GeometryContext(field_for_order(16), 5)

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import math
+import multiprocessing
 import time
 from functools import reduce
 from operator import or_
@@ -166,6 +167,12 @@ def _list_tasks(inc, caps, cap, tasks, first_only=True, deadline=None):
     return results
 
 
+def _branch_and_bound(inc, cap, slices=(((), 0),), workers=1, deadline=None):
+    """One search's shards, run and merged through a runner of its own."""
+    with search._Runner(inc, workers, deadline) as runner:
+        return search._branch_and_bound(inc, cap, runner.run, slices)
+
+
 def _bitmask_shards(inc, caps, cap, deadline=None):
     clashes = {}
     return [search._shard_search(inc, clashes, caps, cap, *task, deadline)
@@ -246,8 +253,62 @@ def test_budget_exit_on_the_worker_pool(pg33, monkeypatch):
     ticks = iter([0.0])
     monkeypatch.setattr(search, "time", SimpleNamespace(monotonic=lambda: next(ticks, 10.0)))
     with pytest.raises(TimeBudgetExceeded) as info:
-        search._branch_and_bound(incidence(pg33, 1), 12, 2, deadline=1.0)
+        _branch_and_bound(incidence(pg33, 1), 12, workers=2, deadline=1.0)
     assert info.value.nodes_expanded == 1024 and 0 < info.value.pruned < 1024
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda ctx: min_blocking_search(ctx, 1, 12, workers=2, budget_seconds=0),
+    lambda ctx: refute_below(ctx, 1, 12, workers=2, budget_seconds=0),
+], ids=["search", "refutation"])
+def test_budget_exit_on_two_workers_leaves_no_process(pg33, monkeypatch, call):
+    # the plain search forks at its 8 root tasks and the refutation at
+    # (6, 5), its first composition searched, with two slices; a worker
+    # raises at its first check, and the call terminates the pool on the way
+    # out, so no worker outlives it
+    forked = []
+    fork = search._Runner.fork
+    monkeypatch.setattr(search._Runner, "fork",
+                        lambda runner, size: forked.append(size) or fork(runner, size))
+    with pytest.raises(TimeBudgetExceeded):
+        call(pg33)
+    assert forked == [2]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("q,n,k,call,size", [
+    (2, 3, 1, lambda ctx, k, w: min_blocking_search(ctx, k, 6, workers=w).canonical_dict(), 6),
+    (3, 3, 1, lambda ctx, k, w: refute_below(ctx, k, 13, workers=w), 2),
+    (2, 5, 2, lambda ctx, k, w: refute_below(ctx, k, 12, workers=w), 3),
+], ids=["search", "refutation-pg33", "refutation-pg52"])
+def test_pool_size_is_capped_by_the_task_lists(monkeypatch, q, n, k, call, size):
+    # a huge workers value asks the fork factory once, for no more processes
+    # than the largest task list of the call: plain search's 6 root
+    # branches, or the slices of the refutation's first composition with
+    # two or more (2 of 2 on PG(3,3), 3 of 4 on PG(5,2)).  The stand-in
+    # pool runs its tasks in process and starts no process
+    ctx = GeometryContext(Field(q), n)
+    sizes, lists = [], []
+    run = search._Runner.run
+
+    def listed(runner, tasks):
+        lists.append(len(tasks))
+        return run(runner, tasks)
+
+    def fork(runner, size):
+        sizes.append(size)
+        return SimpleNamespace(
+            imap=lambda _, tasks: (search._run_task(task, runner.state) for task in tasks),
+            terminate=lambda: None)
+
+    monkeypatch.setattr(search._Runner, "run", listed)
+    monkeypatch.setattr(search._Runner, "fork", fork)
+    report = call(ctx, k, 10 ** 6)
+    assert sizes == [size] and size <= max(lists)
+    assert multiprocessing.active_children() == []
+    monkeypatch.undo()
+    assert report == call(ctx, k, 1)
 
 
 def test_budget_on_exhaustive_mode(pg32):
@@ -517,11 +578,10 @@ def test_slice_search_matches_plain_search(q, n, k):
             if (caps[0] or caps[1]) > ctx.num_points:
                 assert slices == [], caps
                 continue
-            _, plain, _, _ = search._branch_and_bound(inc, caps, 1, None)
+            _, plain, _, _ = _branch_and_bound(inc, caps)
             hit = False
             for forced, forbidden in slices:
-                _, sliced, _, _ = search._branch_and_bound(inc, caps, 1, None,
-                                                           [(forced, forbidden)])
+                _, sliced, _, _ = _branch_and_bound(inc, caps, [(forced, forbidden)])
                 for ids in sliced:
                     assert set(forced) <= set(ids), (caps, ids)
                     assert not any(forbidden >> u & 1 for u in ids), (caps, ids)
@@ -530,7 +590,7 @@ def test_slice_search_matches_plain_search(q, n, k):
                     assert got[0] <= caps[0] and got[1] <= caps[1], (caps, ids)
                 hit = hit or bool(sliced)
             assert hit == bool(plain), caps
-            _, together, _, _ = search._branch_and_bound(inc, caps, 1, None, slices)
+            _, together, _, _ = _branch_and_bound(inc, caps, slices)
             assert bool(together) == hit, caps
             found[caps] = hit
     if n == 2 * k + 1:
@@ -581,14 +641,13 @@ def test_root_tasks_with_forced_elements(pg22, pg32):
     assert search._root_tasks(inc) == expected
     # (0, 0) has one empty slice and a cap of 0: one node
     assert search._slices(pg32, 0, 0) == [((), 0)]
-    assert search._branch_and_bound(inc, (0, 0), 1, None) == (None, (), 1, 0)
+    assert _branch_and_bound(inc, (0, 0)) == (None, (), 1, 0)
     # a slice whose forced elements block everything: its root is a leaf,
     # one node, and the search returns them
     line = tuple(p.index for p in pg22.subspace_points(pg22.subspaces(1)[3]))
     inc22 = incidence(pg22, 1)
     for forbidden in (0, 1 << 6):
-        assert search._branch_and_bound(inc22, (3, 0), 1, None, [(line, forbidden)]) \
-            == (3, (line,), 1, 0)
+        assert _branch_and_bound(inc22, (3, 0), [(line, forbidden)]) == (3, (line,), 1, 0)
 
 
 @pytest.mark.parametrize("q,n,k,target,searched,size", [
@@ -619,20 +678,34 @@ def test_refutation_runs_on_one_pool(monkeypatch, q, n, k, target):
     # worker's
     ctx = GeometryContext(Field(q), n)
     opened, terminated = [], []
-    fork = search._pool
+    fork = search._Runner.fork
 
-    def counted(*args):
-        pool = fork(*args)
+    def counted(runner, size):
+        pool = fork(runner, size)
         terminate = pool.terminate
         pool.terminate = lambda: (terminated.append(pool), terminate())
         opened.append(pool)
         return pool
 
-    monkeypatch.setattr(search, "_pool", counted)
+    monkeypatch.setattr(search._Runner, "fork", counted)
     report = refute_below(ctx, k, target, workers=2)
     assert opened == terminated and len(opened) == 1
     assert sum(c.method == "search" for c in report.compositions) > 1
     assert report == refute_below(ctx, k, target, workers=1) and len(opened) == 1
+
+
+@pytest.mark.parametrize("q,n,k,target,misses", [(3, 3, 1, 13, 165), (2, 5, 2, 12, 322)])
+def test_refutation_keeps_one_packing_memo(monkeypatch, q, n, k, target, misses):
+    # in process, every composition of a refutation reads one packing memo,
+    # so no allowed-candidate mask misses it twice (with one memo per
+    # composition there were 189 and 803 misses)
+    ctx = GeometryContext(Field(q), n)
+    masks = []
+    covered_by = search._covered_by
+    monkeypatch.setattr(search, "_covered_by",
+                        lambda covers, mask: masks.append(mask) or covered_by(covers, mask))
+    refute_below(ctx, k, target)
+    assert len(masks) == len(set(masks)) == misses
 
 
 def test_refute_below_pg62_k3():
