@@ -23,13 +23,14 @@ the constructions.  `lemma_checks` runs the public diagnostics.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from operator import and_
 
-from .counting import check_k, theta
+from .counting import check_k
 from .gf import (Field, InputError, field_for_order, json_list, json_object,
                  plain_int, required)
 from .pgkernel import GeometryContext, Point, Subspace
@@ -330,10 +331,7 @@ def tangent_closure(ctx: GeometryContext, point_set) -> TangentClosureReport:
     violator = ctx.point((both & -both).bit_length() - 1) if both else None
     closure_mask = ((1 << ctx.num_points) - 1) & ~on_tangent
     closure = frozenset(map(ctx.point, ordinals(closure_mask)))
-    size = len(pts)
-    expected_dim = 0
-    while theta(expected_dim, ctx.q) < size:
-        expected_dim += 1
+    expected_dim = bisect_left(ctx.thetas, len(pts)) - 1  # thetas[m+1] = theta_m
     if violator is not None:
         return TangentClosureReport(closure, False, violator,
                                     None, None, expected_dim)

@@ -49,7 +49,7 @@ from operator import and_, or_
 
 from .blocking import (BlockingSet, candidates, check_middle, incidence, ordinals,
                        spaces_inside)
-from .counting import minimum_size_bound, theta
+from .counting import minimum_size_bound
 from .gf import InputError, plain_int
 from .pgkernel import GeometryContext, Subspace
 
@@ -182,7 +182,7 @@ def theorem_family(ctx: GeometryContext, k: int):
     sets, count = distinct_pencil_partition_sets(ctx, k) if ctx.n == 2 * k + 1 else ((), 0)
     pure = tuple(ordinals(points << offset)
                  for dim, offset in ((ctx.n - k, 0), (k + 1, ctx.num_points))
-                 if theta(dim, ctx.q) == bound
+                 if ctx.thetas[dim + 1] == bound
                  for points, _ in ctx.iter_masks(dim))
     return tuple(sorted(sets + pure)), count + len(pure)
 
@@ -250,7 +250,7 @@ def recognize_pencil_partition(bset: BlockingSet) -> PencilPartitionParams | Non
     else:
         axis = None  # the span of axis_points, once the set is confirmed
         axis_points = reduce(and_, (masks[j] for j in trace_ids)) & point_part
-        if axis_points.bit_count() != theta(k - 1, q):
+        if axis_points.bit_count() != ctx.thetas[k]:
             return None
     members = [j for j in ordinals(inside) if masks[j] & axis_points == axis_points]
     point_members = [j for j in members if not traces >> j & 1]

@@ -2,18 +2,23 @@
 
 A subspace is identified with the reduced row echelon form of a basis
 matrix; that form is unique, so subspace equality and hashing are plain
-tuple comparisons.  Points carry a canonical ordinal compatible with the
-lexicographic order of their normalized coordinates, and hyperplanes are
-ordinal-indexed by the point ordinal of their dual coordinate vector.
-All incidence machinery downstream runs on those ordinals as bitset
-positions, starting from one table per context: for each ordinal x, the
-bitmask of the points orthogonal to x (`hyperplane_table`), from which
-`subspace_masks` reads the points of a subspace and the hyperplanes
-through it.
+tuple comparisons.  Hyperplanes are ordinal-indexed by the point ordinal
+of their dual coordinate vector.
+
+Point ordinals follow the lexicographic order of normalized coordinates:
+block i holds the points e_{n-i} + t, t in GF(q)^i, at theta_{i-1} + (t
+read in base q), so the span of e_n, ..., e_{n-i} is the points below
+theta_i.  Every reader takes the block starts from `thetas` = (0,
+theta_0, ..., theta_n), one tuple per context.  All incidence machinery
+downstream runs on those ordinals as bitset positions, starting from one
+table per context: for each ordinal x, the bitmask of the points
+orthogonal to x (`hyperplane_table`), from which `subspace_masks` reads
+the points of a subspace and the hyperplanes through it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -26,6 +31,11 @@ TABLE_BUDGET_BITS = 8 * 10 ** 8  # 100 MB of point-hyperplane table
 
 class BudgetExceeded(RuntimeError):
     pass
+
+
+def _check_budget(count: int, what: str):
+    if count > ENUMERATION_BUDGET:
+        raise BudgetExceeded(f"{count} {what} exceed the enumeration budget {ENUMERATION_BUDGET}")
 
 
 @dataclass(frozen=True)
@@ -124,17 +134,15 @@ class GeometryContext:
             raise InputError(f"projective dimension n = {n} must be >= 1")
         self.field = field
         self.n = n
-        self.num_points = theta(n, field.q)
-        # the points with their leading 1 at coordinate i start at ordinal
-        # theta_{n-i-1}, after the points with more leading zeros
-        self._lead_offsets = [theta(n - i - 1, field.q) for i in range(n + 1)]
+        # thetas[i] = theta_{i-1}: the block starts of the ordinal layout
+        self.thetas = tuple(theta(d, field.q) for d in range(-1, n + 1))
+        self.num_points = self.thetas[-1]
         self._subspaces: dict[int, tuple[Subspace, ...]] = {}
         self._subspace_points: dict[Subspace, tuple[Point, ...]] = {}
         self._duals: dict[Subspace, Subspace] = {}
         self._table: tuple[int, ...] | None = None
         # theta_{n-1-d} hyperplanes pass through a d-space of theta_d points
-        self._span_sizes = {theta(n - 1 - d, field.q): theta(d, field.q)
-                            for d in range(-1, n + 1)}
+        self._span_sizes = dict(zip(reversed(self.thetas), self.thetas))
         self._space_masks: dict[Subspace, tuple[int, int]] = {}
         self.incidence_systems: dict[int, object] = {}
 
@@ -182,7 +190,7 @@ class GeometryContext:
         offset = 0
         for c in coords[lead + 1:]:
             offset = offset * q + c
-        return self._lead_offsets[lead] + offset
+        return self.thetas[self.n - lead] + offset
 
     def point(self, arg) -> Point:
         """Point from an ordinal, from (possibly unnormalized) coordinates
@@ -191,28 +199,20 @@ class GeometryContext:
         if isinstance(arg, Point):
             arg = arg.coords
         if not isinstance(arg, (tuple, list)):
-            # an ordinal: invert point_index.  One point has n leading
-            # zeros, q points have n-1, q^2 have n-2, and so on
+            # an ordinal: invert point_index; its offset in block i of the
+            # layout is the i base-q digits of the tail
             if not 0 <= plain_int(arg, "point ordinal") < self.num_points:
                 raise InputError(f"point ordinal {arg} is outside [0, {self.num_points})")
-            q = self.q
-            offset, block, lead = arg, 1, self.n
-            while offset >= block:
-                offset -= block
-                block *= q
-                lead -= 1
-            tail = [0] * (self.n - lead)
-            for i in range(len(tail) - 1, -1, -1):
-                offset, tail[i] = divmod(offset, q)
-            return Point((0,) * lead + (1,) + tuple(tail), arg)
+            i = bisect_right(self.thetas, arg) - 1
+            offset, tail = arg - self.thetas[i], [0] * i
+            for j in range(i - 1, -1, -1):
+                offset, tail[j] = divmod(offset, self.q)
+            return Point((0,) * (self.n - i) + (1,) + tuple(tail), arg)
         coords = self.normalize(arg)
         return Point(coords, self.point_index(coords))
 
     def points(self) -> tuple[Point, ...]:
-        if self.num_points > ENUMERATION_BUDGET:
-            raise BudgetExceeded(
-                f"{self.num_points} points exceed the enumeration budget "
-                f"{ENUMERATION_BUDGET}")
+        _check_budget(self.num_points, "points")
         return tuple(map(self.point, range(self.num_points)))
 
     # -- basic subspace algebra ----------------------------------------------
@@ -243,24 +243,27 @@ class GeometryContext:
 
     def extensions(self, space: Subspace, ambient: Subspace):
         """Each distinct span of space with one point of ambient off it, in
-        the order of the smallest such point."""
-        inside = {p.index for p in self.subspace_points(space)}
-        seen = set()
+        the order of the smallest such point.  Two of them meet in space, so
+        the points of each one yielded are skipped: one span per extension."""
+        skip = {p.index for p in self.subspace_points(space)}
         for pt in self.subspace_points(ambient):
-            if pt.index not in inside:
+            if pt.index not in skip:
                 ext = self.span(space, pt)
-                if ext not in seen:
-                    seen.add(ext)
-                    yield ext
+                skip.update(p.index for p in self.subspace_points(ext))
+                yield ext
 
     def hull(self, parts, dim: int) -> Subspace:
         """The span of parts, raised to dimension dim (if it is lower) by
-        taking the first space over it in `extensions` order, step by step."""
+        taking the first space over it in `extensions` order, step by step:
+        its span with the lowest ordinal off it, the first gap in its
+        `subspace_points`, which come in ordinal order."""
         if not -1 <= plain_int(dim, "dim") <= self.n:
             raise InputError(f"no subspace of dimension {dim} in {self!r}")
         space = self.span(*parts)
         while space.dim < dim:
-            space = next(self.extensions(space, self.whole_space()))
+            pts = self.subspace_points(space)
+            low = next((u for u, pt in enumerate(pts) if pt.index != u), len(pts))
+            space = self.span(space, self.point(low))
         return space
 
     def whole_space(self) -> Subspace:
@@ -317,10 +320,7 @@ class GeometryContext:
         after p_i, later columns varying fastest."""
         if not 0 <= m <= self.n:
             raise InputError(f"need 0 <= m <= {self.n}, got m = {m}")
-        count = gaussian(self.n + 1, m + 1, self.q)
-        if count > ENUMERATION_BUDGET:
-            raise BudgetExceeded(
-                f"{count} {m}-spaces exceed the enumeration budget {ENUMERATION_BUDGET}")
+        _check_budget(gaussian(self.n + 1, m + 1, self.q), f"{m}-spaces")
         cols, codes = self.n + 1, range(self.q)
         for pivots in combinations(range(cols), m + 1):
             coords = []
@@ -348,17 +348,19 @@ class GeometryContext:
         return self._subspaces[m]
 
     def subspace_points(self, space: Subspace) -> tuple[Point, ...]:
-        """Points on a subspace, via normalized coefficient vectors."""
+        """Points on a subspace in ordinal order, via normalized coefficient
+        vectors; its theta_dim points are checked against the enumeration
+        budget."""
         if space.dim == -1:
             return ()
         cached = self._subspace_points.get(space)
         if cached is not None:
             return cached
+        _check_budget(self.thetas[space.dim + 1], f"points of a {space.dim}-space")
         rows = space.basis
         pts = []
         for lead in range(space.dim, -1, -1):
-            coeff_tails = product(range(self.q), repeat=space.dim - lead)
-            for tail in coeff_tails:
+            for tail in product(range(self.q), repeat=space.dim - lead):
                 vec = list(rows[lead])
                 for offset, c in enumerate(tail):
                     if c:
@@ -367,8 +369,7 @@ class GeometryContext:
                                for x, y in zip(vec, row)]
                 coords = self.normalize(vec)
                 pts.append(Point(coords, self.point_index(coords)))
-        result = tuple(sorted(pts, key=lambda p: p.index))
-        self._subspace_points[space] = result
+        result = self._subspace_points[space] = tuple(sorted(pts, key=lambda p: p.index))
         return result
 
     # -- hyperplanes ---------------------------------------------------------
@@ -404,7 +405,7 @@ class GeometryContext:
             raise BudgetExceeded(
                 f"the {self.num_points}^2-bit point-hyperplane table exceeds the "
                 f"budget of {TABLE_BUDGET_BITS} bits")
-        q, n, fld = self.q, self.n, self.field
+        q, n, fld, offsets = self.q, self.n, self.field, self.thetas
         codes = range(q)
         times = [[fld.mul(a, v) for v in codes] for a in codes]
         minus = [[fld.sub(c, w) for w in codes] for c in codes]
@@ -420,16 +421,14 @@ class GeometryContext:
 
         # tails[m][a][c]: the tails t in GF(q)^m with a . t = c, as a bitmask
         # in base-q order (t_1 most significant), a read as a base-q code.
-        # The points with their leading 1 at coordinate n - m are exactly
-        # e_{n-m} + t, at ordinals theta_{m-1} + code(t), so each block of a
-        # table entry is one tails mask.  Level n is needed for one c per
-        # entry only, so it is not tabulated.
+        # Block m of the layout is the points e_{n-m} + t, so each block of
+        # a table entry is one tails mask, shifted to thetas[m].  Level n is
+        # needed for one c per entry only, so it is not tabulated.
         tails = [[[int(c == 0) for c in codes]]]
         for m in range(1, n):
             lower, step = tails[-1], q ** (m - 1)
             tails.append([[solutions(rest, a1, c, step) for c in codes]
                           for a1 in codes for rest in lower])
-        offsets = self._lead_offsets[::-1]  # offsets[m] = theta_{m-1}
         top, top_step = tails[n - 1], q ** (n - 1)
         table = []
         for lead in range(n, -1, -1):
@@ -467,9 +466,9 @@ class GeometryContext:
         each leading coordinate: a subspace's points lead exactly at its
         pivot columns, so those are dim+1 independent points."""
         picked = []
-        for i in range(self.n + 1):
+        for top in self.thetas[1:]:
             # the points left below theta_i all lead at coordinate n - i
-            low = points & ((1 << theta(i, self.q)) - 1)
+            low = points & ((1 << top) - 1)
             if low:
                 picked.append((low & -low).bit_length() - 1)
                 points ^= low

@@ -496,11 +496,11 @@ def _slices(ctx: GeometryContext, points: int, hyperplanes: int
         count, base = hyperplanes, ctx.num_points  # dual ordinals, offset by theta_n
     else:
         return [((), 0)]
-    q = ctx.q
+    thetas = ctx.thetas
     block = ((1 << ctx.num_points) - 1) << base
-    return [(tuple(base + theta(i - 1, q) for i in range(r)),
-             block & ~((1 << base + theta(r - 1, q)) - 1))
-            for r in range(1, min(count, ctx.n + 1) + 1) if theta(r - 1, q) >= count]
+    return [(tuple(base + start for start in thetas[:r]),
+             block & ~((1 << base + thetas[r]) - 1))
+            for r in range(1, min(count, ctx.n + 1) + 1) if thetas[r] >= count]
 
 
 def refute_below(ctx: GeometryContext, k: int, target: int,
@@ -630,7 +630,7 @@ def classify_minimum(ctx: GeometryContext, k: int, size_cap: int | None = None,
     expected = minimum_size_bound(ctx.n, k, ctx.q)
     if size_cap is None:
         size_cap = expected if isinstance(expected, int) else \
-            min(theta(k + 1, ctx.q), theta(ctx.n - k, ctx.q))
+            min(ctx.thetas[k + 2], ctx.thetas[ctx.n - k + 1])
     try:
         report = min_blocking_search(ctx, k, size_cap, mode, workers, budget_seconds)
     except TimeBudgetExceeded:

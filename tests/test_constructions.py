@@ -573,3 +573,23 @@ def test_canonical_members_are_the_pencil(q, n):
         members = pencil(ctx, params.axis, params.hull)
         assert params.point_spaces == frozenset(members[:t])
         assert params.hyperplane_spaces == frozenset(members[t:])
+
+
+@pytest.mark.parametrize("q,n", [(9, 3), (16, 5)])
+def test_pencil_spans_each_member_once(q, n):
+    # the canonical pencil costs one span per member, q + 1 in all, where
+    # spanning the axis with every hull point off it costs theta_{k+1} -
+    # theta_{k-1} (90 on PG(3,9), 4352 on PG(5,16)); the members come in
+    # the order of their smallest off-axis point
+    ctx = GeometryContext(field_for_order(q), n)
+    k = (n - 1) // 2
+    axis, hull = canonical_anchor(ctx, k - 1), canonical_anchor(ctx, k + 1)
+    spans = []
+    span = ctx.span
+    ctx.span = lambda *parts: spans.append(parts) or span(*parts)
+    members = pencil(ctx, axis, hull)
+    assert len(spans) == q + 1
+    zeros = (0,) * (n - k - 1)
+    directions = [(0, 1)] + [(1, c) for c in range(q)]
+    assert members == tuple(Subspace(k, axis.basis + ((0,) * k + d + zeros,))
+                            for d in directions)

@@ -3,6 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
+from pgblock import pgkernel
 from pgblock.counting import gaussian, theta
 from pgblock.gf import Field, InputError, field_for_order
 from pgblock.pgkernel import (EMPTY_SUBSPACE, BudgetExceeded,
@@ -26,9 +27,16 @@ def test_point_counts(pg22, pg32, pg33):
 
 
 def test_point_index_matches_enumeration(pg33):
-    for pt in pg33.points():
-        assert pg33.point_index(pt.coords) == pt.index
-        assert pg33.point(pt.index) == pt
+    # every ordinal gives a normalized point that carries it, and the
+    # ordinals follow the lexicographic order of the coordinates
+    for ctx in (pg33, *(GeometryContext(field_for_order(q), n)
+                        for q, n in ((8, 2), (9, 2), (4, 3), (2, 5)))):
+        pts = ctx.points()
+        for u, pt in enumerate(pts):
+            assert pt.index == u and ctx.point_index(pt.coords) == u
+            assert ctx.normalize(pt.coords) == pt.coords
+            assert ctx.point(pt.coords) == pt
+        assert all(a.coords < b.coords for a, b in zip(pts, pts[1:])), ctx
 
 
 def test_normalization_idempotent_and_unique(pg33):
@@ -262,7 +270,9 @@ def test_subspace_masks_match_subspace_points(field, n):
     spaces += [space for m in range(n) for space in ctx.subspaces(m)]
     for space in spaces:
         points, hyperplanes = ctx.subspace_masks(space)
-        assert points == sum(1 << p.index for p in ctx.subspace_points(space))
+        indices = [p.index for p in ctx.subspace_points(space)]
+        assert indices == sorted(set(indices))  # `hull` reads the first gap
+        assert points == sum(1 << u for u in indices)
         assert hyperplanes == sum(1 << p.index for p in ctx.subspace_points(ctx.dual(space)))
     pt = ctx.point(5)
     assert ctx.subspace_masks(pt) == ctx.subspace_masks(Subspace(0, (pt.coords,)))
@@ -305,6 +315,35 @@ def test_space_of_mask_inverts_the_point_mask(q, n):
                                  else ctx.iter_subspace_masks(m)):
             assert ctx.space_of_mask(points) == space, (q, n, space)
             assert spans.pop() == m + 1
+
+
+def test_subspace_points_budget(monkeypatch):
+    # the points of a space are counted before they are listed: with the
+    # budget at 100, a line of PG(3,16) (17 points) is listed and a plane
+    # (273 points) refused
+    ctx = GeometryContext(field_for_order(16), 3)
+    monkeypatch.setattr(pgkernel, "ENUMERATION_BUDGET", 100)
+    assert len(ctx.subspace_points(ctx.span(ctx.point(0), ctx.point(1)))) == 17
+    with pytest.raises(BudgetExceeded, match="273 points of a 2-space"):
+        ctx.subspace_points(ctx.hull([ctx.point(0)], 2))
+
+
+def test_hull_lists_only_the_spaces_it_grows():
+    # point 0 of PG(5,16) grows to the line on points 0 and 1, the lowest
+    # ordinal off it, without listing anything above the point itself (the
+    # whole space has 1,118,481 points)
+    ctx = GeometryContext(field_for_order(16), 5)
+    dims = []
+    listed = ctx.subspace_points
+
+    def recorded(space):
+        dims.append(space.dim)
+        assert space.dim <= 0, dims
+        return listed(space)
+
+    ctx.subspace_points = recorded
+    assert ctx.hull([ctx.point(0)], 1) == ctx.span(ctx.point(0), ctx.point(1))
+    assert dims == [0]
 
 
 def test_table_budget():
